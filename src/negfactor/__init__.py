@@ -45,7 +45,6 @@ from .factorization import (
     Hyperparams,
     enumeration_oracle,
     forward_negraising,
-    forward_selection,
     negraising_grid,
 )
 from .model import FittedModel
@@ -72,62 +71,3 @@ from .response import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AcceptabilityCells",
-    "AnalysisBundle",
-    "CapacityError",
-    "ComparisonRecord",
-    "ConsistencyError",
-    "CoverageError",
-    "DimensionError",
-    "EffectsParams",
-    "EvalReport",
-    "FactorParams",
-    "FactorProbs",
-    "FitConfig",
-    "FitError",
-    "FitResult",
-    "FittedModel",
-    "FoldAssignment",
-    "FRAME_LABELS",
-    "GridPointResult",
-    "Gradient",
-    "Hyperparams",
-    "NegfactorError",
-    "NormalizedScores",
-    "PairingError",
-    "PlantedFactors",
-    "PlantedSpec",
-    "ResponseTable",
-    "RowError",
-    "SchemaError",
-    "SUBJECT_LABELS",
-    "TENSE_LABELS",
-    "adam_minimize",
-    "analyze",
-    "assign_folds",
-    "bootstrap_compare",
-    "cross_validate",
-    "enumeration_oracle",
-    "evaluate",
-    "evaluate_per_cell",
-    "fit",
-    "forward_negraising",
-    "forward_selection",
-    "generate_synthetic",
-    "gradient",
-    "kl_loss",
-    "load_csv",
-    "negraising_grid",
-    "normalize",
-    "predict_acceptability",
-    "predict_negraising",
-    "prior_penalty",
-    "rank_verbs",
-    "sample_participant_effects",
-    "summarize",
-    "total_loss",
-    "write_analysis",
-    "write_csv",
-]

@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .optim import FitConfig, evaluate, evaluate_per_cell, fit
+from .optim import FitConfig, fit, record_losses
 
 REPORT_FORMAT = "negfactor-cv-report"
 REPORT_VERSION = 2
@@ -229,11 +229,17 @@ class EvalReport:
         raise ValueError(f"grid point {key} is not in the report")
 
     def ranking(self) -> list[tuple[int, int]]:
-        """Grid points from best to worst total; failed points last."""
+        """Grid points from best to worst total; failed points last.
+
+        Equal totals keep each prediction class together, its
+        representative ahead of the points that name it in
+        ``equivalent_to``.
+        """
         def sort_key(result: GridPointResult):
             total = result.total
+            label = result.hyper.as_tuple()
             return (np.isnan(total), total if not np.isnan(total) else 0.0,
-                    result.hyper.as_tuple())
+                    result.equivalent_to or label, result.equivalent_to is not None, label)
         return [r.hyper.as_tuple() for r in sorted(self.results, key=sort_key)]
 
     def to_dict(self) -> dict:
@@ -325,8 +331,10 @@ def _cross_validate_point(table: ResponseTable, assignment: FoldAssignment,
             )
             fold_losses.append(None)
             continue
-        fold_losses.append(evaluate(outcome.model, table, record_mask=held_mask))
-        per_cell = evaluate_per_cell(outcome.model, table, record_mask=held_mask)
+        losses = record_losses(outcome.model, table)
+        fold_losses.append(float(np.sum(losses[held_mask])))
+        per_cell = np.bincount(table.cell_idx, weights=np.where(held_mask, losses, 0.0),
+                               minlength=table.n_cells)
         held_cells = assignment.held_cell_mask(fold)
         cell_losses[held_cells] = per_cell[held_cells]
     return fold_losses, cell_losses
@@ -398,6 +406,8 @@ def bootstrap_compare(report: EvalReport, a, b, n_boot: int = 10_000,
     stored losses; on a report from ``cross_validate`` those are identical,
     so the interval and the observed mean are all zero.
     """
+    if n_boot < 1:
+        raise ValueError("n_boot must be at least 1")
     point_a = report.point(a)
     point_b = report.point(b)
     valid_a = np.isfinite(point_a.cell_losses)

@@ -188,14 +188,6 @@ def negraising_from_probs(probs: FactorProbs, v, f, j, k):
     return float(out[0]) if scalar else out
 
 
-def selection_from_probs(probs: FactorProbs, v, f):
-    (v, f), scalar = _as_index_arrays(v, f)
-    z = probs.lambda_[v] * probs.pi[:, f].T
-    with np.errstate(divide="ignore"):
-        out = -np.expm1(np.log1p(-z).sum(axis=1))
-    return float(out[0]) if scalar else out
-
-
 def forward_negraising(params: FactorParams, v, f, j, k):
     """P(inference) for cell(s) (v, f, j, k); scalar ids or index arrays.
 
@@ -203,11 +195,6 @@ def forward_negraising(params: FactorParams, v, f, j, k):
     away from the endpoints before taking logits.
     """
     return negraising_from_probs(params.probabilities(), v, f, j, k)
-
-
-def forward_selection(params: FactorParams, v, f):
-    """P(verb v is acceptable in frame f): 1 - prod_t (1 - P(lambda) P(pi))."""
-    return selection_from_probs(params.probabilities(), v, f)
 
 
 def negraising_grid(params: FactorParams) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Per-cell normalization of the raw judgments.
 
-Instead of the factorization, every (verb, frame, subject, tense) cell
-gets a free latent nu (neg-raising) and alpha (acceptability), fitted
-jointly with the same response links, random effects, priors, and
-weighted KL loss used for model fitting. The resulting score summarizes a
-cell's neg-raising strength with participant variation regressed out.
+This is the objective that model fitting minimizes, with one free latent
+nu per (verb, frame, subject, tense) cell in place of the factorization:
+the same response links, random effects, priors, acceptability latents
+and weighted KL loss (``optim.ParameterPack`` with no hyperparameters).
+The resulting score summarizes a cell's neg-raising strength with
+participant variation regressed out.
 
 The reported score is logit^-1(exp(sigma0) * nu) + beta0. With the
 intercept added outside the inverse link the score can leave [0, 1]; pass
@@ -22,7 +23,7 @@ from scipy.special import expit, logit
 
 from .dataset import ResponseTable, clamp_responses
 from .errors import DimensionError
-from .optim import FitConfig, _prior_backward, adam_minimize, channel_backward
+from .optim import FitConfig, ParameterPack, _forward_backward, adam_minimize
 from .response import EffectsParams
 
 
@@ -56,84 +57,6 @@ class NormalizedScores:
                 ])
 
 
-class _FreePack:
-    """Flat layout: nu, alpha, fixed effects, random effects, log-variances."""
-
-    def __init__(self, n_cells: int, n_participants: int):
-        self.n_cells = n_cells
-        self.n_participants = n_participants
-        layout = [
-            ("nu", n_cells), ("alpha", n_cells),
-            ("beta0", 1), ("sigma0", 1), ("beta", n_participants), ("sigma", n_participants),
-            ("beta0_acc", 1), ("sigma0_acc", 1),
-            ("beta_acc", n_participants), ("sigma_acc", n_participants),
-            ("log_var_beta", 1), ("log_var_sigma", 1),
-            ("log_var_beta_acc", 1), ("log_var_sigma_acc", 1),
-        ]
-        self.slices: dict[str, slice] = {}
-        offset = 0
-        for name, size in layout:
-            self.slices[name] = slice(offset, offset + size)
-            offset += size
-        self.size = offset
-
-    def name_at(self, flat_index: int) -> str:
-        for name, sl in self.slices.items():
-            if sl.start <= flat_index < sl.stop:
-                return f"{name}[{flat_index - sl.start}]"
-        return f"component {flat_index}"
-
-    def effects(self, x: np.ndarray) -> EffectsParams:
-        scalar = lambda name: float(x[self.slices[name]][0])
-        vector = lambda name: x[self.slices[name]].copy()
-        return EffectsParams(
-            beta0=scalar("beta0"), sigma0=scalar("sigma0"),
-            beta=vector("beta"), sigma=vector("sigma"),
-            beta0_acc=scalar("beta0_acc"), sigma0_acc=scalar("sigma0_acc"),
-            beta_acc=vector("beta_acc"), sigma_acc=vector("sigma_acc"),
-            log_var_beta=scalar("log_var_beta"), log_var_sigma=scalar("log_var_sigma"),
-            log_var_beta_acc=scalar("log_var_beta_acc"),
-            log_var_sigma_acc=scalar("log_var_sigma_acc"),
-        )
-
-
-def _objective(x: np.ndarray, pack: _FreePack, table: ResponseTable):
-    sl = pack.slices
-    nu = x[sl["nu"]]
-    alpha = x[sl["alpha"]]
-    effects = pack.effects(x)
-
-    weights = expit(alpha)[table.cell_idx]
-    nr_loss, g_nu, g_beta0, g_sigma0, g_beta, g_sigma = channel_backward(
-        nu, table.cell_idx, table.part_idx, table.negraising,
-        effects.beta0, effects.sigma0, effects.beta, effects.sigma,
-        table.n_cells, weights=weights,
-    )
-    acc_loss, g_alpha, g_beta0_acc, g_sigma0_acc, g_beta_acc, g_sigma_acc = channel_backward(
-        alpha, table.cell_idx, table.part_idx, table.acceptability,
-        effects.beta0_acc, effects.sigma0_acc, effects.beta_acc, effects.sigma_acc,
-        table.n_cells,
-    )
-    penalty, value_grads, log_var_grads = _prior_backward(effects)
-
-    g = np.empty(pack.size)
-    g[sl["nu"]] = g_nu
-    g[sl["alpha"]] = g_alpha
-    g[sl["beta0"]] = g_beta0
-    g[sl["sigma0"]] = g_sigma0
-    g[sl["beta"]] = g_beta + value_grads[0]
-    g[sl["sigma"]] = g_sigma + value_grads[1]
-    g[sl["beta0_acc"]] = g_beta0_acc
-    g[sl["sigma0_acc"]] = g_sigma0_acc
-    g[sl["beta_acc"]] = g_beta_acc + value_grads[2]
-    g[sl["sigma_acc"]] = g_sigma_acc + value_grads[3]
-    g[sl["log_var_beta"]] = log_var_grads[0]
-    g[sl["log_var_sigma"]] = log_var_grads[1]
-    g[sl["log_var_beta_acc"]] = log_var_grads[2]
-    g[sl["log_var_sigma_acc"]] = log_var_grads[3]
-    return nr_loss + acc_loss + penalty, g
-
-
 def normalize(table: ResponseTable, config: FitConfig | None = None,
               inside_link: bool = False) -> NormalizedScores:
     """Fit free per-cell latents against the standard objective.
@@ -147,17 +70,17 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
         config = FitConfig()
     if table.n_records == 0:
         raise DimensionError("cannot normalize an empty table")
-    pack = _FreePack(table.n_cells, table.n_participants)
-    x0 = np.zeros(pack.size)
-    x0[pack.slices["nu"]] = logit(clamp_responses(table.cell_mean_negraising()))
-    x0[pack.slices["alpha"]] = logit(clamp_responses(table.cell_mean_acceptability()))
-
-    x, trajectory, converged, steps = adam_minimize(
-        x0, lambda point: _objective(point, pack, table), config, pack.name_at,
+    pack = ParameterPack(None, table.n_verbs, table.n_frames,
+                         table.n_participants, table.n_cells)
+    x0 = pack.pack(
+        logit(clamp_responses(table.cell_mean_negraising())),
+        EffectsParams.zeros(table.n_participants),
+        logit(clamp_responses(table.cell_mean_acceptability())),
     )
-    nu = x[pack.slices["nu"]].copy()
-    alpha = x[pack.slices["alpha"]].copy()
-    effects = pack.effects(x)
+    x, trajectory, converged, steps = adam_minimize(
+        x0, lambda point: _forward_backward(point, pack, table, None), config, pack.name_at,
+    )
+    nu, effects, alpha = pack.unpack(x)
     scaled = np.exp(effects.sigma0) * nu
     if inside_link:
         score = expit(scaled + effects.beta0)

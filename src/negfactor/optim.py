@@ -10,11 +10,15 @@ The per-cell weights alpha' on the neg-raising loss are deliberately
 treated as constants: alpha receives gradients only through the
 acceptability channel, so the optimizer cannot shrink the weighted loss
 by discounting hard cells.
+
+`_forward_backward` is the one objective, minimized by `fit` over the
+factor logits and by `normalization.normalize` over one free nu per
+cell; its link, divergence and prior come from `response`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit, logit
@@ -28,7 +32,9 @@ from .response import (
     PROB_CLAMP,
     AcceptabilityCells,
     EffectsParams,
+    channel_losses,
     negraising_record_losses,
+    prior_backward,
 )
 
 CONVERGENCE_WINDOW = 100
@@ -58,6 +64,10 @@ class FitConfig:
             raise ValueError("patience must be at least 1")
         if self.max_iterations < 0 or self.n_restarts < 1:
             raise ValueError("max_iterations must be >= 0 and n_restarts >= 1")
+        if self.adam_epsilon <= 0:
+            raise ValueError("adam_epsilon must be positive")
+        if self.convergence_tol < 0 or self.init_scale < 0:
+            raise ValueError("convergence_tol and init_scale must be >= 0")
 
 
 @dataclass
@@ -82,41 +92,48 @@ class Gradient:
     loss: float
 
 
+FACTOR_SLOTS = {
+    "lambda": "lambda_logits",
+    "pi": "pi_logits",
+    "omega": "omega_logits",
+    "psi": "psi_logits",
+    "phi": "phi_logits",
+}
+
+
 class ParameterPack:
     """Flat-vector view over every optimized parameter.
 
-    Frozen boundary factor arrays are simply absent from the layout, so
-    they can never receive updates.
+    The latent block holds the factor logits of ``hyper`` (``fit``) or,
+    when ``hyper`` is None, one free nu per cell (``normalize``). Frozen
+    boundary factor arrays are simply absent from the layout, so they can
+    never receive updates. The slots of every ``EffectsParams`` field and
+    of alpha follow the latent block.
     """
 
-    def __init__(self, hyper: Hyperparams, n_verbs: int, n_frames: int,
+    def __init__(self, hyper: Hyperparams | None, n_verbs: int, n_frames: int,
                  n_participants: int, n_cells: int):
         self.hyper = hyper
         self.n_verbs = n_verbs
         self.n_frames = n_frames
-        self.n_participants = n_participants
-        self.n_cells = n_cells
         layout: list[tuple[str, tuple[int, ...]]] = []
-        if hyper.n_structural:
-            layout += [
-                ("lambda", (n_verbs, hyper.n_structural)),
-                ("pi", (hyper.n_structural, n_frames)),
-                ("omega", (hyper.n_structural, 2, 2)),
-            ]
-        if hyper.n_lexical:
-            layout += [
-                ("psi", (n_verbs, hyper.n_lexical)),
-                ("phi", (hyper.n_lexical, 2, 2)),
-            ]
-        layout += [
-            ("beta0", ()), ("sigma0", ()),
-            ("beta", (n_participants,)), ("sigma", (n_participants,)),
-            ("beta0_acc", ()), ("sigma0_acc", ()),
-            ("beta_acc", (n_participants,)), ("sigma_acc", (n_participants,)),
-            ("log_var_beta", ()), ("log_var_sigma", ()),
-            ("log_var_beta_acc", ()), ("log_var_sigma_acc", ()),
-            ("alpha", (n_cells,)),
-        ]
+        if hyper is None:
+            layout.append(("nu", (n_cells,)))
+        else:
+            if hyper.n_structural:
+                layout += [
+                    ("lambda", (n_verbs, hyper.n_structural)),
+                    ("pi", (hyper.n_structural, n_frames)),
+                    ("omega", (hyper.n_structural, 2, 2)),
+                ]
+            if hyper.n_lexical:
+                layout += [
+                    ("psi", (n_verbs, hyper.n_lexical)),
+                    ("phi", (hyper.n_lexical, 2, 2)),
+                ]
+        layout += [(name, np.shape(value))
+                   for name, value in vars(EffectsParams.zeros(n_participants)).items()]
+        layout.append(("alpha", (n_cells,)))
         self._slices: dict[str, tuple[slice, tuple[int, ...]]] = {}
         offset = 0
         for name, shape in layout:
@@ -125,66 +142,40 @@ class ParameterPack:
             offset += size
         self.size = offset
 
-    def _values(self, factors: FactorParams, effects: EffectsParams, alpha: np.ndarray):
-        return {
-            "lambda": factors.lambda_logits,
-            "pi": factors.pi_logits,
-            "omega": factors.omega_logits,
-            "psi": factors.psi_logits,
-            "phi": factors.phi_logits,
-            "beta0": effects.beta0,
-            "sigma0": effects.sigma0,
-            "beta": effects.beta,
-            "sigma": effects.sigma,
-            "beta0_acc": effects.beta0_acc,
-            "sigma0_acc": effects.sigma0_acc,
-            "beta_acc": effects.beta_acc,
-            "sigma_acc": effects.sigma_acc,
-            "log_var_beta": effects.log_var_beta,
-            "log_var_sigma": effects.log_var_sigma,
-            "log_var_beta_acc": effects.log_var_beta_acc,
-            "log_var_sigma_acc": effects.log_var_sigma_acc,
-            "alpha": alpha,
-        }
+    def put(self, x: np.ndarray, name: str, value) -> None:
+        """Write one named parameter, or its gradient, into the flat vector x."""
+        sl, shape = self._slices[name]
+        x[sl] = np.reshape(value, -1) if shape else float(value)
 
-    def pack(self, factors: FactorParams, effects: EffectsParams, alpha: np.ndarray) -> np.ndarray:
-        values = self._values(factors, effects, alpha)
+    def take(self, x: np.ndarray, name: str):
+        sl, shape = self._slices[name]
+        return x[sl].reshape(shape).copy() if shape else float(x[sl][0])
+
+    def pack(self, latent: FactorParams | np.ndarray, effects: EffectsParams,
+             alpha: np.ndarray) -> np.ndarray:
+        if self.hyper is None:
+            values = {"nu": latent}
+        else:
+            values = {slot: getattr(latent, field) for slot, field in FACTOR_SLOTS.items()}
+        values.update(vars(effects), alpha=alpha)
         x = np.empty(self.size)
-        for name, (sl, shape) in self._slices.items():
-            x[sl] = np.reshape(values[name], -1) if shape else float(values[name])
+        for name in self._slices:
+            self.put(x, name, values[name])
         return x
 
-    def unpack(self, x: np.ndarray) -> tuple[FactorParams, EffectsParams, np.ndarray]:
-        def take(name):
-            sl, shape = self._slices[name]
-            return x[sl].reshape(shape).copy() if shape else float(x[sl][0])
-
-        n_t, n_i = self.hyper.n_structural, self.hyper.n_lexical
-        factors = FactorParams(
-            hyper=self.hyper,
-            n_verbs=self.n_verbs,
-            n_frames=self.n_frames,
-            lambda_logits=take("lambda") if n_t else None,
-            pi_logits=take("pi") if n_t else None,
-            omega_logits=take("omega") if n_t else None,
-            psi_logits=take("psi") if n_i else None,
-            phi_logits=take("phi") if n_i else None,
-        )
-        effects = EffectsParams(
-            beta0=take("beta0"),
-            sigma0=take("sigma0"),
-            beta=take("beta"),
-            sigma=take("sigma"),
-            beta0_acc=take("beta0_acc"),
-            sigma0_acc=take("sigma0_acc"),
-            beta_acc=take("beta_acc"),
-            sigma_acc=take("sigma_acc"),
-            log_var_beta=take("log_var_beta"),
-            log_var_sigma=take("log_var_sigma"),
-            log_var_beta_acc=take("log_var_beta_acc"),
-            log_var_sigma_acc=take("log_var_sigma_acc"),
-        )
-        return factors, effects, take("alpha")
+    def unpack(self, x: np.ndarray) -> tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray]:
+        if self.hyper is None:
+            latent = self.take(x, "nu")
+        else:
+            latent = FactorParams(
+                hyper=self.hyper,
+                n_verbs=self.n_verbs,
+                n_frames=self.n_frames,
+                **{field: self.take(x, slot) if slot in self._slices else None
+                   for slot, field in FACTOR_SLOTS.items()},
+            )
+        effects = EffectsParams(**{f.name: self.take(x, f.name) for f in fields(EffectsParams)})
+        return latent, effects, self.take(x, "alpha")
 
     def name_at(self, flat_index: int) -> str:
         for name, (sl, _) in self._slices.items():
@@ -206,12 +197,9 @@ def channel_backward(values: np.ndarray, cell_idx: np.ndarray, part_idx: np.ndar
     """
     n_participants = beta.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = np.exp(sigma0 + sigma[part_idx])
         vals_rec = values[cell_idx]
-        pred = expit(scale * vals_rec + beta0 + beta[part_idx])
-        pred_c = np.clip(pred, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
-        each = responses * np.log(responses / pred_c) \
-            + (1.0 - responses) * np.log((1.0 - responses) / (1.0 - pred_c))
+        each, pred, scale = channel_losses(vals_rec, part_idx, responses,
+                                           beta0, sigma0, beta, sigma)
         if weights is not None:
             each = weights * each
         loss = float(np.sum(each[mask])) if mask is not None else float(np.sum(each))
@@ -230,33 +218,11 @@ def channel_backward(values: np.ndarray, cell_idx: np.ndarray, part_idx: np.ndar
     return loss, g_values, g_beta0, g_sigma0, g_beta, g_sigma
 
 
-def _prior_backward(effects: EffectsParams):
-    """Prior penalty plus gradients for random effects and log-variances.
-
-    Uses numpy float semantics so that degenerate log-variances produce
-    inf/nan values (caught by the optimizer's finiteness checks) instead of
-    raising range errors mid-gradient.
-    """
-    penalty = 0.0
-    value_grads = []
-    log_var_grads = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for values, log_var in effects.random_effect_groups():
-            variance = np.exp(np.float64(log_var))
-            sum_sq = np.float64(np.sum(values * values))
-            n = values.shape[0]
-            penalty += float(sum_sq / (2.0 * variance) + 0.5 * n * log_var)
-            value_grads.append(values / variance)
-            log_var_grads.append(float(-sum_sq / (2.0 * variance) + 0.5 * n))
-    return penalty, value_grads, log_var_grads
-
-
-def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
-                      nr_mask: np.ndarray | None):
-    """Objective value and packed gradient at the packed point x."""
-    factors, effects, alpha = pack.unpack(x)
+def _factor_forward(factors: FactorParams, cells: np.ndarray):
+    """Clamped-logit nu per cell from the factorization, and the backward
+    pass that writes the factor-logit gradient for a given d loss / d nu."""
     probs = factors.probabilities()
-    cv, cf, cj, ck = (table.cells[:, i] for i in range(4))
+    cv, cf, cj, ck = (cells[:, i] for i in range(4))
     lam_c = probs.lambda_[cv]           # (C, eff_t)
     pi_c = probs.pi[:, cf].T
     om_c = probs.omega[:, cj, ck].T
@@ -270,7 +236,50 @@ def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
     s = log_miss.sum(axis=(1, 2))
     pn = -np.expm1(s)
     pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    nu = logit(pn_c)
+
+    def backward(g_nu: np.ndarray, pack: ParameterPack, g: np.ndarray) -> None:
+        # chain g_nu back through the clamped logit and the factorization
+        active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
+        g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            others = np.exp(s[:, None, None] - log_miss)
+        g_zeta = g_pn[:, None, None] * others
+        g_zeta[~active] = 0.0
+        g_a = (g_zeta * b[:, None, :]).sum(axis=2)
+        g_b = (g_zeta * a[:, :, None]).sum(axis=1)
+        if factors.hyper.n_structural:
+            n_t = factors.hyper.n_structural
+            g_lambda = np.zeros((factors.n_verbs, n_t))
+            np.add.at(g_lambda, cv, g_a * pi_c * om_c)
+            g_pi = np.zeros((factors.n_frames, n_t))
+            np.add.at(g_pi, cf, g_a * lam_c * om_c)
+            g_omega = np.zeros((4, n_t))
+            np.add.at(g_omega, cj * 2 + ck, g_a * lam_c * pi_c)
+            lam, pi, om = probs.lambda_, probs.pi, probs.omega
+            pack.put(g, "lambda", g_lambda * lam * (1.0 - lam))
+            pack.put(g, "pi", g_pi.T * pi * (1.0 - pi))
+            pack.put(g, "omega", g_omega.T.reshape(n_t, 2, 2) * om * (1.0 - om))
+        if factors.hyper.n_lexical:
+            n_i = factors.hyper.n_lexical
+            g_psi = np.zeros((factors.n_verbs, n_i))
+            np.add.at(g_psi, cv, g_b * phi_c)
+            g_phi = np.zeros((4, n_i))
+            np.add.at(g_phi, cj * 2 + ck, g_b * psi_c)
+            psi, phi = probs.psi, probs.phi
+            pack.put(g, "psi", g_psi * psi * (1.0 - psi))
+            pack.put(g, "phi", g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi))
+
+    return logit(pn_c), backward
+
+
+def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
+                      nr_mask: np.ndarray | None):
+    """Objective value and packed gradient at the packed point x."""
+    latent, effects, alpha = pack.unpack(x)
+    if pack.hyper is None:
+        nu = latent
+    else:
+        nu, factor_backward = _factor_forward(latent, table.cells)
 
     weights = expit(alpha)[table.cell_idx]
     nr_loss, g_nu, g_beta0, g_sigma0, g_beta, g_sigma = channel_backward(
@@ -283,57 +292,26 @@ def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
         effects.beta0_acc, effects.sigma0_acc, effects.beta_acc, effects.sigma_acc,
         table.n_cells,
     )
-
-    # chain g_nu back through the clamped logit and the factorization
-    active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
-    g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        others = np.exp(s[:, None, None] - log_miss)
-    g_zeta = g_pn[:, None, None] * others
-    g_zeta[~active] = 0.0
-    g_a = (g_zeta * b[:, None, :]).sum(axis=2)
-    g_b = (g_zeta * a[:, :, None]).sum(axis=1)
-
-    grads = {"alpha": g_alpha}
-    if pack.hyper.n_structural:
-        n_t = pack.hyper.n_structural
-        g_lambda = np.zeros((pack.n_verbs, n_t))
-        np.add.at(g_lambda, cv, g_a * pi_c * om_c)
-        g_pi = np.zeros((pack.n_frames, n_t))
-        np.add.at(g_pi, cf, g_a * lam_c * om_c)
-        g_omega = np.zeros((4, n_t))
-        np.add.at(g_omega, cj * 2 + ck, g_a * lam_c * pi_c)
-        lam, pi, om = probs.lambda_, probs.pi, probs.omega
-        grads["lambda"] = g_lambda * lam * (1.0 - lam)
-        grads["pi"] = g_pi.T * pi * (1.0 - pi)
-        grads["omega"] = g_omega.T.reshape(n_t, 2, 2) * om * (1.0 - om)
-    if pack.hyper.n_lexical:
-        n_i = pack.hyper.n_lexical
-        g_psi = np.zeros((pack.n_verbs, n_i))
-        np.add.at(g_psi, cv, g_b * phi_c)
-        g_phi = np.zeros((4, n_i))
-        np.add.at(g_phi, cj * 2 + ck, g_b * psi_c)
-        psi, phi = probs.psi, probs.phi
-        grads["psi"] = g_psi * psi * (1.0 - psi)
-        grads["phi"] = g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi)
-
-    penalty, value_grads, log_var_grads = _prior_backward(effects)
-    grads["beta0"] = g_beta0
-    grads["sigma0"] = g_sigma0
-    grads["beta"] = g_beta + value_grads[0]
-    grads["sigma"] = g_sigma + value_grads[1]
-    grads["beta0_acc"] = g_beta0_acc
-    grads["sigma0_acc"] = g_sigma0_acc
-    grads["beta_acc"] = g_beta_acc + value_grads[2]
-    grads["sigma_acc"] = g_sigma_acc + value_grads[3]
-    grads["log_var_beta"] = log_var_grads[0]
-    grads["log_var_sigma"] = log_var_grads[1]
-    grads["log_var_beta_acc"] = log_var_grads[2]
-    grads["log_var_sigma_acc"] = log_var_grads[3]
+    penalty, value_grads, log_var_grads = prior_backward(effects)
 
     g = np.empty(pack.size)
-    for name, (sl, shape) in pack._slices.items():
-        g[sl] = np.reshape(grads[name], -1) if shape else float(grads[name])
+    if pack.hyper is None:
+        pack.put(g, "nu", g_nu)
+    else:
+        factor_backward(g_nu, pack, g)
+    pack.put(g, "beta0", g_beta0)
+    pack.put(g, "sigma0", g_sigma0)
+    pack.put(g, "beta", g_beta + value_grads[0])
+    pack.put(g, "sigma", g_sigma + value_grads[1])
+    pack.put(g, "beta0_acc", g_beta0_acc)
+    pack.put(g, "sigma0_acc", g_sigma0_acc)
+    pack.put(g, "beta_acc", g_beta_acc + value_grads[2])
+    pack.put(g, "sigma_acc", g_sigma_acc + value_grads[3])
+    pack.put(g, "log_var_beta", log_var_grads[0])
+    pack.put(g, "log_var_sigma", log_var_grads[1])
+    pack.put(g, "log_var_beta_acc", log_var_grads[2])
+    pack.put(g, "log_var_sigma_acc", log_var_grads[3])
+    pack.put(g, "alpha", g_alpha)
     return nr_loss + acc_loss + penalty, g
 
 
@@ -480,74 +458,48 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
     return FitResult(model=model, trajectory=trajectory, iterations_run=steps, converged=converged)
 
 
-def _translate(labels_from: tuple[str, ...], labels_to: tuple[str, ...], kind: str,
-               allow_missing: bool = False) -> np.ndarray:
-    index = {label: i for i, label in enumerate(labels_to)}
-    out = np.empty(len(labels_from), dtype=np.int64)
-    missing = []
-    for i, label in enumerate(labels_from):
-        if label in index:
-            out[i] = index[label]
-        elif allow_missing:
-            out[i] = -1
-        else:
-            missing.append(label)
-    if missing:
-        raise CoverageError(f"model does not cover {kind}: {missing[:5]}")
+def _positions(labels: tuple[str, ...], within: tuple[str, ...],
+               kind: str | None = None) -> np.ndarray:
+    """Index of each label in ``within``, -1 where absent; when ``kind``
+    names the labels, an absent one raises CoverageError instead."""
+    index = {label: i for i, label in enumerate(within)}
+    out = np.array([index.get(label, -1) for label in labels], dtype=np.int64)
+    missing = [labels[i] for i in np.flatnonzero(out < 0)[:5]]
+    if missing and kind is not None:
+        raise CoverageError(f"model does not cover {kind}: {missing}")
     return out
 
 
 def record_losses(model: FittedModel, table: ResponseTable) -> np.ndarray:
     """Per-record weighted neg-raising loss of a model on (possibly new) data.
 
-    Participants unseen during fitting are scored with zero random effects
-    (the prior mean). Verbs, frames, or cells outside the model raise
-    CoverageError.
+    The table may list any subset of the model's verbs, frames and cells,
+    in any order. Participants unseen during fitting are scored with zero
+    random effects (the prior mean). Verbs, frames, or cells outside the
+    model raise CoverageError.
     """
-    same_vocab = (
-        model.verbs == table.verbs
-        and model.frames == table.frames
-        and model.participants == table.participants
-        and np.array_equal(model.cells, table.cells)
-    )
-    if same_vocab:
-        return negraising_record_losses(table, model.factors, model.effects,
-                                        AcceptabilityCells(model.alpha))
+    verb_map = _positions(table.verbs, model.verbs, "verbs")
+    frame_map = _positions(table.frames, model.frames, "frames")
+    part_map = _positions(table.participants, model.participants)
+    cells = np.column_stack([verb_map[table.cells[:, 0]], frame_map[table.cells[:, 1]],
+                             table.cells[:, 2], table.cells[:, 3]])
+    lookup = np.full((len(model.verbs), len(model.frames), 2, 2), -1, dtype=np.int64)
+    lookup[tuple(model.cells.T)] = np.arange(model.cells.shape[0])
+    rows = lookup[tuple(cells.T)]
+    if np.any(rows < 0):
+        v, f, j, k = table.cells[int(np.argmax(rows < 0))]
+        raise CoverageError(
+            f"model does not cover cell {(table.verbs[v], table.frames[f], int(j), int(k))}"
+        )
 
-    verb_map = _translate(table.verbs, model.verbs, "verbs")
-    frame_map = _translate(table.frames, model.frames, "frames")
-    part_map = _translate(table.participants, model.participants, "participants",
-                          allow_missing=True)
-
-    lookup = model.cell_lookup()
-    cell_alpha = np.empty(table.n_cells)
-    for row, (v, f, j, k) in enumerate(table.cells):
-        key = (table.verbs[v], table.frames[f], int(j), int(k))
-        if key not in lookup:
-            raise CoverageError(f"model does not cover cell {key}")
-        cell_alpha[row] = model.alpha[lookup[key]]
-
-    probs = model.factors.probabilities()
-    pn = negraising_from_probs(
-        probs,
-        verb_map[table.cells[:, 0]],
-        frame_map[table.cells[:, 1]],
-        table.cells[:, 2],
-        table.cells[:, 3],
-    )
+    pn = negraising_from_probs(model.factors.probabilities(), *cells.T)
     nu = logit(np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP))
-
-    # unseen participants get the prior-mean effects via a padded zero slot
-    beta = np.append(model.effects.beta, 0.0)
-    sigma = np.append(model.effects.sigma, 0.0)
-    part = part_map[table.part_idx]
-    part = np.where(part >= 0, part, len(model.participants))
-    scale = np.exp(model.effects.sigma0 + sigma[part])
-    pred = expit(scale * nu[table.cell_idx] + model.effects.beta0 + beta[part])
-    pred = np.clip(pred, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
-    r = table.negraising
-    each = r * np.log(r / pred) + (1.0 - r) * np.log((1.0 - r) / (1.0 - pred))
-    return expit(cell_alpha)[table.cell_idx] * each
+    seen = part_map >= 0
+    beta = np.where(seen, model.effects.beta[part_map], 0.0)
+    sigma = np.where(seen, model.effects.sigma[part_map], 0.0)
+    each, _, _ = channel_losses(nu[table.cell_idx], table.part_idx, table.negraising,
+                                model.effects.beta0, model.effects.sigma0, beta, sigma)
+    return expit(model.alpha[rows])[table.cell_idx] * each
 
 
 def evaluate(model: FittedModel, table: ResponseTable,

@@ -42,20 +42,6 @@ def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
     return total
 
 
-def reference_selection_probability(p_lambda, p_pi) -> float:
-    """Exact P(some t has lambda and pi both true), by itertools."""
-    p_bits = [float(p) for p in (*p_lambda, *p_pi)]
-    n_t = len(p_lambda)
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(p_bits)):
-        if any(bits[t] and bits[n_t + t] for t in range(n_t)):
-            weight = 1.0
-            for p, b in zip(p_bits, bits):
-                weight *= p if b else 1.0 - p
-            total += weight
-    return total
-
-
 def random_factor_params(rng, hyper, n_verbs, n_frames, scale=2.0) -> FactorParams:
     """Factor logits drawn wide enough to cover near-0 and near-1 probabilities."""
 

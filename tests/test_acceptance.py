@@ -31,6 +31,7 @@ from negfactor.optim import FitConfig, fit
 from negfactor.report import analyze, rank_verbs
 from negfactor.response import (
     AcceptabilityCells,
+    acceptability_record_losses,
     kl_loss,
     negraising_record_losses,
     prior_penalty,
@@ -219,11 +220,10 @@ def test_criterion_5_loss_identities():
         factors = random_factor_params(rng, Hyperparams(2, 1), 4, 3, scale=0.8)
         effects = random_effects(rng, 3)
         cells = AcceptabilityCells(rng.normal(size=table.n_cells))
-        fused = total_loss(table, factors, effects, cells,
-                           unit_weights=True, include_acceptability=False)
-        reference = float(np.sum(negraising_record_losses(
-            table, factors, effects, cells, unit_weights=True,
-        ))) + prior_penalty(effects)
+        fused = total_loss(table, factors, effects, cells)
+        reference = (float(np.sum(negraising_record_losses(table, factors, effects, cells)))
+                     + float(np.sum(acceptability_record_losses(table, effects, cells)))
+                     + prior_penalty(effects))
         np.testing.assert_allclose(fused, reference, rtol=1e-12)
         return "exact zero, nonnegative on 10000 pairs, composition to 1e-12"
 

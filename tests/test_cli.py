@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from negfactor.cli import _parse_grid, _parse_point, main
+from negfactor.evaluation import EvalReport
 from negfactor.model import FittedModel
 
 
@@ -96,14 +97,16 @@ class TestFitAndReport:
 
     def test_bad_config_rejected(self, runner, workspace):
         bad = workspace / "bad_config.json"
-        bad.write_text(json.dumps({"learning_rte": 0.01}))
-        result = runner.invoke(main, [
-            "fit", "--data", str(workspace / "data.csv"),
-            "--n-lexical", "1", "--n-structural", "1",
-            "--config", str(bad), "--out", str(workspace / "model.json"),
-        ])
-        assert result.exit_code == 1
-        assert "bad fit config" in result.output
+        for config in ({"learning_rte": 0.01}, {"init_scale": -2}, {"convergence_tol": -1e-6},
+                       {"adam_epsilon": 0.0}):
+            bad.write_text(json.dumps(config))
+            result = runner.invoke(main, [
+                "fit", "--data", str(workspace / "data.csv"),
+                "--n-lexical", "1", "--n-structural", "1",
+                "--config", str(bad), "--out", str(workspace / "model.json"),
+            ])
+            assert result.exit_code == 1, config
+            assert "bad fit config" in result.output
 
 
 class TestCvAndCompare:
@@ -136,10 +139,14 @@ class TestCvAndCompare:
             "--out", str(workspace / "report.json"),
         ])
         assert result.exit_code == 0, result.output
-        lines = {line.split(" ")[0]: line for line in result.output.strip().splitlines()}
+        output = result.output.strip().splitlines()
+        lines = {line.split(" ")[0]: line for line in output}
         assert lines["(0,1)"].endswith("(same prediction class as (1,1))")
         assert "prediction class" not in lines["(1,1)"]
         assert lines["(0,1)"].split()[3] == lines["(1,1)"].split()[3]
+        # equal totals: the class representative ranks first
+        assert output[0].startswith("(1,1)")
+        assert EvalReport.load(workspace / "report.json").ranking()[0] == (1, 1)
 
     def test_bad_grid_string(self, runner, workspace):
         result = runner.invoke(main, [
@@ -148,6 +155,18 @@ class TestCvAndCompare:
         ])
         assert result.exit_code != 0
         assert "expected n_lexical,n_structural" in result.output
+
+    def test_bad_counts_are_usage_errors(self, runner, workspace):
+        data = str(workspace / "data.csv")
+        for args in (
+            ["cv", "--data", data, "--folds", "1", "--out", str(workspace / "report.json")],
+            ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--n-boot", "0"],
+            ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--n-boot", "-3"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert "Invalid value" in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_out_of_range_point(self, runner, workspace):
         result = runner.invoke(main, [

@@ -313,6 +313,12 @@ class TestBootstrapCompare:
         with pytest.raises(PairingError, match="different sentence sets"):
             bootstrap_compare(report, (1, 1), (1, 0), n_boot=100, seed=0)
 
+    def test_needs_at_least_one_resample(self):
+        report = synthetic_report({(1, 1): np.ones(5), (1, 0): np.zeros(5)})
+        for n_boot in (0, -3):
+            with pytest.raises(ValueError, match="n_boot"):
+                bootstrap_compare(report, (1, 1), (1, 0), n_boot=n_boot)
+
     def test_equivalent_pair_from_cross_validate_is_never_reliable(self):
         table = dense_table(n_verbs=5, n_frames=2)
         report = cross_validate(table, [(0, 1), (1, 1)], QUICK)

@@ -13,14 +13,12 @@ from negfactor.factorization import (
     Hyperparams,
     enumeration_oracle,
     forward_negraising,
-    forward_selection,
     negraising_grid,
 )
 
 from conftest import (
     random_factor_params,
     reference_or_probability,
-    reference_selection_probability,
     saturated,
 )
 
@@ -111,59 +109,6 @@ class TestFactorParams:
         assert probs.phi.shape == (1, 2, 2)
         assert np.all(probs.psi == 1.0)
         assert np.all(probs.phi == 1.0)
-
-
-class TestForwardSelection:
-    def test_saturated_factors_give_one(self):
-        params = FactorParams(
-            hyper=Hyperparams(1, 1),
-            n_verbs=1,
-            n_frames=1,
-            lambda_logits=saturated(1, 1),
-            pi_logits=saturated(1, 1),
-            omega_logits=saturated(1, 2, 2),
-            psi_logits=saturated(1, 1),
-            phi_logits=saturated(1, 2, 2),
-        )
-        assert forward_selection(params, 0, 0) == 1.0
-
-    def test_two_structural_half_probabilities(self):
-        # 1 - (1 - 0.25)^2 = 0.4375, checked against boolean enumeration
-        params = FactorParams.from_probabilities(
-            Hyperparams(0, 2),
-            n_verbs=1,
-            n_frames=1,
-            lambda_=[[0.5, 0.5]],
-            pi=[[0.5], [0.5]],
-            omega=[[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]],
-        )
-        value = forward_selection(params, 0, 0)
-        assert_allclose(value, 0.4375, rtol=0, atol=1e-12)
-        assert_allclose(value, reference_selection_probability([0.5, 0.5], [0.5, 0.5]), rtol=0, atol=1e-12)
-
-    def test_zero_lambda_row_gives_zero(self):
-        params = FactorParams(
-            hyper=Hyperparams(0, 2),
-            n_verbs=1,
-            n_frames=1,
-            lambda_logits=np.full((1, 2), -800.0),
-            pi_logits=np.zeros((2, 1)),
-            omega_logits=np.zeros((2, 2, 2)),
-            psi_logits=None,
-            phi_logits=None,
-        )
-        assert forward_selection(params, 0, 0) == 0.0
-
-    def test_matches_enumeration_on_random_instances(self):
-        rng = np.random.default_rng(411)
-        for _ in range(50):
-            n_t = int(rng.integers(1, 4))
-            params = random_factor_params(rng, Hyperparams(0, n_t), n_verbs=2, n_frames=2)
-            probs = params.probabilities()
-            v = int(rng.integers(2))
-            f = int(rng.integers(2))
-            expected = reference_selection_probability(probs.lambda_[v], probs.pi[:, f])
-            assert_allclose(forward_selection(params, v, f), expected, rtol=0, atol=1e-10)
 
 
 class TestForwardNegraising:

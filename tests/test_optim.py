@@ -10,32 +10,41 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
-from negfactor.dataset import PlantedSpec, generate_synthetic
+from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import (
     ConsistencyError,
     CoverageError,
     DimensionError,
     FitError,
 )
-from negfactor.factorization import FactorParams, Hyperparams
+from negfactor.factorization import FactorParams, Hyperparams, forward_negraising
 from negfactor.model import FittedModel
 from negfactor.optim import (
     CONVERGENCE_WINDOW,
     FitConfig,
     ParameterPack,
+    _forward_backward,
     adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,
     gradient,
+    record_losses,
 )
 from negfactor.response import AcceptabilityCells, EffectsParams, total_loss
 
-from conftest import finite_difference_gradient, random_factor_params, random_table
+from conftest import (
+    bernoulli_kl_reference,
+    finite_difference_gradient,
+    random_factor_params,
+    random_table,
+)
 
+# None stands for the normalization layout: one free nu per cell
 FD_HYPERS = [
     Hyperparams(1, 1), Hyperparams(2, 1), Hyperparams(1, 2), Hyperparams(2, 2),
     Hyperparams(0, 1), Hyperparams(1, 0), Hyperparams(0, 3), Hyperparams(3, 0),
+    None,
 ]
 
 
@@ -59,10 +68,11 @@ def random_effects(rng, n_participants, scale=0.3):
 def random_instance(seed):
     """A small random problem with all quantities strictly interior.
 
-    Returns None when a draw lands a cell probability inside the link
-    clamp, where the objective is intentionally flat and the analytic
-    gradient is exactly zero but finite differences can straddle the
-    boundary.
+    The latent is factor logits or, for the normalization layout, one free
+    nu per cell. Returns None when a draw lands a cell probability inside
+    the link clamp, where the objective is intentionally flat and the
+    analytic gradient is exactly zero but finite differences can straddle
+    the boundary.
     """
     rng = np.random.default_rng(seed)
     hyper = FD_HYPERS[int(rng.integers(len(FD_HYPERS)))]
@@ -73,37 +83,46 @@ def random_instance(seed):
         rng, n_verbs=n_verbs, n_frames=n_frames, n_participants=n_participants,
         ratings_per_cell=int(rng.integers(1, n_participants + 1)),
     )
-    factors = random_factor_params(rng, hyper, n_verbs, n_frames, scale=0.7)
+    if hyper is None:
+        latent = rng.normal(0.0, 1.5, size=table.n_cells)
+    else:
+        latent = random_factor_params(rng, hyper, n_verbs, n_frames, scale=0.7)
     effects = random_effects(rng, n_participants)
     alpha = rng.normal(0.0, 0.5, size=table.n_cells)
     nr_mask = None
     if rng.random() < 0.5:
         nr_mask = rng.random(table.n_records) < 0.8
-    from negfactor.response import cell_link_values
+    if hyper is not None:
+        from negfactor.response import cell_link_values
 
-    nu = cell_link_values(table, factors)
-    if np.any(np.abs(nu) > logit(1.0 - 1e-5)):
-        return None
-    return table, factors, effects, alpha, nr_mask
+        nu = cell_link_values(table, latent)
+        if np.any(np.abs(nu) > logit(1.0 - 1e-5)):
+            return None
+    return table, latent, effects, alpha, nr_mask
+
+
+def packed(instance):
+    """The instance's parameter layout and its flat point."""
+    table, latent, effects, alpha, _ = instance
+    hyper = latent.hyper if isinstance(latent, FactorParams) else None
+    pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
+                         table.n_participants, table.n_cells)
+    return pack, pack.pack(latent, effects, alpha)
 
 
 def fd_relative_error(instance, h=1e-5):
     """Worst relative gap between the analytic gradient and central
     differences of the total loss, with the per-record weights frozen the
     way the gradient treats them."""
-    table, factors, effects, alpha, nr_mask = instance
-    grad = gradient(table, factors, effects, AcceptabilityCells(alpha),
-                    nr_mask=nr_mask)
-    pack = ParameterPack(factors.hyper, table.n_verbs, table.n_frames,
-                         table.n_participants, table.n_cells)
-    analytic = pack.pack(grad.factors, grad.effects, grad.alpha)
-    x0 = pack.pack(factors, effects, alpha)
+    table, latent, effects, alpha, nr_mask = instance
+    pack, x0 = packed(instance)
+    _, analytic = _forward_backward(x0, pack, table, nr_mask)
     frozen_weights = expit(alpha)[table.cell_idx]
 
     def loss_at(x):
-        trial_factors, trial_effects, trial_alpha = pack.unpack(x)
+        trial_latent, trial_effects, trial_alpha = pack.unpack(x)
         return total_loss(
-            table, trial_factors, trial_effects,
+            table, trial_latent, trial_effects,
             AcceptabilityCells(trial_alpha),
             nr_mask=nr_mask, weight_override=frozen_weights,
         )
@@ -174,11 +193,12 @@ class TestLossConsistency:
             instance = random_instance(seed)
             if instance is None:
                 continue
-            table, factors, effects, alpha, nr_mask = instance
-            cells = AcceptabilityCells(alpha)
-            grad = gradient(table, factors, effects, cells, nr_mask=nr_mask)
-            reference = total_loss(table, factors, effects, cells, nr_mask=nr_mask)
-            assert_allclose(grad.loss, reference, rtol=1e-12)
+            table, latent, effects, alpha, nr_mask = instance
+            pack, x0 = packed(instance)
+            loss, _ = _forward_backward(x0, pack, table, nr_mask)
+            reference = total_loss(table, latent, effects, AcceptabilityCells(alpha),
+                                   nr_mask=nr_mask)
+            assert_allclose(loss, reference, rtol=1e-12)
 
 
 class TestAdamMinimize:
@@ -415,31 +435,42 @@ class TestEvaluate:
         renamed = random_table(np.random.default_rng(17), n_verbs=2, n_frames=2,
                                n_participants=2)
         renamed.participants = ("someone-new", "p01")
-        loss = evaluate(model, renamed)
+        # verbs and frames listed in reverse order, a subset of the cells,
+        # and one seen and one unseen participant
+        keep = renamed.cell_idx % 3 != 0
+        reordered = ResponseTable.build(
+            verbs=renamed.verbs[::-1], frames=renamed.frames[::-1],
+            participants=("p00", "stranger"),
+            verb_idx=1 - renamed.verb_idx[keep], frame_idx=1 - renamed.frame_idx[keep],
+            subj_idx=renamed.subj_idx[keep], tense_idx=renamed.tense_idx[keep],
+            part_idx=renamed.part_idx[keep], negraising=renamed.negraising[keep],
+            acceptability=renamed.acceptability[keep],
+        )
+        assert reordered.n_cells < table.n_cells
 
-        # reference: same records scored manually with zero random effects
-        # for the unseen participant
-        from negfactor.response import kl_loss, predict_negraising
-        from negfactor.response import cell_link_values
-
-        nu = cell_link_values(renamed, model.factors)[renamed.cell_idx]
+        # reference: each record scored by label, with zero random effects
+        # for an unseen participant
         lookup = model.cell_lookup()
-        alpha_rows = np.array([
-            model.alpha[lookup[(renamed.verbs[v], renamed.frames[f], int(j), int(k))]]
-            for v, f, j, k in renamed.cells
-        ])
-        expected = 0.0
-        for n in range(renamed.n_records):
-            part = renamed.participants[renamed.part_idx[n]]
-            if part in model.participants:
-                idx = model.participants.index(part)
-                beta = model.effects.beta[idx]
-                sigma = model.effects.sigma[idx]
-            else:
-                beta = 0.0
-                sigma = 0.0
-            scale = np.exp(model.effects.sigma0 + sigma)
-            r_hat = expit(scale * nu[n] + model.effects.beta0 + beta)
-            weight = expit(alpha_rows[renamed.cell_idx[n]])
-            expected += weight * kl_loss(renamed.negraising[n], float(r_hat))
-        assert_allclose(loss, expected, rtol=1e-9)
+        for scored in (renamed, reordered):
+            expected = np.empty(scored.n_records)
+            for n in range(scored.n_records):
+                v, f, j, k = scored.cells[scored.cell_idx[n]]
+                verb, frame = scored.verbs[v], scored.frames[f]
+                pn = forward_negraising(model.factors, model.verbs.index(verb),
+                                        model.frames.index(frame), int(j), int(k))
+                nu = logit(np.clip(pn, 1e-7, 1 - 1e-7))
+                part = scored.participants[scored.part_idx[n]]
+                if part in model.participants:
+                    idx = model.participants.index(part)
+                    beta = model.effects.beta[idx]
+                    sigma = model.effects.sigma[idx]
+                else:
+                    beta = 0.0
+                    sigma = 0.0
+                scale = np.exp(model.effects.sigma0 + sigma)
+                r_hat = expit(scale * nu + model.effects.beta0 + beta)
+                weight = expit(model.alpha[lookup[(verb, frame, int(j), int(k))]])
+                expected[n] = weight * bernoulli_kl_reference(
+                    scored.negraising[n], float(np.clip(r_hat, 1e-15, 1 - 1e-15)))
+            assert_allclose(record_losses(model, scored), expected, rtol=1e-9, atol=1e-15)
+            assert_allclose(evaluate(model, scored), expected.sum(), rtol=1e-9)

@@ -233,7 +233,7 @@ class TestTotalLoss:
             atol=1e-15,
         )
 
-    def test_unit_weights_reduce_to_plain_sum(self):
+    def test_weighted_objective_is_the_per_record_sum(self):
         rng = np.random.default_rng(777)
         table = random_table(rng, 4, 2, 3)
         params = random_factor_params(rng, Hyperparams(2, 1), 4, 2, scale=1.0)
@@ -241,16 +241,28 @@ class TestTotalLoss:
         effects.beta = rng.normal(0, 0.3, size=3)
         effects.sigma = rng.normal(0, 0.1, size=3)
         effects.log_var_beta = -0.2
+        effects.beta0_acc = 0.3
+        effects.sigma_acc = rng.normal(0, 0.1, size=3)
+        effects.log_var_sigma_acc = 0.4
         cells = AcceptabilityCells(rng.normal(size=table.n_cells))
-        got = total_loss(table, params, effects, cells, unit_weights=True, include_acceptability=False)
+        got = total_loss(table, params, effects, cells)
         grid = table.cells
         pn = forward_negraising(params, grid[:, 0], grid[:, 1], grid[:, 2], grid[:, 3])
         nu = logit(np.clip(pn, 1e-7, 1 - 1e-7))
         manual = 0.0
         for n in range(table.n_records):
-            r_hat = predict_negraising(nu[table.cell_idx[n]], effects, int(table.part_idx[n]))
-            manual += kl_loss(table.negraising[n], float(np.clip(r_hat, 1e-15, 1 - 1e-15)))
-        manual += prior_penalty(effects)
+            c, p = table.cell_idx[n], table.part_idx[n]
+            r_hat = expit(math.exp(effects.sigma0 + effects.sigma[p]) * nu[c]
+                          + effects.beta0 + effects.beta[p])
+            a_hat = expit(math.exp(effects.sigma0_acc + effects.sigma_acc[p]) * cells.alpha[c]
+                          + effects.beta0_acc + effects.beta_acc[p])
+            manual += expit(cells.alpha[c]) * bernoulli_kl_reference(
+                table.negraising[n], float(np.clip(r_hat, 1e-15, 1 - 1e-15)))
+            manual += bernoulli_kl_reference(
+                table.acceptability[n], float(np.clip(a_hat, 1e-15, 1 - 1e-15)))
+        for values, log_var in effects.random_effect_groups():
+            manual += float(np.sum(values ** 2)) / (2 * math.exp(log_var))
+            manual += len(values) / 2 * log_var
         assert_allclose(got, manual, rtol=1e-12, atol=1e-12)
 
     def test_nr_mask_restricts_data_term(self):
