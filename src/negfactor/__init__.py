@@ -52,12 +52,10 @@ from .normalization import NormalizedScores, normalize
 from .optim import (
     FitConfig,
     FitResult,
-    Gradient,
     adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,
-    gradient,
 )
 from .report import AnalysisBundle, analyze, rank_verbs, write_analysis
 from .response import (

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import DimensionError, RowError, SchemaError
-from .factorization import FactorParams, Hyperparams, negraising_grid
+from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, negraising_grid
 
 FRAME_LABELS = (
     "NP __ that S",
@@ -283,53 +283,33 @@ class PlantedFactors:
     measurable.
     """
 
-    lambda_: np.ndarray  # (n_verbs, n_structural)
-    pi: np.ndarray       # (n_structural, n_frames)
-    omega: np.ndarray    # (n_structural, 2, 2)
-    psi: np.ndarray      # (n_verbs, n_lexical)
-    phi: np.ndarray      # (n_lexical, 2, 2)
+    # one field per factor slot, in slot order (see factor_shapes); a
+    # frozen side's arrays have size zero
+    lambda_: np.ndarray
+    pi: np.ndarray
+    omega: np.ndarray
+    psi: np.ndarray
+    phi: np.ndarray
+
+    def hyper(self) -> Hyperparams:
+        return Hyperparams(n_lexical=self.psi.shape[1], n_structural=self.lambda_.shape[1])
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return dict(zip(FACTOR_SLOTS, vars(self).values()))
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_.tolist(),
-            "pi": self.pi.tolist(),
-            "omega": self.omega.tolist(),
-            "psi": self.psi.tolist(),
-            "phi": self.phi.tolist(),
-        }
+        return {slot: p.tolist() for slot, p in self.arrays().items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlantedFactors":
-        return cls(
-            lambda_=np.asarray(data["lambda"], dtype=float),
-            pi=np.asarray(data["pi"], dtype=float),
-            omega=np.asarray(data["omega"], dtype=float),
-            psi=np.asarray(data["psi"], dtype=float),
-            phi=np.asarray(data["phi"], dtype=float),
-        )
+        return cls(*(np.asarray(data[slot], dtype=float) for slot in FACTOR_SLOTS))
 
     def as_factor_params(self, clip_eps: float = 1e-9) -> FactorParams:
         """Logit-scale view of the planted factors (entries clipped inward)."""
-        n_verbs = self.lambda_.shape[0]
-        n_frames = self.pi.shape[1]
-        n_t = self.lambda_.shape[1]
-        n_i = self.psi.shape[1]
-
-        def to_logits(p):
-            if p.size == 0:
-                return None
-            return logit(np.clip(p, clip_eps, 1.0 - clip_eps))
-
-        return FactorParams(
-            hyper=Hyperparams(n_lexical=n_i, n_structural=n_t),
-            n_verbs=n_verbs,
-            n_frames=n_frames,
-            lambda_logits=to_logits(self.lambda_),
-            pi_logits=to_logits(self.pi),
-            omega_logits=to_logits(self.omega),
-            psi_logits=to_logits(self.psi),
-            phi_logits=to_logits(self.phi),
-        )
+        return FactorParams(self.hyper(), self.lambda_.shape[0], self.pi.shape[1], **{
+            FACTOR_SLOTS[slot]: logit(np.clip(p, clip_eps, 1.0 - clip_eps)) if p.size else None
+            for slot, p in self.arrays().items()
+        })
 
 
 @dataclass
@@ -364,19 +344,13 @@ class PlantedSpec:
         if self.noise_scale < 0:
             raise DimensionError("noise_scale must be nonnegative")
         if self.true_factors is not None:
-            tf = self.true_factors
-            n_t = tf.lambda_.shape[1]
-            n_i = tf.psi.shape[1]
-            shapes = {
-                "lambda": (tf.lambda_.shape, (self.n_verbs, n_t)),
-                "pi": (tf.pi.shape, (n_t, self.n_frames)),
-                "omega": (tf.omega.shape, (n_t, 2, 2)),
-                "psi": (tf.psi.shape, (self.n_verbs, n_i)),
-                "phi": (tf.phi.shape, (n_i, 2, 2)),
-            }
-            for name, (got, expected) in shapes.items():
-                if got != expected:
-                    raise DimensionError(f"true_factors.{name} has shape {got}, expected {expected}")
+            arrays = self.true_factors.arrays()
+            expected = factor_shapes(self.true_factors.hyper(), self.n_verbs, self.n_frames)
+            for slot, shape in expected.items():
+                if arrays[slot].shape != shape:
+                    raise DimensionError(
+                        f"true_factors.{slot} has shape {arrays[slot].shape}, expected {shape}"
+                    )
 
     def to_dict(self) -> dict:
         out = {
@@ -412,14 +386,13 @@ class PlantedSpec:
 
 
 def _draw_planted_factors(spec: PlantedSpec, rng: np.random.Generator) -> PlantedFactors:
-    n_t, n_i = spec.n_structural, spec.n_lexical
-    return PlantedFactors(
-        lambda_=rng.uniform(0.05, 0.95, size=(spec.n_verbs, n_t)),
-        pi=rng.uniform(0.05, 0.95, size=(n_t, spec.n_frames)),
-        omega=rng.uniform(0.6, 0.98, size=(n_t, 2, 2)),
-        psi=rng.uniform(0.05, 0.95, size=(spec.n_verbs, n_i)),
-        phi=rng.uniform(0.6, 0.98, size=(n_i, 2, 2)),
-    )
+    # membership entries (lambda, pi, psi) and licensing entries (omega, phi)
+    shapes = factor_shapes(Hyperparams(spec.n_lexical, spec.n_structural),
+                           spec.n_verbs, spec.n_frames)
+    return PlantedFactors(*(
+        rng.uniform(*((0.6, 0.98) if slot in ("omega", "phi") else (0.05, 0.95)), size=shape)
+        for slot, shape in shapes.items()
+    ))
 
 
 def sample_participant_effects(spec: PlantedSpec):

@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .optim import FitConfig, fit, record_losses
+from .optim import FitConfig, _scored_records, fit
 
 REPORT_FORMAT = "negfactor-cv-report"
 REPORT_VERSION = 2
@@ -51,15 +51,8 @@ class FoldAssignment:
     n_folds: int
     seed: int
 
-    @property
-    def n_pinned(self) -> int:
-        return int(np.sum(self.fold_of < 0))
-
     def held_cell_mask(self, fold: int) -> np.ndarray:
         return self.fold_of == fold
-
-    def held_record_mask(self, table: ResponseTable, fold: int) -> np.ndarray:
-        return self.fold_of[table.cell_idx] == fold
 
     def train_record_mask(self, table: ResponseTable, fold: int) -> np.ndarray:
         return self.fold_of[table.cell_idx] != fold
@@ -331,10 +324,9 @@ def _cross_validate_point(table: ResponseTable, assignment: FoldAssignment,
             )
             fold_losses.append(None)
             continue
-        losses = record_losses(outcome.model, table)
-        fold_losses.append(float(np.sum(losses[held_mask])))
-        per_cell = np.bincount(table.cell_idx, weights=np.where(held_mask, losses, 0.0),
-                               minlength=table.n_cells)
+        losses, cell_idx = _scored_records(outcome.model, table, held_mask)
+        fold_losses.append(float(np.sum(losses)))
+        per_cell = np.bincount(cell_idx, weights=losses, minlength=table.n_cells)
         held_cells = assignment.held_cell_mask(fold)
         cell_losses[held_cells] = per_cell[held_cells]
     return fold_losses, cell_losses

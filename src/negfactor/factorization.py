@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from .errors import CapacityError, DimensionError
 
@@ -66,7 +66,8 @@ class FactorProbs:
     """Probability-scale factor arrays with frozen sides widened to ones.
 
     Shapes use the effective dimensions max(n, 1), so downstream code never
-    branches on boundary models.
+    branches on boundary models. `pair_events` also returns one holding
+    each factor's entries at m cells, every array (m, eff).
     """
 
     lambda_: np.ndarray  # (n_verbs, eff_structural)
@@ -76,15 +77,28 @@ class FactorProbs:
     phi: np.ndarray      # (eff_lexical, 2, 2)
 
 
-def _check_shape(name: str, arr: np.ndarray | None, shape: tuple[int, ...], frozen: bool):
-    if frozen:
-        if arr is not None:
-            raise DimensionError(f"{name} must be None for a frozen side")
-        return
-    if arr is None:
-        raise DimensionError(f"{name} is required when its side is active")
-    if arr.shape != shape:
-        raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
+# Each factor array's slot name (in the flat parameter layout and the
+# model JSON) and its FactorParams field. The order is that of the
+# FactorProbs and PlantedFactors fields and of random draws.
+FACTOR_SLOTS = {
+    "lambda": "lambda_logits",
+    "pi": "pi_logits",
+    "omega": "omega_logits",
+    "psi": "psi_logits",
+    "phi": "phi_logits",
+}
+
+
+def factor_shapes(hyper: Hyperparams, n_verbs: int, n_frames: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each slot's array; the arrays of a frozen side have size zero."""
+    n_t, n_i = hyper.n_structural, hyper.n_lexical
+    return {
+        "lambda": (n_verbs, n_t),
+        "pi": (n_t, n_frames),
+        "omega": (n_t, 2, 2),
+        "psi": (n_verbs, n_i),
+        "phi": (n_i, 2, 2),
+    }
 
 
 @dataclass
@@ -107,66 +121,40 @@ class FactorParams:
     def __post_init__(self):
         if self.n_verbs <= 0 or self.n_frames <= 0:
             raise DimensionError("n_verbs and n_frames must be positive")
-        n_t, n_i = self.hyper.n_structural, self.hyper.n_lexical
-        _check_shape("lambda_logits", self.lambda_logits, (self.n_verbs, n_t), n_t == 0)
-        _check_shape("pi_logits", self.pi_logits, (n_t, self.n_frames), n_t == 0)
-        _check_shape("omega_logits", self.omega_logits, (n_t, 2, 2), n_t == 0)
-        _check_shape("psi_logits", self.psi_logits, (self.n_verbs, n_i), n_i == 0)
-        _check_shape("phi_logits", self.phi_logits, (n_i, 2, 2), n_i == 0)
+        arrays = self.arrays()
+        for slot, shape in self.shapes().items():
+            name, arr = FACTOR_SLOTS[slot], arrays[slot]
+            if math.prod(shape) == 0:
+                if arr is not None:
+                    raise DimensionError(f"{name} must be None for a frozen side")
+            elif arr is None:
+                raise DimensionError(f"{name} is required when its side is active")
+            elif np.shape(arr) != shape:
+                raise DimensionError(f"{name} has shape {np.shape(arr)}, expected {shape}")
 
     @classmethod
     def random(cls, hyper: Hyperparams, n_verbs: int, n_frames: int, rng: np.random.Generator,
                scale: float = 0.5) -> "FactorParams":
         """Logits drawn from Normal(0, scale^2); frozen sides stay None."""
-        n_t, n_i = hyper.n_structural, hyper.n_lexical
+        return cls(hyper, n_verbs, n_frames, **{
+            FACTOR_SLOTS[slot]: rng.normal(0.0, scale, size=shape) if math.prod(shape) else None
+            for slot, shape in factor_shapes(hyper, n_verbs, n_frames).items()
+        })
 
-        def draw(*shape):
-            return rng.normal(0.0, scale, size=shape)
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return factor_shapes(self.hyper, self.n_verbs, self.n_frames)
 
-        return cls(
-            hyper=hyper,
-            n_verbs=n_verbs,
-            n_frames=n_frames,
-            lambda_logits=draw(n_verbs, n_t) if n_t else None,
-            pi_logits=draw(n_t, n_frames) if n_t else None,
-            omega_logits=draw(n_t, 2, 2) if n_t else None,
-            psi_logits=draw(n_verbs, n_i) if n_i else None,
-            phi_logits=draw(n_i, 2, 2) if n_i else None,
-        )
-
-    @classmethod
-    def from_probabilities(cls, hyper: Hyperparams, n_verbs: int, n_frames: int,
-                           lambda_=None, pi=None, omega=None, psi=None, phi=None) -> "FactorParams":
-        """Build params whose logistic transforms equal the given probabilities."""
-
-        def to_logits(p):
-            return None if p is None else logit(np.asarray(p, dtype=float))
-
-        return cls(
-            hyper=hyper,
-            n_verbs=n_verbs,
-            n_frames=n_frames,
-            lambda_logits=to_logits(lambda_),
-            pi_logits=to_logits(pi),
-            omega_logits=to_logits(omega),
-            psi_logits=to_logits(psi),
-            phi_logits=to_logits(phi),
-        )
+    def arrays(self) -> dict[str, np.ndarray | None]:
+        """Each slot's logit array, None for a frozen side."""
+        return {slot: getattr(self, field) for slot, field in FACTOR_SLOTS.items()}
 
     def probabilities(self) -> FactorProbs:
-        n_t, n_i = self.hyper.n_structural, self.hyper.n_lexical
-        if n_t:
-            lam, pi, omega = expit(self.lambda_logits), expit(self.pi_logits), expit(self.omega_logits)
-        else:
-            lam = np.ones((self.n_verbs, 1))
-            pi = np.ones((1, self.n_frames))
-            omega = np.ones((1, 2, 2))
-        if n_i:
-            psi, phi = expit(self.psi_logits), expit(self.phi_logits)
-        else:
-            psi = np.ones((self.n_verbs, 1))
-            phi = np.ones((1, 2, 2))
-        return FactorProbs(lambda_=lam, pi=pi, omega=omega, psi=psi, phi=phi)
+        # a frozen side becomes one always-true property: its zero-size
+        # property axis widens to size one
+        return FactorProbs(*(
+            np.ones(tuple(max(d, 1) for d in shape)) if logits is None else expit(logits)
+            for logits, shape in zip(self.arrays().values(), self.shapes().values())
+        ))
 
 
 def _as_index_arrays(*indices):
@@ -176,15 +164,30 @@ def _as_index_arrays(*indices):
     return arrays, scalar
 
 
-def negraising_from_probs(probs: FactorProbs, v, f, j, k):
-    """Cell probabilities for index arrays, on probability-scale factors."""
-    (v, f, j, k), scalar = _as_index_arrays(v, f, j, k)
-    a = probs.lambda_[v] * probs.pi[:, f].T * probs.omega[:, j, k].T  # (m, eff_t)
-    b = probs.psi[v] * probs.phi[:, j, k].T                           # (m, eff_i)
+def pair_events(probs: FactorProbs, v, f, j, k):
+    """The factorization kernel for index arrays of m cells.
+
+    Returns each factor's probabilities at the cells (a FactorProbs of
+    (m, eff) arrays), the structural products a (m, eff_t), the lexical
+    products b (m, eff_i), log(1 - zeta) for every pair event
+    zeta = a_t b_i (m, eff_t, eff_i), and its sum over the pairs: the
+    log-probability that no pair fires.
+    """
+    at = FactorProbs(probs.lambda_[v], probs.pi[:, f].T, probs.omega[:, j, k].T,
+                     probs.psi[v], probs.phi[:, j, k].T)
+    a = at.lambda_ * at.pi * at.omega
+    b = at.psi * at.phi
     zeta = a[:, :, None] * b[:, None, :]
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-zeta)
-    out = -np.expm1(log_miss.sum(axis=(1, 2)))
+    return at, a, b, log_miss, log_miss.sum(axis=(1, 2))
+
+
+def negraising_from_probs(probs: FactorProbs, v, f, j, k):
+    """Cell probabilities for index arrays, on probability-scale factors."""
+    (v, f, j, k), scalar = _as_index_arrays(v, f, j, k)
+    *_, log_none = pair_events(probs, v, f, j, k)
+    out = -np.expm1(log_none)
     return float(out[0]) if scalar else out
 
 

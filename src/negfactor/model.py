@@ -8,12 +8,12 @@ keys are sorted, which makes identical fits produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SchemaError
-from .factorization import FactorParams, Hyperparams
+from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams
 from .response import EffectsParams
 
 MODEL_FORMAT = "negfactor-model"
@@ -40,7 +40,7 @@ class FittedModel:
 
     def to_dict(self) -> dict:
         def arr(a):
-            return None if a is None else a.tolist()
+            return a.tolist() if isinstance(a, np.ndarray) else a
 
         return {
             "format": MODEL_FORMAT,
@@ -50,27 +50,8 @@ class FittedModel:
             "frames": list(self.frames),
             "participants": list(self.participants),
             "cells": self.cells.tolist(),
-            "factors": {
-                "lambda": arr(self.factors.lambda_logits),
-                "pi": arr(self.factors.pi_logits),
-                "omega": arr(self.factors.omega_logits),
-                "psi": arr(self.factors.psi_logits),
-                "phi": arr(self.factors.phi_logits),
-            },
-            "effects": {
-                "beta0": self.effects.beta0,
-                "sigma0": self.effects.sigma0,
-                "beta": self.effects.beta.tolist(),
-                "sigma": self.effects.sigma.tolist(),
-                "beta0_acc": self.effects.beta0_acc,
-                "sigma0_acc": self.effects.sigma0_acc,
-                "beta_acc": self.effects.beta_acc.tolist(),
-                "sigma_acc": self.effects.sigma_acc.tolist(),
-                "log_var_beta": self.effects.log_var_beta,
-                "log_var_sigma": self.effects.log_var_sigma,
-                "log_var_beta_acc": self.effects.log_var_beta_acc,
-                "log_var_sigma_acc": self.effects.log_var_sigma_acc,
-            },
+            "factors": {slot: arr(a) for slot, a in self.factors.arrays().items()},
+            "effects": {name: arr(value) for name, value in vars(self.effects).items()},
             "alpha": self.alpha.tolist(),
             "seed": self.seed,
             "final_loss": self.final_loss,
@@ -100,34 +81,18 @@ class FittedModel:
             frames = tuple(data["frames"])
             participants = tuple(data["participants"])
 
-            def arr(value, dtype=float):
-                return None if value is None else np.asarray(value, dtype=dtype)
+            def arr(value):
+                # a JSON list is an array, a number a float, null a frozen side
+                if isinstance(value, list):
+                    return np.asarray(value, dtype=float)
+                return None if value is None else float(value)
 
-            factors = FactorParams(
-                hyper=hyper,
-                n_verbs=len(verbs),
-                n_frames=len(frames),
-                lambda_logits=arr(data["factors"]["lambda"]),
-                pi_logits=arr(data["factors"]["pi"]),
-                omega_logits=arr(data["factors"]["omega"]),
-                psi_logits=arr(data["factors"]["psi"]),
-                phi_logits=arr(data["factors"]["phi"]),
-            )
-            eff = data["effects"]
-            effects = EffectsParams(
-                beta0=float(eff["beta0"]),
-                sigma0=float(eff["sigma0"]),
-                beta=np.asarray(eff["beta"], dtype=float),
-                sigma=np.asarray(eff["sigma"], dtype=float),
-                beta0_acc=float(eff["beta0_acc"]),
-                sigma0_acc=float(eff["sigma0_acc"]),
-                beta_acc=np.asarray(eff["beta_acc"], dtype=float),
-                sigma_acc=np.asarray(eff["sigma_acc"], dtype=float),
-                log_var_beta=float(eff["log_var_beta"]),
-                log_var_sigma=float(eff["log_var_sigma"]),
-                log_var_beta_acc=float(eff["log_var_beta_acc"]),
-                log_var_sigma_acc=float(eff["log_var_sigma_acc"]),
-            )
+            factors = FactorParams(hyper, len(verbs), len(frames), **{
+                field: arr(data["factors"][slot]) for slot, field in FACTOR_SLOTS.items()
+            })
+            effects = EffectsParams(**{
+                f.name: arr(data["effects"][f.name]) for f in fields(EffectsParams)
+            })
             return cls(
                 hyper=hyper,
                 verbs=verbs,
@@ -150,10 +115,3 @@ class FittedModel:
     def load(cls, path) -> "FittedModel":
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-    def cell_lookup(self) -> dict[tuple[str, str, int, int], int]:
-        """Map (verb, frame, subject id, tense id) to this model's cell row."""
-        return {
-            (self.verbs[v], self.frames[f], int(j), int(k)): idx
-            for idx, (v, f, j, k) in enumerate(self.cells)
-        }

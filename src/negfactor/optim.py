@@ -18,26 +18,32 @@ cell; its link, divergence and prior come from `response`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit, logit
 
 from .dataset import ResponseTable, clamp_responses
-from .errors import ConsistencyError, CoverageError, DimensionError, FitError
-from .factorization import FactorParams, Hyperparams, negraising_from_probs
+from .errors import CoverageError, DimensionError, FitError
+from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, pair_events
 from .model import FittedModel
 from .response import (
     PREDICTION_CLAMP,
     PROB_CLAMP,
-    AcceptabilityCells,
     EffectsParams,
+    cell_link_values,
     channel_losses,
-    negraising_record_losses,
     prior_backward,
 )
 
 CONVERGENCE_WINDOW = 100
+# Adam moment decay rates and denominator offset, and the standard
+# deviation of the random initial factor logits
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+INIT_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -45,29 +51,21 @@ class FitConfig:
     """Optimizer settings; defaults follow the published fitting recipe."""
 
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     max_iterations: int = 30_000
     convergence_tol: float = 1e-6
     patience: int = 2
     n_restarts: int = 3
     seed: int = 0
-    init_scale: float = 0.5
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.max_iterations < 0 or self.n_restarts < 1:
             raise ValueError("max_iterations must be >= 0 and n_restarts >= 1")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be positive")
-        if self.convergence_tol < 0 or self.init_scale < 0:
-            raise ValueError("convergence_tol and init_scale must be >= 0")
+        if self.convergence_tol < 0:
+            raise ValueError("convergence_tol must be >= 0")
 
 
 @dataclass
@@ -76,29 +74,6 @@ class FitResult:
     trajectory: list[float]
     iterations_run: int
     converged: bool
-
-
-@dataclass
-class Gradient:
-    """Objective gradient, in the same containers as the parameters.
-
-    Frozen boundary factors are represented by None entries: they are not
-    parameters, so they have no gradient components at all.
-    """
-
-    factors: FactorParams
-    effects: EffectsParams
-    alpha: np.ndarray
-    loss: float
-
-
-FACTOR_SLOTS = {
-    "lambda": "lambda_logits",
-    "pi": "pi_logits",
-    "omega": "omega_logits",
-    "psi": "psi_logits",
-    "phi": "phi_logits",
-}
 
 
 class ParameterPack:
@@ -116,21 +91,11 @@ class ParameterPack:
         self.hyper = hyper
         self.n_verbs = n_verbs
         self.n_frames = n_frames
-        layout: list[tuple[str, tuple[int, ...]]] = []
         if hyper is None:
-            layout.append(("nu", (n_cells,)))
+            layout = [("nu", (n_cells,))]
         else:
-            if hyper.n_structural:
-                layout += [
-                    ("lambda", (n_verbs, hyper.n_structural)),
-                    ("pi", (hyper.n_structural, n_frames)),
-                    ("omega", (hyper.n_structural, 2, 2)),
-                ]
-            if hyper.n_lexical:
-                layout += [
-                    ("psi", (n_verbs, hyper.n_lexical)),
-                    ("phi", (hyper.n_lexical, 2, 2)),
-                ]
+            shapes = factor_shapes(hyper, n_verbs, n_frames)
+            layout = [(slot, shape) for slot, shape in shapes.items() if math.prod(shape)]
         layout += [(name, np.shape(value))
                    for name, value in vars(EffectsParams.zeros(n_participants)).items()]
         layout.append(("alpha", (n_cells,)))
@@ -156,7 +121,7 @@ class ParameterPack:
         if self.hyper is None:
             values = {"nu": latent}
         else:
-            values = {slot: getattr(latent, field) for slot, field in FACTOR_SLOTS.items()}
+            values = latent.arrays()
         values.update(vars(effects), alpha=alpha)
         x = np.empty(self.size)
         for name in self._slices:
@@ -167,13 +132,10 @@ class ParameterPack:
         if self.hyper is None:
             latent = self.take(x, "nu")
         else:
-            latent = FactorParams(
-                hyper=self.hyper,
-                n_verbs=self.n_verbs,
-                n_frames=self.n_frames,
-                **{field: self.take(x, slot) if slot in self._slices else None
-                   for slot, field in FACTOR_SLOTS.items()},
-            )
+            latent = FactorParams(self.hyper, self.n_verbs, self.n_frames, **{
+                field: self.take(x, slot) if slot in self._slices else None
+                for slot, field in FACTOR_SLOTS.items()
+            })
         effects = EffectsParams(**{f.name: self.take(x, f.name) for f in fields(EffectsParams)})
         return latent, effects, self.take(x, "alpha")
 
@@ -223,17 +185,7 @@ def _factor_forward(factors: FactorParams, cells: np.ndarray):
     pass that writes the factor-logit gradient for a given d loss / d nu."""
     probs = factors.probabilities()
     cv, cf, cj, ck = (cells[:, i] for i in range(4))
-    lam_c = probs.lambda_[cv]           # (C, eff_t)
-    pi_c = probs.pi[:, cf].T
-    om_c = probs.omega[:, cj, ck].T
-    psi_c = probs.psi[cv]               # (C, eff_i)
-    phi_c = probs.phi[:, cj, ck].T
-    a = lam_c * pi_c * om_c
-    b = psi_c * phi_c
-    zeta = a[:, :, None] * b[:, None, :]
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-zeta)
-    s = log_miss.sum(axis=(1, 2))
+    at, a, b, log_miss, s = pair_events(probs, cv, cf, cj, ck)
     pn = -np.expm1(s)
     pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -250,11 +202,11 @@ def _factor_forward(factors: FactorParams, cells: np.ndarray):
         if factors.hyper.n_structural:
             n_t = factors.hyper.n_structural
             g_lambda = np.zeros((factors.n_verbs, n_t))
-            np.add.at(g_lambda, cv, g_a * pi_c * om_c)
+            np.add.at(g_lambda, cv, g_a * at.pi * at.omega)
             g_pi = np.zeros((factors.n_frames, n_t))
-            np.add.at(g_pi, cf, g_a * lam_c * om_c)
+            np.add.at(g_pi, cf, g_a * at.lambda_ * at.omega)
             g_omega = np.zeros((4, n_t))
-            np.add.at(g_omega, cj * 2 + ck, g_a * lam_c * pi_c)
+            np.add.at(g_omega, cj * 2 + ck, g_a * at.lambda_ * at.pi)
             lam, pi, om = probs.lambda_, probs.pi, probs.omega
             pack.put(g, "lambda", g_lambda * lam * (1.0 - lam))
             pack.put(g, "pi", g_pi.T * pi * (1.0 - pi))
@@ -262,9 +214,9 @@ def _factor_forward(factors: FactorParams, cells: np.ndarray):
         if factors.hyper.n_lexical:
             n_i = factors.hyper.n_lexical
             g_psi = np.zeros((factors.n_verbs, n_i))
-            np.add.at(g_psi, cv, g_b * phi_c)
+            np.add.at(g_psi, cv, g_b * at.phi)
             g_phi = np.zeros((4, n_i))
-            np.add.at(g_phi, cj * 2 + ck, g_b * psi_c)
+            np.add.at(g_phi, cj * 2 + ck, g_b * at.psi)
             psi, phi = probs.psi, probs.phi
             pack.put(g, "psi", g_psi * psi * (1.0 - psi))
             pack.put(g, "phi", g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi))
@@ -315,31 +267,6 @@ def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
     return nr_loss + acc_loss + penalty, g
 
 
-def gradient(table: ResponseTable, factors: FactorParams, effects: EffectsParams,
-             cells: AcceptabilityCells, *, nr_mask: np.ndarray | None = None) -> Gradient:
-    """Analytic gradient of the full objective at the given parameters.
-
-    Honors the weight-blocking rule: alpha components reflect only the
-    acceptability channel. Raises FitError naming the offending parameter
-    if any component is non-finite.
-    """
-    if factors.n_verbs != table.n_verbs or factors.n_frames != table.n_frames:
-        raise DimensionError("factor dimensions do not match the table")
-    if cells.alpha.shape[0] != table.n_cells:
-        raise ConsistencyError(
-            f"alpha has {cells.alpha.shape[0]} cells, table has {table.n_cells}"
-        )
-    pack = ParameterPack(factors.hyper, table.n_verbs, table.n_frames,
-                         table.n_participants, table.n_cells)
-    x = pack.pack(factors, effects, cells.alpha)
-    loss, g = _forward_backward(x, pack, table, nr_mask)
-    if not np.all(np.isfinite(g)):
-        bad = int(np.argmin(np.isfinite(g)))
-        raise FitError(f"non-finite gradient for {pack.name_at(bad)}")
-    grad_factors, grad_effects, grad_alpha = pack.unpack(g)
-    return Gradient(factors=grad_factors, effects=grad_effects, alpha=grad_alpha, loss=loss)
-
-
 def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
     """Minimize fun(x) -> (loss, grad) with Adam and windowed convergence.
 
@@ -355,8 +282,8 @@ def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
     streak = 0
     converged = False
     steps = 0
-    one_m_b1 = 1.0 - config.adam_beta1
-    one_m_b2 = 1.0 - config.adam_beta2
+    one_m_b1 = 1.0 - ADAM_BETA1
+    one_m_b2 = 1.0 - ADAM_BETA2
     for it in range(config.max_iterations):
         loss, grad = fun(x)
         if not np.isfinite(loss):
@@ -377,12 +304,12 @@ def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
                     break
             else:
                 streak = 0
-        m = config.adam_beta1 * m + one_m_b1 * grad
-        v = config.adam_beta2 * v + one_m_b2 * (grad * grad)
+        m = ADAM_BETA1 * m + one_m_b1 * grad
+        v = ADAM_BETA2 * v + one_m_b2 * (grad * grad)
         steps = it + 1
-        m_hat = m / (1.0 - config.adam_beta1 ** steps)
-        v_hat = v / (1.0 - config.adam_beta2 ** steps)
-        x -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        m_hat = m / (1.0 - ADAM_BETA1 ** steps)
+        v_hat = v / (1.0 - ADAM_BETA2 ** steps)
+        x -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     if not converged:
         # x moved after the last recorded loss (or never ran); record its loss
         final_loss, _ = fun(x)
@@ -429,17 +356,13 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
     for child in np.random.SeedSequence(config.seed).spawn(config.n_restarts):
         rng = np.random.default_rng(child)
         factors0 = FactorParams.random(hyper, table.n_verbs, table.n_frames, rng,
-                                       scale=config.init_scale)
+                                       scale=INIT_SCALE)
         x0 = pack.pack(factors0, effects0, alpha0)
         outcome = adam_minimize(x0, objective, config, pack.name_at)
         if best is None or outcome[1][-1] < best[1][-1]:
             best = outcome
     x, trajectory, converged, steps = best
     factors, effects, alpha = pack.unpack(x)
-    cells = AcceptabilityCells(alpha)
-    nr_losses = negraising_record_losses(table, factors, effects, cells)
-    if nr_mask is not None:
-        nr_losses = nr_losses[nr_mask]
     model = FittedModel(
         hyper=hyper,
         verbs=table.verbs,
@@ -451,10 +374,13 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
         alpha=alpha,
         seed=config.seed,
         final_loss=float(trajectory[-1]),
-        final_data_loss=float(np.sum(nr_losses)),
+        final_data_loss=0.0,
         converged=converged,
         iterations=steps,
     )
+    # scored the way a saved model is scored, so evaluate() on the training
+    # table reproduces it exactly
+    model.final_data_loss = float(np.sum(_scored_records(model, table, nr_mask)[0]))
     return FitResult(model=model, trajectory=trajectory, iterations_run=steps, converged=converged)
 
 
@@ -470,8 +396,10 @@ def _positions(labels: tuple[str, ...], within: tuple[str, ...],
     return out
 
 
-def record_losses(model: FittedModel, table: ResponseTable) -> np.ndarray:
-    """Per-record weighted neg-raising loss of a model on (possibly new) data.
+def _scored_records(model: FittedModel, table: ResponseTable,
+                    record_mask: np.ndarray | None):
+    """Weighted neg-raising loss of the selected records (all when
+    ``record_mask`` is None) and their cell rows in the table.
 
     The table may list any subset of the model's verbs, frames and cells,
     in any order. Participants unseen during fitting are scored with zero
@@ -492,30 +420,32 @@ def record_losses(model: FittedModel, table: ResponseTable) -> np.ndarray:
             f"model does not cover cell {(table.verbs[v], table.frames[f], int(j), int(k))}"
         )
 
-    pn = negraising_from_probs(model.factors.probabilities(), *cells.T)
-    nu = logit(np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    nu = cell_link_values(cells, model.factors)
     seen = part_map >= 0
     beta = np.where(seen, model.effects.beta[part_map], 0.0)
     sigma = np.where(seen, model.effects.sigma[part_map], 0.0)
-    each, _, _ = channel_losses(nu[table.cell_idx], table.part_idx, table.negraising,
+    cell_idx, part_idx, responses = table.cell_idx, table.part_idx, table.negraising
+    if record_mask is not None:
+        cell_idx, part_idx, responses = (a[record_mask] for a in (cell_idx, part_idx, responses))
+    each, _, _ = channel_losses(nu[cell_idx], part_idx, responses,
                                 model.effects.beta0, model.effects.sigma0, beta, sigma)
-    return expit(model.alpha[rows])[table.cell_idx] * each
+    return expit(model.alpha[rows])[cell_idx] * each, cell_idx
+
+
+def record_losses(model: FittedModel, table: ResponseTable) -> np.ndarray:
+    """Per-record weighted neg-raising loss of a model on (possibly new) data."""
+    return _scored_records(model, table, None)[0]
 
 
 def evaluate(model: FittedModel, table: ResponseTable,
              record_mask: np.ndarray | None = None) -> float:
     """Weighted neg-raising data loss (no priors) on the given records."""
-    losses = record_losses(model, table)
-    if record_mask is not None:
-        losses = losses[record_mask]
-    return float(np.sum(losses))
+    return float(np.sum(_scored_records(model, table, record_mask)[0]))
 
 
 def evaluate_per_cell(model: FittedModel, table: ResponseTable,
                       record_mask: np.ndarray | None = None) -> np.ndarray:
     """Per-cell sums of the weighted neg-raising loss; cells with no
     selected records get 0."""
-    losses = record_losses(model, table)
-    if record_mask is not None:
-        losses = np.where(record_mask, losses, 0.0)
-    return np.bincount(table.cell_idx, weights=losses, minlength=table.n_cells)
+    losses, cell_idx = _scored_records(model, table, record_mask)
+    return np.bincount(cell_idx, weights=losses, minlength=table.n_cells)

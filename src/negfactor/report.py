@@ -22,7 +22,7 @@ from scipy.stats import spearmanr
 
 from .dataset import SUBJECT_LABELS, TENSE_LABELS
 from .errors import DimensionError, SchemaError
-from .factorization import Hyperparams
+from .factorization import Hyperparams, factor_shapes
 from .model import FittedModel
 
 BUNDLE_FORMAT = "negfactor-analysis"
@@ -84,15 +84,17 @@ class AnalysisBundle:
             spearman = data["psi_lambda_spearman"]
             if spearman is None and hyper.as_tuple() == (1, 1):
                 spearman = float("nan")
+            shapes = factor_shapes(hyper, len(data["verbs"]), len(data["frames"]))
+            tables = {slot: np.array(data[slot]).reshape(shape) for slot, shape in shapes.items()}
             return cls(
                 hyper=hyper,
                 verbs=tuple(data["verbs"]),
                 frames=tuple(data["frames"]),
-                phi=np.array(data["phi"]).reshape(hyper.n_lexical, 2, 2),
-                omega=np.array(data["omega"]).reshape(hyper.n_structural, 2, 2),
-                pi=np.array(data["pi"]).reshape(hyper.n_structural, len(data["frames"])),
-                lambda_=np.array(data["lambda"]).reshape(len(data["verbs"]), hyper.n_structural),
-                psi=np.array(data["psi"]).reshape(len(data["verbs"]), hyper.n_lexical),
+                phi=tables["phi"],
+                omega=tables["omega"],
+                pi=tables["pi"],
+                lambda_=tables["lambda"],
+                psi=tables["psi"],
                 verb_scores=None if scores is None else np.array(scores, dtype=float),
                 psi_lambda_spearman=spearman,
             )
@@ -105,12 +107,6 @@ class AnalysisBundle:
             return cls.from_dict(json.load(handle))
 
 
-def _probabilities_or_empty(logits: np.ndarray | None, empty_shape: tuple[int, ...]) -> np.ndarray:
-    if logits is None:
-        return np.zeros(empty_shape)
-    return expit(logits)
-
-
 def analyze(model: FittedModel) -> AnalysisBundle:
     """Probability tables for a fitted model.
 
@@ -119,14 +115,11 @@ def analyze(model: FittedModel) -> AnalysisBundle:
     rank correlation between the two columns (a diagnostic: they tend to
     be nearly interchangeable in that model).
     """
-    factors = model.factors
+    shapes = model.factors.shapes()
+    probs = {slot: np.zeros(shapes[slot]) if logits is None else expit(logits)
+             for slot, logits in model.factors.arrays().items()}
     n_verbs = len(model.verbs)
-    n_frames = len(model.frames)
-    phi = _probabilities_or_empty(factors.phi_logits, (0, 2, 2))
-    psi = _probabilities_or_empty(factors.psi_logits, (n_verbs, 0))
-    omega = _probabilities_or_empty(factors.omega_logits, (0, 2, 2))
-    pi = _probabilities_or_empty(factors.pi_logits, (0, n_frames))
-    lambda_ = _probabilities_or_empty(factors.lambda_logits, (n_verbs, 0))
+    psi, lambda_ = probs["psi"], probs["lambda"]
 
     verb_scores = None
     psi_lambda_spearman = None
@@ -142,9 +135,9 @@ def analyze(model: FittedModel) -> AnalysisBundle:
         hyper=model.hyper,
         verbs=model.verbs,
         frames=model.frames,
-        phi=phi,
-        omega=omega,
-        pi=pi,
+        phi=probs["phi"],
+        omega=probs["omega"],
+        pi=probs["pi"],
         lambda_=lambda_,
         psi=psi,
         verb_scores=verb_scores,

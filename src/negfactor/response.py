@@ -168,9 +168,11 @@ def prior_penalty(effects: EffectsParams) -> float:
     return penalty
 
 
-def cell_link_values(table: ResponseTable, factors: FactorParams) -> np.ndarray:
-    """Latent nu per observed cell: logit of the clamped forward probability."""
-    cells = table.cells
+def cell_link_values(cells: np.ndarray, factors: FactorParams | np.ndarray) -> np.ndarray:
+    """Latent nu per cell (rows of ``cells``): the logit of the clamped
+    forward probability, or the given free nu array itself."""
+    if isinstance(factors, np.ndarray):
+        return factors
     pn = negraising_from_probs(
         factors.probabilities(), cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
     )
@@ -184,19 +186,18 @@ def _check_cells(table: ResponseTable, cells: AcceptabilityCells) -> None:
         )
 
 
-def _negraising_divergences(table: ResponseTable, nu: np.ndarray,
-                            effects: EffectsParams) -> np.ndarray:
+def negraising_record_losses(table: ResponseTable, factors: FactorParams | np.ndarray,
+                             effects: EffectsParams, cells: AcceptabilityCells) -> np.ndarray:
+    """Per-record weighted divergence alpha' * D(r || r_hat).
+
+    ``factors`` may be one free nu per cell instead of factor logits (the
+    latent that normalization fits in their place).
+    """
+    _check_cells(table, cells)
+    nu = cell_link_values(table.cells, factors)
     each, _, _ = channel_losses(nu[table.cell_idx], table.part_idx, table.negraising,
                                 effects.beta0, effects.sigma0, effects.beta, effects.sigma)
-    return each
-
-
-def negraising_record_losses(table: ResponseTable, factors: FactorParams,
-                             effects: EffectsParams, cells: AcceptabilityCells) -> np.ndarray:
-    """Per-record weighted divergence alpha' * D(r || r_hat)."""
-    _check_cells(table, cells)
-    nu = cell_link_values(table, factors)
-    return cells.weights()[table.cell_idx] * _negraising_divergences(table, nu, effects)
+    return cells.weights()[table.cell_idx] * each
 
 
 def acceptability_record_losses(table: ResponseTable, effects: EffectsParams,
@@ -210,8 +211,7 @@ def acceptability_record_losses(table: ResponseTable, effects: EffectsParams,
 
 
 def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects: EffectsParams,
-               cells: AcceptabilityCells, *, nr_mask: np.ndarray | None = None,
-               weight_override: np.ndarray | None = None) -> float:
+               cells: AcceptabilityCells, *, nr_mask: np.ndarray | None = None) -> float:
     """Full objective: weighted neg-raising and acceptability divergences plus priors.
 
     The per-cell weights alpha' enter as constants here and in the gradient;
@@ -223,14 +223,9 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
             that normalization fits in their place).
         nr_mask: boolean record mask restricting the neg-raising term (the
             acceptability term always covers every record).
-        weight_override: explicit per-record weights replacing alpha'
-            (used by finite-difference checks, which must hold the blocked
-            weights constant).
     """
     acc = acceptability_record_losses(table, effects, cells)
-    nu = factors if isinstance(factors, np.ndarray) else cell_link_values(table, factors)
-    weights = cells.weights()[table.cell_idx] if weight_override is None else weight_override
-    nr = weights * _negraising_divergences(table, nu, effects)
+    nr = negraising_record_losses(table, factors, effects, cells)
     if nr_mask is not None:
         nr = nr[nr_mask]
     return float(np.sum(nr)) + float(np.sum(acc)) + prior_penalty(effects)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from negfactor.dataset import ResponseTable, FRAME_LABELS
-from negfactor.factorization import FactorParams, Hyperparams
+from negfactor.factorization import FactorParams
 
 
 def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
@@ -44,21 +44,7 @@ def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
 
 def random_factor_params(rng, hyper, n_verbs, n_frames, scale=2.0) -> FactorParams:
     """Factor logits drawn wide enough to cover near-0 and near-1 probabilities."""
-
-    def draw(*shape):
-        return rng.normal(0.0, scale, size=shape)
-
-    n_t, n_i = hyper.n_structural, hyper.n_lexical
-    return FactorParams(
-        hyper=hyper,
-        n_verbs=n_verbs,
-        n_frames=n_frames,
-        lambda_logits=draw(n_verbs, n_t) if n_t else None,
-        pi_logits=draw(n_t, n_frames) if n_t else None,
-        omega_logits=draw(n_t, 2, 2) if n_t else None,
-        psi_logits=draw(n_verbs, n_i) if n_i else None,
-        phi_logits=draw(n_i, 2, 2) if n_i else None,
-    )
+    return FactorParams.random(hyper, n_verbs, n_frames, rng, scale=scale)
 
 
 def random_table(rng, n_verbs=3, n_frames=2, n_participants=2, ratings_per_cell=2) -> ResponseTable:

@@ -97,8 +97,8 @@ class TestFitAndReport:
 
     def test_bad_config_rejected(self, runner, workspace):
         bad = workspace / "bad_config.json"
-        for config in ({"learning_rte": 0.01}, {"init_scale": -2}, {"convergence_tol": -1e-6},
-                       {"adam_epsilon": 0.0}):
+        for config in ({"learning_rte": 0.01}, {"patience": 0}, {"convergence_tol": -1e-6},
+                       {"learning_rate": 0}):
             bad.write_text(json.dumps(config))
             result = runner.invoke(main, [
                 "fit", "--data", str(workspace / "data.csv"),

@@ -52,12 +52,12 @@ class TestAssignFolds:
         table = dense_table(n_verbs=20)
         assignment = assign_folds(table, seed=1)
         assert assignment.fold_of.shape == (table.n_cells,)
-        assert assignment.n_pinned == 0
+        assert not np.any(assignment.fold_of < 0)
         assert set(np.unique(assignment.fold_of)) <= set(range(5))
         assignment.validate(table)
         # record masks partition the records for each fold
         for fold in range(5):
-            held = assignment.held_record_mask(table, fold)
+            held = assignment.fold_of[table.cell_idx] == fold
             train = assignment.train_record_mask(table, fold)
             assert np.all(held ^ train)
 
@@ -66,7 +66,7 @@ class TestAssignFolds:
         table, _ = generate_synthetic(spec)
         assignment = assign_folds(table, seed=9)
         assignment.validate(table)
-        assert assignment.n_pinned == 0
+        assert not np.any(assignment.fold_of < 0)
 
     def test_singleton_pair_is_pinned_with_warning(self):
         # one verb/frame pair observed in a single cell can never sit in
@@ -89,9 +89,8 @@ class TestAssignFolds:
         assert (v, f) == (0, 1)
         assignment.validate(table)
         for fold in range(5):
-            assert not assignment.held_record_mask(table, fold)[
-                table.cell_idx == pinned_cell[0]
-            ].any()
+            held = assignment.fold_of[table.cell_idx] == fold
+            assert not held[table.cell_idx == pinned_cell[0]].any()
 
     def test_validate_rejects_broken_assignment(self):
         table = dense_table(n_verbs=4)

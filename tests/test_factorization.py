@@ -17,6 +17,7 @@ from negfactor.factorization import (
 )
 
 from conftest import (
+    probabilities_to_logits,
     random_factor_params,
     reference_or_probability,
     saturated,
@@ -56,11 +57,13 @@ class TestAbsorption:
             params = random_factor_params(rng, Hyperparams(1, n_structural),
                                           n_verbs=5, n_frames=3)
             probs = params.probabilities()
-            absorbed = FactorParams.from_probabilities(
+            absorbed = FactorParams(
                 Hyperparams(0, n_structural), n_verbs=5, n_frames=3,
-                lambda_=probs.lambda_ * probs.psi,
-                pi=probs.pi,
-                omega=probs.omega * probs.phi,
+                lambda_logits=probabilities_to_logits(probs.lambda_ * probs.psi),
+                pi_logits=probabilities_to_logits(probs.pi),
+                omega_logits=probabilities_to_logits(probs.omega * probs.phi),
+                psi_logits=None,
+                phi_logits=None,
             )
             assert_allclose(negraising_grid(absorbed), negraising_grid(params),
                             rtol=0, atol=1e-12)
@@ -96,13 +99,15 @@ class TestFactorParams:
             )
 
     def test_probabilities_of_frozen_side_are_exactly_one(self):
-        params = FactorParams.from_probabilities(
+        params = FactorParams(
             Hyperparams(0, 1),
             n_verbs=2,
             n_frames=2,
-            lambda_=[[0.5], [0.5]],
-            pi=[[0.5, 0.5]],
-            omega=[[[0.5, 0.5], [0.5, 0.5]]],
+            lambda_logits=probabilities_to_logits([[0.5], [0.5]]),
+            pi_logits=probabilities_to_logits([[0.5, 0.5]]),
+            omega_logits=probabilities_to_logits([[[0.5, 0.5], [0.5, 0.5]]]),
+            psi_logits=None,
+            phi_logits=None,
         )
         probs = params.probabilities()
         assert probs.psi.shape == (2, 1)
@@ -275,15 +280,15 @@ class TestEnumerationOracle:
         assert enumeration_oracle(params, 0, 0, 0, 0) == 0.0
 
     def test_single_pairing_is_plain_product(self):
-        params = FactorParams.from_probabilities(
+        params = FactorParams(
             Hyperparams(1, 1),
             n_verbs=1,
             n_frames=1,
-            lambda_=[[0.3]],
-            pi=[[0.7]],
-            omega=[[[0.9, 0.9], [0.9, 0.9]]],
-            psi=[[0.4]],
-            phi=[[[0.8, 0.8], [0.8, 0.8]]],
+            lambda_logits=probabilities_to_logits([[0.3]]),
+            pi_logits=probabilities_to_logits([[0.7]]),
+            omega_logits=probabilities_to_logits([[[0.9, 0.9], [0.9, 0.9]]]),
+            psi_logits=probabilities_to_logits([[0.4]]),
+            phi_logits=probabilities_to_logits([[[0.8, 0.8], [0.8, 0.8]]]),
         )
         probs = params.probabilities()
         product = float(

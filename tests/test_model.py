@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from negfactor.model import FittedModel
 from negfactor.response import EffectsParams
 
 from conftest import random_factor_params, random_table
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_model(seed=0, hyper=Hyperparams(2, 1)):
@@ -93,6 +96,11 @@ class TestJsonRoundTrip:
         del data["factors"]
         with pytest.raises(SchemaError, match="factors"):
             FittedModel.from_dict(data)
+        for block, key in (("factors", "phi"), ("effects", "log_var_sigma_acc")):
+            data = json.loads(make_model().to_json())
+            del data[block][key]
+            with pytest.raises(SchemaError, match=key):
+                FittedModel.from_dict(data)
 
     def test_wrong_format_tag(self):
         data = json.loads(make_model().to_json())
@@ -101,11 +109,9 @@ class TestJsonRoundTrip:
             FittedModel.from_dict(data)
 
 
-class TestCellLookup:
-    def test_lookup_maps_labels_to_rows(self):
-        model = make_model(seed=6)
-        lookup = model.cell_lookup()
-        assert len(lookup) == model.cells.shape[0]
-        for row, (v, f, j, k) in enumerate(model.cells):
-            key = (model.verbs[v], model.frames[f], int(j), int(k))
-            assert lookup[key] == row
+class TestEarlierVersions:
+    @pytest.mark.parametrize("name", ["model_2_1.json", "model_0_2.json"])
+    def test_saved_file_is_reproduced_byte_for_byte(self, name):
+        # written by an earlier version of the package from a short fit
+        path = DATA / name
+        assert FittedModel.load(path).to_json() + "\n" == path.read_text(encoding="utf-8")

@@ -11,12 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
-from negfactor.errors import (
-    ConsistencyError,
-    CoverageError,
-    DimensionError,
-    FitError,
-)
+from negfactor.errors import CoverageError, DimensionError, FitError
 from negfactor.factorization import FactorParams, Hyperparams, forward_negraising
 from negfactor.model import FittedModel
 from negfactor.optim import (
@@ -28,10 +23,17 @@ from negfactor.optim import (
     evaluate,
     evaluate_per_cell,
     fit,
-    gradient,
     record_losses,
 )
-from negfactor.response import AcceptabilityCells, EffectsParams, total_loss
+from negfactor.response import (
+    AcceptabilityCells,
+    EffectsParams,
+    acceptability_record_losses,
+    cell_link_values,
+    negraising_record_losses,
+    prior_penalty,
+    total_loss,
+)
 
 from conftest import (
     bernoulli_kl_reference,
@@ -93,9 +95,7 @@ def random_instance(seed):
     if rng.random() < 0.5:
         nr_mask = rng.random(table.n_records) < 0.8
     if hyper is not None:
-        from negfactor.response import cell_link_values
-
-        nu = cell_link_values(table, latent)
+        nu = cell_link_values(table.cells, latent)
         if np.any(np.abs(nu) > logit(1.0 - 1e-5)):
             return None
     return table, latent, effects, alpha, nr_mask
@@ -117,15 +117,15 @@ def fd_relative_error(instance, h=1e-5):
     table, latent, effects, alpha, nr_mask = instance
     pack, x0 = packed(instance)
     _, analytic = _forward_backward(x0, pack, table, nr_mask)
-    frozen_weights = expit(alpha)[table.cell_idx]
+    frozen_weights = AcceptabilityCells(alpha)
 
     def loss_at(x):
         trial_latent, trial_effects, trial_alpha = pack.unpack(x)
-        return total_loss(
-            table, trial_latent, trial_effects,
-            AcceptabilityCells(trial_alpha),
-            nr_mask=nr_mask, weight_override=frozen_weights,
-        )
+        nr = negraising_record_losses(table, trial_latent, trial_effects, frozen_weights)
+        if nr_mask is not None:
+            nr = nr[nr_mask]
+        acc = acceptability_record_losses(table, trial_effects, AcceptabilityCells(trial_alpha))
+        return float(np.sum(nr)) + float(np.sum(acc)) + prior_penalty(trial_effects)
 
     numeric = finite_difference_gradient(loss_at, x0, h=h)
     rel = np.abs(analytic - numeric) / np.maximum(
@@ -153,11 +153,12 @@ class TestGradientAgainstFiniteDifferences:
         rng = np.random.default_rng(0)
         table = random_table(rng, n_verbs=2, n_frames=2, n_participants=2)
         factors = random_factor_params(rng, Hyperparams(0, 2), 2, 2)
-        grad = gradient(table, factors, random_effects(rng, 2),
-                        AcceptabilityCells(np.zeros(table.n_cells)))
-        assert grad.factors.psi_logits is None
-        assert grad.factors.phi_logits is None
-        assert grad.factors.lambda_logits.shape == (2, 2)
+        pack, x = packed((table, factors, random_effects(rng, 2), np.zeros(table.n_cells), None))
+        _, g = _forward_backward(x, pack, table, None)
+        grad_factors, _, _ = pack.unpack(g)
+        assert grad_factors.psi_logits is None
+        assert grad_factors.phi_logits is None
+        assert grad_factors.lambda_logits.shape == (2, 2)
 
     def test_alpha_gradient_ignores_negraising_channel(self):
         # with the acceptability channel dropped conceptually: alpha's
@@ -168,23 +169,12 @@ class TestGradientAgainstFiniteDifferences:
                              ratings_per_cell=1)
         factors = random_factor_params(rng, Hyperparams(1, 1), 2, 1)
         alpha = logit(table.acceptability[np.argsort(table.cell_idx)])
-        grad = gradient(table, factors, EffectsParams.zeros(1),
-                        AcceptabilityCells(alpha))
+        pack, x = packed((table, factors, EffectsParams.zeros(1), alpha, None))
+        _, g = _forward_backward(x, pack, table, None)
+        _, _, grad_alpha = pack.unpack(g)
         # each record is its own cell and alpha reproduces the responses
         # exactly, so the acceptability channel is at its optimum
-        assert_allclose(grad.alpha, np.zeros_like(alpha), atol=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        rng = np.random.default_rng(2)
-        table = random_table(rng, n_verbs=3, n_frames=2, n_participants=2)
-        factors = random_factor_params(rng, Hyperparams(1, 1), 4, 2)
-        with pytest.raises(DimensionError):
-            gradient(table, factors, EffectsParams.zeros(2),
-                     AcceptabilityCells(np.zeros(table.n_cells)))
-        good = random_factor_params(rng, Hyperparams(1, 1), 3, 2)
-        with pytest.raises(ConsistencyError):
-            gradient(table, good, EffectsParams.zeros(2),
-                     AcceptabilityCells(np.zeros(table.n_cells + 1)))
+        assert_allclose(grad_alpha, np.zeros_like(alpha), atol=1e-12)
 
 
 class TestLossConsistency:
@@ -450,7 +440,8 @@ class TestEvaluate:
 
         # reference: each record scored by label, with zero random effects
         # for an unseen participant
-        lookup = model.cell_lookup()
+        lookup = {(model.verbs[v], model.frames[f], int(j), int(k)): row
+                  for row, (v, f, j, k) in enumerate(model.cells)}
         for scored in (renamed, reordered):
             expected = np.empty(scored.n_records)
             for n in range(scored.n_records):

@@ -22,7 +22,12 @@ from negfactor.response import (
     total_loss,
 )
 
-from conftest import bernoulli_kl_reference, random_factor_params, random_table
+from conftest import (
+    bernoulli_kl_reference,
+    probabilities_to_logits,
+    random_factor_params,
+    random_table,
+)
 
 
 def single_record_table(negraising, acceptability):
@@ -211,15 +216,15 @@ class TestTotalLoss:
     def test_weighted_composition_on_single_record(self):
         # alpha = 0 gives weight exactly 0.5; check L = 0.5 * D_nr + D_acc
         table = single_record_table(0.7, 0.6)
-        params = FactorParams.from_probabilities(
+        params = FactorParams(
             Hyperparams(1, 1),
             n_verbs=1,
             n_frames=1,
-            lambda_=[[0.9]],
-            pi=[[0.8]],
-            omega=[[[0.7, 0.7], [0.7, 0.7]]],
-            psi=[[0.6]],
-            phi=[[[0.9, 0.9], [0.9, 0.9]]],
+            lambda_logits=probabilities_to_logits([[0.9]]),
+            pi_logits=probabilities_to_logits([[0.8]]),
+            omega_logits=probabilities_to_logits([[[0.7, 0.7], [0.7, 0.7]]]),
+            psi_logits=probabilities_to_logits([[0.6]]),
+            phi_logits=probabilities_to_logits([[[0.9, 0.9], [0.9, 0.9]]]),
         )
         effects = EffectsParams.zeros(1)
         cells = AcceptabilityCells(np.array([0.0]))
