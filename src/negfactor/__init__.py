@@ -62,8 +62,6 @@ from .response import (
     AcceptabilityCells,
     EffectsParams,
     kl_loss,
-    predict_acceptability,
-    predict_negraising,
     prior_penalty,
     total_loss,
 )

@@ -8,12 +8,12 @@ outputs. Grid points and hyperparameter pairs are written as
 from __future__ import annotations
 
 import functools
-import json
 
 import click
 
 from . import __version__
-from .dataset import PlantedSpec, generate_synthetic, load_csv, summarize, write_csv
+from .dataset import (PlantedSpec, generate_synthetic, json_text, load_csv, read_json, summarize,
+                      write_csv, write_json)
 from .errors import NegfactorError
 from .evaluation import EvalReport, bootstrap_compare, cross_validate
 from .factorization import MAX_PROPERTIES, Hyperparams
@@ -39,10 +39,8 @@ def _friendly(command):
 def _load_config(path: str | None) -> FitConfig | None:
     if path is None:
         return None
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
     try:
-        return FitConfig(**data)
+        return FitConfig(**read_json(path))
     except (TypeError, ValueError) as err:
         raise click.ClickException(f"bad fit config {path}: {err}") from err
 
@@ -86,7 +84,7 @@ def data():
 def data_summarize(path):
     """Print dataset counts and response means as JSON."""
     table = load_csv(path)
-    click.echo(json.dumps(summarize(table), indent=2, sort_keys=True))
+    click.echo(json_text(summarize(table)))
 
 
 @data.command("synth")
@@ -103,9 +101,7 @@ def data_synth(spec_path, out_path, truth_path):
     table, resolved = generate_synthetic(spec)
     write_csv(table, out_path)
     if truth_path is not None:
-        with open(truth_path, "w", encoding="utf-8") as handle:
-            json.dump(resolved.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(truth_path, resolved.to_dict())
     click.echo(f"wrote {table.n_records} records ({table.n_cells} cells) to {out_path}")
 
 
@@ -179,12 +175,9 @@ def compare_command(report_path, point_a, point_b, n_boot, seed, out_path):
         report, _parse_point(point_a), _parse_point(point_b),
         n_boot=n_boot, seed=seed,
     )
-    text = json.dumps(record.to_dict(), indent=2, sort_keys=True)
-    click.echo(text)
+    click.echo(json_text(record.to_dict()))
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
+        write_json(out_path, record.to_dict())
 
 
 @main.command("normalize")

@@ -5,12 +5,20 @@ The canonical file format is a long-format UTF-8 CSV with header
 per rating, both slider responses in [0, 1]. Responses exactly at 0 or 1
 are clamped inward by 1e-4 at load time because the divergence loss is
 undefined at the endpoints.
+
+Every file the package saves follows the conventions written once here:
+JSON artifacts are sorted-key, two-space-indented text ending in a newline
+(`JsonArtifact`, `json_text`, `write_json`, `read_json`), and tables are
+UTF-8 CSV written from a header and rows (`write_rows`). Floats keep
+Python's shortest round-trip form in both, so identical values produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +42,44 @@ TENSE_LABELS = ("past", "present")
 CANONICAL_COLUMNS = ("verb", "frame", "subject", "tense", "participant", "negraising", "acceptability")
 
 RESPONSE_EPS = 1e-4
+
+
+def json_text(data: dict) -> str:
+    """An artifact's JSON text, without the final newline."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def write_json(path, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json_text(data) + "\n")
+
+
+def read_json(path) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV table; floats are written by csv as their repr."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class JsonArtifact:
+    """``to_json``, ``save`` and ``load`` for a class with ``to_dict`` and
+    ``from_dict``."""
+
+    def to_json(self) -> str:
+        return json_text(self.to_dict())
+
+    def save(self, path) -> None:
+        write_json(path, self.to_dict())
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_dict(read_json(path))
 
 
 def clamp_responses(values: np.ndarray) -> np.ndarray:
@@ -119,12 +165,6 @@ class ResponseTable:
         counts = np.bincount(self.cell_idx, minlength=self.n_cells)
         return sums / counts
 
-    def cell_mean_negraising(self) -> np.ndarray:
-        return self.cell_mean(self.negraising)
-
-    def cell_mean_acceptability(self) -> np.ndarray:
-        return self.cell_mean(self.acceptability)
-
 
 def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
              drop_participants: tuple[str, ...] = ()) -> ResponseTable:
@@ -201,11 +241,13 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
                 responses[1],
             )
 
-        for line_number, row in enumerate(reader, start=2):
+        for row in reader:
             if row.get(colmap["participant"]) in dropped_participants:
                 continue
             try:
-                rows.append(parse_row(line_number, row))
+                # the physical line the record ends on, past blank lines
+                # and quoted newlines
+                rows.append(parse_row(reader.line_num, row))
             except RowError:
                 if on_error == "fail":
                     raise
@@ -233,21 +275,22 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
     )
 
 
+def labels_at(labels, index: np.ndarray) -> list:
+    """The label of each index, as a list."""
+    return np.asarray(labels, dtype=object)[index].tolist()
+
+
 def write_csv(table: ResponseTable, path) -> None:
     """Write a table in the canonical format; load_csv(write_csv(t)) == t."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CANONICAL_COLUMNS)
-        for n in range(table.n_records):
-            writer.writerow([
-                table.verbs[table.verb_idx[n]],
-                table.frames[table.frame_idx[n]],
-                SUBJECT_LABELS[table.subj_idx[n]],
-                TENSE_LABELS[table.tense_idx[n]],
-                table.participants[table.part_idx[n]],
-                repr(float(table.negraising[n])),
-                repr(float(table.acceptability[n])),
-            ])
+    write_rows(path, CANONICAL_COLUMNS, zip(
+        labels_at(table.verbs, table.verb_idx),
+        labels_at(table.frames, table.frame_idx),
+        labels_at(SUBJECT_LABELS, table.subj_idx),
+        labels_at(TENSE_LABELS, table.tense_idx),
+        labels_at(table.participants, table.part_idx),
+        table.negraising.tolist(),
+        table.acceptability.tolist(),
+    ))
 
 
 def summarize(table: ResponseTable) -> dict:
@@ -301,8 +344,13 @@ class PlantedFactors:
         return {slot: p.tolist() for slot, p in self.arrays().items()}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PlantedFactors":
-        return cls(*(np.asarray(data[slot], dtype=float) for slot in FACTOR_SLOTS))
+    def from_dict(cls, data: dict, n_frames: int) -> "PlantedFactors":
+        # JSON keeps no shape for an empty array, so a frozen side's pi,
+        # omega or phi comes back as [] and takes its slot's shape here
+        arrays = [np.asarray(data[slot], dtype=float) for slot in FACTOR_SLOTS]
+        shapes = factor_shapes(cls(*arrays).hyper(), len(arrays[0]), n_frames).values()
+        return cls(*(a.reshape(shape) if a.size == 0 == math.prod(shape) else a
+                     for a, shape in zip(arrays, shapes)))
 
     def as_factor_params(self, clip_eps: float = 1e-9) -> FactorParams:
         """Logit-scale view of the planted factors (entries clipped inward)."""
@@ -353,36 +401,20 @@ class PlantedSpec:
                     )
 
     def to_dict(self) -> dict:
-        out = {
-            "n_verbs": self.n_verbs,
-            "n_frames": self.n_frames,
-            "n_participants": self.n_participants,
-            "n_lexical": self.n_lexical,
-            "n_structural": self.n_structural,
-            "noise_scale": self.noise_scale,
-            "seed": self.seed,
-            "ratings_per_cell": self.ratings_per_cell,
-            "beta0": self.beta0,
-            "sigma0": self.sigma0,
-            "participant_shift_sd": self.participant_shift_sd,
-            "participant_scale_sd": self.participant_scale_sd,
-            "acceptability": self.acceptability,
-            "true_factors": self.true_factors.to_dict() if self.true_factors else None,
-        }
-        return out
+        factors = self.true_factors
+        return {**vars(self), "true_factors": factors.to_dict() if factors else None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlantedSpec":
-        data = dict(data)
-        factors = data.get("true_factors")
-        if factors is not None:
-            data["true_factors"] = PlantedFactors.from_dict(factors)
-        return cls(**data)
+        spec = cls(**{**data, "true_factors": None})
+        if data.get("true_factors") is None:
+            return spec
+        return replace(spec, true_factors=PlantedFactors.from_dict(data["true_factors"],
+                                                                   spec.n_frames))
 
     @classmethod
     def from_json_file(cls, path) -> "PlantedSpec":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(read_json(path))
 
 
 def _draw_planted_factors(spec: PlantedSpec, rng: np.random.Generator) -> PlantedFactors:

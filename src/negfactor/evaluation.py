@@ -10,13 +10,12 @@ pinned to the training set (fold -1) and never held out.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .dataset import ResponseTable
+from .dataset import JsonArtifact, ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
 from .optim import FitConfig, _scored_records, fit
@@ -50,12 +49,6 @@ class FoldAssignment:
     fold_of: np.ndarray
     n_folds: int
     seed: int
-
-    def held_cell_mask(self, fold: int) -> np.ndarray:
-        return self.fold_of == fold
-
-    def train_record_mask(self, table: ResponseTable, fold: int) -> np.ndarray:
-        return self.fold_of[table.cell_idx] != fold
 
     def validate(self, table: ResponseTable) -> None:
         """Check the partition and the per-fold training coverage invariant."""
@@ -180,30 +173,19 @@ class ComparisonRecord:
     equivalent: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "a": list(self.a), "b": list(self.b),
-            "observed": self.observed, "lower": self.lower, "upper": self.upper,
-            "reliable": self.reliable, "n_boot": self.n_boot, "seed": self.seed,
-            "equivalent": self.equivalent,
-        }
+        return {**vars(self), "a": list(self.a), "b": list(self.b)}
 
     @classmethod
     def from_dict(cls, data: dict) -> ComparisonRecord:
-        return cls(
-            a=tuple(int(x) for x in data["a"]),
-            b=tuple(int(x) for x in data["b"]),
-            observed=float(data["observed"]),
-            lower=float(data["lower"]),
-            upper=float(data["upper"]),
-            reliable=bool(data["reliable"]),
-            n_boot=int(data["n_boot"]),
-            seed=int(data["seed"]),
-            equivalent=bool(data.get("equivalent", False)),
-        )
+        # a field with a default (``equivalent``) may be absent, as in
+        # version-1 reports; a missing required field raises KeyError
+        values = {f.name: data[f.name] for f in fields(cls)
+                  if f.name in data or f.default is MISSING}
+        return cls(**{**values, "a": tuple(values["a"]), "b": tuple(values["b"])})
 
 
 @dataclass
-class EvalReport:
+class EvalReport(JsonArtifact):
     """Full cross-validation report: shared folds, per-point losses, ranking."""
 
     verbs: tuple[str, ...]
@@ -251,14 +233,6 @@ class EvalReport:
             "comparisons": [record.to_dict() for record in self.comparisons],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
     @classmethod
     def from_dict(cls, data: dict) -> EvalReport:
         try:
@@ -281,11 +255,6 @@ class EvalReport:
         except KeyError as err:
             raise SchemaError(f"report is missing field {err.args[0]!r}") from None
 
-    @classmethod
-    def load(cls, path) -> EvalReport:
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-
 
 def _as_grid(grid) -> list[Hyperparams]:
     points = []
@@ -307,8 +276,9 @@ def _cross_validate_point(table: ResponseTable, assignment: FoldAssignment,
     fold_losses: list[float | None] = []
     cell_losses = np.full(table.n_cells, np.nan)
     for fold in range(assignment.n_folds):
-        train_mask = assignment.train_record_mask(table, fold)
-        held_mask = ~train_mask
+        held_cells = assignment.fold_of == fold
+        held_mask = held_cells[table.cell_idx]
+        train_mask = ~held_mask
         if not held_mask.any():
             fold_losses.append(0.0)
             continue
@@ -327,7 +297,6 @@ def _cross_validate_point(table: ResponseTable, assignment: FoldAssignment,
         losses, cell_idx = _scored_records(outcome.model, table, held_mask)
         fold_losses.append(float(np.sum(losses)))
         per_cell = np.bincount(cell_idx, weights=losses, minlength=table.n_cells)
-        held_cells = assignment.held_cell_mask(fold)
         cell_losses[held_cells] = per_cell[held_cells]
     return fold_losses, cell_losses
 

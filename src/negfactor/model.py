@@ -7,11 +7,11 @@ keys are sorted, which makes identical fits produce identical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .dataset import JsonArtifact
 from .errors import SchemaError
 from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams
 from .response import EffectsParams
@@ -21,7 +21,7 @@ MODEL_VERSION = 1
 
 
 @dataclass
-class FittedModel:
+class FittedModel(JsonArtifact):
     """Everything needed to score new records and reproduce a fit."""
 
     hyper: Hyperparams
@@ -59,14 +59,6 @@ class FittedModel:
             "converged": self.converged,
             "iterations": self.iterations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
 
     @classmethod
     def from_dict(cls, data: dict) -> "FittedModel":
@@ -110,8 +102,3 @@ class FittedModel:
             )
         except KeyError as missing:
             raise SchemaError(f"model JSON missing key {missing}") from None
-
-    @classmethod
-    def load(cls, path) -> "FittedModel":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

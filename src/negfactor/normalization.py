@@ -15,13 +15,13 @@ which is always a probability.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
 
-from .dataset import ResponseTable, clamp_responses
+from .dataset import (SUBJECT_LABELS, TENSE_LABELS, ResponseTable, clamp_responses, labels_at,
+                      write_rows)
 from .errors import DimensionError
 from .optim import FitConfig, ParameterPack, _forward_backward, adam_minimize
 from .response import EffectsParams
@@ -42,19 +42,12 @@ class NormalizedScores:
     iterations: int
 
     def write_csv(self, path) -> None:
-        from .dataset import SUBJECT_LABELS, TENSE_LABELS
-
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["verb", "frame", "subject", "tense", "nu", "alpha", "score"])
-            for row, (v, f, j, k) in enumerate(self.cells):
-                writer.writerow([
-                    self.verbs[v], self.frames[f],
-                    SUBJECT_LABELS[j], TENSE_LABELS[k],
-                    repr(float(self.nu[row])),
-                    repr(float(self.alpha[row])),
-                    repr(float(self.score[row])),
-                ])
+        v, f, j, k = self.cells.T
+        write_rows(path, ["verb", "frame", "subject", "tense", "nu", "alpha", "score"], zip(
+            labels_at(self.verbs, v), labels_at(self.frames, f),
+            labels_at(SUBJECT_LABELS, j), labels_at(TENSE_LABELS, k),
+            self.nu.tolist(), self.alpha.tolist(), self.score.tolist(),
+        ))
 
 
 def normalize(table: ResponseTable, config: FitConfig | None = None,
@@ -73,9 +66,9 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
     pack = ParameterPack(None, table.n_verbs, table.n_frames,
                          table.n_participants, table.n_cells)
     x0 = pack.pack(
-        logit(clamp_responses(table.cell_mean_negraising())),
+        logit(clamp_responses(table.cell_mean(table.negraising))),
         EffectsParams.zeros(table.n_participants),
-        logit(clamp_responses(table.cell_mean_acceptability())),
+        logit(clamp_responses(table.cell_mean(table.acceptability))),
     )
     x, trajectory, converged, steps = adam_minimize(
         x0, lambda point: _forward_backward(point, pack, table, None), config, pack.name_at,

@@ -180,6 +180,14 @@ def channel_backward(values: np.ndarray, cell_idx: np.ndarray, part_idx: np.ndar
     return loss, g_values, g_beta0, g_sigma0, g_beta, g_sigma
 
 
+def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) sums of the (m, k) rows of ``values`` grouped by ``index``,
+    added in row order like ``np.add.at``, so bit-identical to it."""
+    k = values.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
+
+
 def _factor_forward(factors: FactorParams, cells: np.ndarray):
     """Clamped-logit nu per cell from the factorization, and the backward
     pass that writes the factor-logit gradient for a given d loss / d nu."""
@@ -201,22 +209,17 @@ def _factor_forward(factors: FactorParams, cells: np.ndarray):
         g_b = (g_zeta * a[:, :, None]).sum(axis=1)
         if factors.hyper.n_structural:
             n_t = factors.hyper.n_structural
-            g_lambda = np.zeros((factors.n_verbs, n_t))
-            np.add.at(g_lambda, cv, g_a * at.pi * at.omega)
-            g_pi = np.zeros((factors.n_frames, n_t))
-            np.add.at(g_pi, cf, g_a * at.lambda_ * at.omega)
-            g_omega = np.zeros((4, n_t))
-            np.add.at(g_omega, cj * 2 + ck, g_a * at.lambda_ * at.pi)
+            g_lambda = _scatter(cv, g_a * at.pi * at.omega, factors.n_verbs)
+            g_pi = _scatter(cf, g_a * at.lambda_ * at.omega, factors.n_frames)
+            g_omega = _scatter(cj * 2 + ck, g_a * at.lambda_ * at.pi, 4)
             lam, pi, om = probs.lambda_, probs.pi, probs.omega
             pack.put(g, "lambda", g_lambda * lam * (1.0 - lam))
             pack.put(g, "pi", g_pi.T * pi * (1.0 - pi))
             pack.put(g, "omega", g_omega.T.reshape(n_t, 2, 2) * om * (1.0 - om))
         if factors.hyper.n_lexical:
             n_i = factors.hyper.n_lexical
-            g_psi = np.zeros((factors.n_verbs, n_i))
-            np.add.at(g_psi, cv, g_b * at.phi)
-            g_phi = np.zeros((4, n_i))
-            np.add.at(g_phi, cj * 2 + ck, g_b * at.psi)
+            g_psi = _scatter(cv, g_b * at.phi, factors.n_verbs)
+            g_phi = _scatter(cj * 2 + ck, g_b * at.psi, 4)
             psi, phi = probs.psi, probs.phi
             pack.put(g, "psi", g_psi * psi * (1.0 - psi))
             pack.put(g, "phi", g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi))
@@ -346,7 +349,7 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
             raise DimensionError("nr_mask must have one entry per record")
     pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
                          table.n_participants, table.n_cells)
-    alpha0 = logit(clamp_responses(table.cell_mean_acceptability()))
+    alpha0 = logit(clamp_responses(table.cell_mean(table.acceptability)))
     effects0 = EffectsParams.zeros(table.n_participants)
 
     def objective(x):
@@ -430,11 +433,6 @@ def _scored_records(model: FittedModel, table: ResponseTable,
     each, _, _ = channel_losses(nu[cell_idx], part_idx, responses,
                                 model.effects.beta0, model.effects.sigma0, beta, sigma)
     return expit(model.alpha[rows])[cell_idx] * each, cell_idx
-
-
-def record_losses(model: FittedModel, table: ResponseTable) -> np.ndarray:
-    """Per-record weighted neg-raising loss of a model on (possibly new) data."""
-    return _scored_records(model, table, None)[0]
 
 
 def evaluate(model: FittedModel, table: ResponseTable,

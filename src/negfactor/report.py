@@ -10,8 +10,7 @@ and JSON (the whole bundle).
 
 from __future__ import annotations
 
-import csv
-import json
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import spearmanr
 
-from .dataset import SUBJECT_LABELS, TENSE_LABELS
+from .dataset import SUBJECT_LABELS, TENSE_LABELS, JsonArtifact, write_rows
 from .errors import DimensionError, SchemaError
 from .factorization import Hyperparams, factor_shapes
 from .model import FittedModel
@@ -30,7 +29,7 @@ BUNDLE_VERSION = 1
 
 
 @dataclass
-class AnalysisBundle:
+class AnalysisBundle(JsonArtifact):
     """Probability-scale view of a fitted model's factor parameters.
 
     verb_scores and psi_lambda_spearman are populated only for the
@@ -71,9 +70,6 @@ class AnalysisBundle:
             "psi_lambda_spearman": spearman,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> AnalysisBundle:
         try:
@@ -100,11 +96,6 @@ class AnalysisBundle:
             )
         except KeyError as err:
             raise SchemaError(f"bundle is missing field {err.args[0]!r}") from None
-
-    @classmethod
-    def load(cls, path) -> AnalysisBundle:
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 def analyze(model: FittedModel) -> AnalysisBundle:
@@ -156,14 +147,11 @@ def rank_verbs(bundle: AnalysisBundle) -> list[tuple[str, float]]:
     return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
 
 
-def _write_subject_tense_csv(path, array: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["property", "subject", "tense", "probability"])
-        for t in range(array.shape[0]):
-            for j, subject in enumerate(SUBJECT_LABELS):
-                for k, tense in enumerate(TENSE_LABELS):
-                    writer.writerow([t, subject, tense, repr(float(array[t, j, k]))])
+def _table_rows(array: np.ndarray, *labels) -> list:
+    """(property, label..., probability) rows of a (property, ...) array,
+    in the array's row-major order."""
+    keys = itertools.product(range(array.shape[0]), *labels)
+    return [(*key, value) for key, value in zip(keys, array.ravel().tolist())]
 
 
 def write_analysis(bundle: AnalysisBundle, out_dir) -> dict[str, str]:
@@ -173,31 +161,16 @@ def write_analysis(bundle: AnalysisBundle, out_dir) -> dict[str, str]:
     shapes keep the full matrices in bundle.json. Returns name -> path.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    paths["phi.csv"] = os.path.join(out_dir, "phi.csv")
-    _write_subject_tense_csv(paths["phi.csv"], bundle.phi)
-    paths["omega.csv"] = os.path.join(out_dir, "omega.csv")
-    _write_subject_tense_csv(paths["omega.csv"], bundle.omega)
-
-    paths["pi.csv"] = os.path.join(out_dir, "pi.csv")
-    with open(paths["pi.csv"], "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["property", "frame", "probability"])
-        for t in range(bundle.pi.shape[0]):
-            for f, frame in enumerate(bundle.frames):
-                writer.writerow([t, frame, repr(float(bundle.pi[t, f]))])
-
+    by_subject_tense = ["property", "subject", "tense", "probability"]
+    tables = {
+        "phi.csv": (by_subject_tense, _table_rows(bundle.phi, SUBJECT_LABELS, TENSE_LABELS)),
+        "omega.csv": (by_subject_tense, _table_rows(bundle.omega, SUBJECT_LABELS, TENSE_LABELS)),
+        "pi.csv": (["property", "frame", "probability"], _table_rows(bundle.pi, bundle.frames)),
+    }
     if bundle.verb_scores is not None:
-        paths["verb_scores.csv"] = os.path.join(out_dir, "verb_scores.csv")
-        with open(paths["verb_scores.csv"], "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["verb", "score"])
-            for verb, score in rank_verbs(bundle):
-                writer.writerow([verb, repr(score)])
-
-    paths["bundle.json"] = os.path.join(out_dir, "bundle.json")
-    with open(paths["bundle.json"], "w", encoding="utf-8") as handle:
-        handle.write(bundle.to_json())
-        handle.write("\n")
+        tables["verb_scores.csv"] = (["verb", "score"], rank_verbs(bundle))
+    paths = {name: os.path.join(out_dir, name) for name in [*tables, "bundle.json"]}
+    for name, (header, rows) in tables.items():
+        write_rows(paths[name], header, rows)
+    bundle.save(paths["bundle.json"])
     return paths

@@ -67,15 +67,6 @@ class EffectsParams:
     def n_participants(self) -> int:
         return self.beta.shape[0]
 
-    def random_effect_groups(self):
-        """(values, log_variance) pairs in a fixed order, for the prior."""
-        return (
-            (self.beta, self.log_var_beta),
-            (self.sigma, self.log_var_sigma),
-            (self.beta_acc, self.log_var_beta_acc),
-            (self.sigma_acc, self.log_var_sigma_acc),
-        )
-
 
 @dataclass
 class AcceptabilityCells:
@@ -111,20 +102,6 @@ def channel_losses(values, participant, responses, beta0, sigma0, beta, sigma):
     return _divergence(responses, pred_c), pred, scale
 
 
-def predict_negraising(nu, effects: EffectsParams, participant):
-    """Expected neg-raising response: logit^-1(exp(s0+s_l) nu + b0 + b_l)."""
-    out, _ = _link(np.asarray(nu, dtype=float), np.asarray(participant),
-                   effects.beta0, effects.sigma0, effects.beta, effects.sigma)
-    return float(out) if out.ndim == 0 else out
-
-
-def predict_acceptability(alpha, effects: EffectsParams, participant):
-    """Expected acceptability response, with the primed link parameters."""
-    out, _ = _link(np.asarray(alpha, dtype=float), np.asarray(participant),
-                   effects.beta0_acc, effects.sigma0_acc, effects.beta_acc, effects.sigma_acc)
-    return float(out) if out.ndim == 0 else out
-
-
 def kl_loss(r, r_hat):
     """KL divergence between Bernoulli(r) and Bernoulli(r_hat).
 
@@ -152,7 +129,8 @@ def prior_backward(effects: EffectsParams):
     value_grads = []
     log_var_grads = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for values, log_var in effects.random_effect_groups():
+        for name in ("beta", "sigma", "beta_acc", "sigma_acc"):
+            values, log_var = getattr(effects, name), getattr(effects, "log_var_" + name)
             variance = np.exp(np.float64(log_var))
             sum_sq = np.float64(np.sum(values * values))
             n = values.shape[0]

@@ -45,6 +45,22 @@ class TestDataCommands:
         truth = json.loads((workspace / "truth.json").read_text())
         assert truth["true_factors"] is not None
 
+    @pytest.mark.parametrize("sizes", [
+        {"n_lexical": 0, "n_structural": 2}, {"n_lexical": 3, "n_structural": 0},
+    ])
+    def test_truth_of_a_frozen_side_regenerates_the_data(self, runner, tmp_path, sizes):
+        # a frozen side's pi/omega or phi is an empty array, which JSON
+        # writes as [] without its shape
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_verbs": 5, **sizes}))
+        for spec, out in ((spec_path, "data.csv"), (tmp_path / "truth.json", "again.csv")):
+            result = runner.invoke(main, [
+                "data", "synth", "--spec", str(spec), "--out", str(tmp_path / out),
+                "--truth", str(tmp_path / "truth.json"),
+            ])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "data.csv").read_bytes()
+
     def test_summarize_prints_json(self, runner, workspace):
         result = runner.invoke(main, ["data", "summarize", str(workspace / "data.csv")])
         assert result.exit_code == 0, result.output

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,14 @@ from negfactor.dataset import (
     sample_participant_effects,
     summarize,
     write_csv,
+    write_json,
 )
 from negfactor.errors import DimensionError, RowError, SchemaError
 from negfactor.factorization import negraising_grid
 
 from conftest import random_table
 
+DATA = Path(__file__).parent / "data"
 HEADER = "verb,frame,subject,tense,participant,negraising,acceptability"
 
 
@@ -80,6 +83,26 @@ class TestLoadCsv:
             f'know,"{FRAME_LABELS[0]}",first,past,p1,high,0.8',
         ])
         with pytest.raises(RowError, match="line 3"):
+            load_csv(path)
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", [
+            HEADER,
+            f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8',
+            "",
+            "",
+            f'know,"{FRAME_LABELS[0]}",first,past,p1,high,0.8',
+        ])
+        with pytest.raises(RowError, match="line 5"):
+            load_csv(path)
+
+    def test_line_number_counts_quoted_newlines(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", [
+            HEADER,
+            f'"think\nhard","{FRAME_LABELS[0]}",first,past,p1,0.9,0.8',
+            f'know,"{FRAME_LABELS[0]}",first,past,p1,high,0.8',
+        ])
+        with pytest.raises(RowError, match="line 4"):
             load_csv(path)
 
     def test_out_of_range_response(self, tmp_path):
@@ -180,6 +203,13 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+    def test_file_of_an_earlier_version_is_reproduced_byte_for_byte(self, tmp_path):
+        # written by an earlier version of the package (`data synth`)
+        path = tmp_path / "again.csv"
+        write_csv(load_csv(DATA / "data_small.csv"), path)
+        assert path.read_bytes() == (DATA / "data_small.csv").read_bytes()
+
+
 class TestCellIndex:
     def test_cells_are_unique_and_cover_records(self):
         rng = np.random.default_rng(3)
@@ -198,8 +228,8 @@ class TestCellIndex:
             part_idx=[0, 1], negraising=[0.2, 0.6], acceptability=[0.9, 0.7],
         )
         assert table.n_cells == 1
-        assert_allclose(table.cell_mean_negraising(), [0.4])
-        assert_allclose(table.cell_mean_acceptability(), [0.8])
+        assert_allclose(table.cell_mean(table.negraising), [0.4])
+        assert_allclose(table.cell_mean(table.acceptability), [0.8])
 
     def test_pair_ids(self):
         rng = np.random.default_rng(5)
@@ -265,6 +295,14 @@ class TestPlantedSpec:
         spec = PlantedSpec.from_json_file(path)
         assert spec.n_verbs == 4
         assert spec.n_frames == 6
+
+
+    @pytest.mark.parametrize("name", ["truth_1_1.json", "truth_0_2.json"])
+    def test_truth_file_of_an_earlier_version_is_reproduced_byte_for_byte(self, tmp_path, name):
+        # written by an earlier version of the package (`data synth --truth`)
+        path = tmp_path / name
+        write_json(path, PlantedSpec.from_json_file(DATA / name).to_dict())
+        assert path.read_bytes() == (DATA / name).read_bytes()
 
 
 class TestGenerateSynthetic:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from negfactor.factorization import Hyperparams
 from negfactor.optim import FitConfig
 
 from conftest import random_table
+
+DATA = Path(__file__).parent / "data"
 
 QUICK = FitConfig(max_iterations=250, n_restarts=1, convergence_tol=1e-5,
                   patience=1, seed=0)
@@ -55,11 +58,9 @@ class TestAssignFolds:
         assert not np.any(assignment.fold_of < 0)
         assert set(np.unique(assignment.fold_of)) <= set(range(5))
         assignment.validate(table)
-        # record masks partition the records for each fold
-        for fold in range(5):
-            held = assignment.fold_of[table.cell_idx] == fold
-            train = assignment.train_record_mask(table, fold)
-            assert np.all(held ^ train)
+        # the folds' held-out records partition the records
+        held = [assignment.fold_of[table.cell_idx] == fold for fold in range(5)]
+        assert_array_equal(np.sum(held, axis=0), 1)
 
     def test_hundred_verb_constraint_checker(self):
         spec = PlantedSpec(n_verbs=100, n_participants=2, ratings_per_cell=1, seed=2)
@@ -125,7 +126,7 @@ class TestCrossValidate:
         report = cross_validate(table, [(1, 1)], QUICK)
         point = report.point((1, 1))
         for fold in range(5):
-            held = report.assignment.held_cell_mask(fold)
+            held = report.assignment.fold_of == fold
             assert_allclose(point.cell_losses[held].sum(), point.fold_losses[fold],
                             rtol=0, atol=1e-9)
         assert_allclose(np.nansum(point.cell_losses), point.total, rtol=0, atol=1e-9)
@@ -212,6 +213,14 @@ class TestCrossValidate:
         assert [r.equivalent_to for r in back.results] == [None, None]
         assert back.comparisons[0].equivalent is False
         assert back.point((0, 1)).fold_losses == report.point((0, 1)).fold_losses
+
+    def test_file_of_an_earlier_version_is_reproduced_byte_for_byte(self):
+        # written by an earlier version of the package: a 3-fold CV over
+        # (0,1), (1,1) and (1,0) with two comparisons appended
+        path = DATA / "report.json"
+        report = EvalReport.load(path)
+        assert [c.equivalent for c in report.comparisons] == [False, True]
+        assert report.to_json() + "\n" == path.read_text(encoding="utf-8")
 
     def test_unknown_point_lookup(self):
         table = dense_table(n_verbs=4, n_frames=2)

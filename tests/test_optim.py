@@ -19,11 +19,12 @@ from negfactor.optim import (
     FitConfig,
     ParameterPack,
     _forward_backward,
+    _scatter,
+    _scored_records,
     adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,
-    record_losses,
 )
 from negfactor.response import (
     AcceptabilityCells,
@@ -176,6 +177,18 @@ class TestGradientAgainstFiniteDifferences:
         # exactly, so the acceptability channel is at its optimum
         assert_allclose(grad_alpha, np.zeros_like(alpha), atol=1e-12)
 
+    def test_gradient_scatter_is_bit_identical_to_add_at(self):
+        # the factor gradients are summed per verb, frame or (subject,
+        # tense) in record order; np.add.at is the reference
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+            index = rng.integers(0, n, size=int(rng.integers(0, 400)))
+            values = rng.normal(size=(index.size, k)) * 10.0 ** rng.integers(-8, 8, size=(1, k))
+            expected = np.zeros((n, k))
+            np.add.at(expected, index, values)
+            assert_array_equal(_scatter(index, values, n), expected)
+
 
 class TestLossConsistency:
     def test_fused_loss_matches_reference_composition(self):
@@ -297,7 +310,7 @@ class TestFit:
         assert result.model.effects.beta0 == 0.0
         assert_array_equal(
             result.model.alpha,
-            logit(np.clip(table.cell_mean_acceptability(), 1e-4, 1 - 1e-4)),
+            logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4)),
         )
 
     def test_empty_mask_shape_rejected(self):
@@ -329,7 +342,7 @@ class TestFit:
         spec = PlantedSpec(n_verbs=10, n_frames=4, n_participants=10,
                            ratings_per_cell=6, noise_scale=0.05, seed=4)
         table, resolved = generate_synthetic(spec)
-        alpha = logit(np.clip(table.cell_mean_acceptability(), 1e-4, 1 - 1e-4))
+        alpha = logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4))
         planted = FittedModel(
             hyper=Hyperparams(1, 1),
             verbs=table.verbs, frames=table.frames, participants=table.participants,
@@ -385,7 +398,7 @@ class TestEvaluate:
         spec = PlantedSpec(n_verbs=8, n_frames=3, n_participants=6,
                            ratings_per_cell=4, noise_scale=0.0, seed=6)
         table, resolved = generate_synthetic(spec)
-        alpha = logit(np.clip(table.cell_mean_acceptability(), 1e-4, 1 - 1e-4))
+        alpha = logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4))
 
         def model_for(factors):
             return FittedModel(
@@ -463,5 +476,6 @@ class TestEvaluate:
                 weight = expit(model.alpha[lookup[(verb, frame, int(j), int(k))]])
                 expected[n] = weight * bernoulli_kl_reference(
                     scored.negraising[n], float(np.clip(r_hat, 1e-15, 1 - 1e-15)))
-            assert_allclose(record_losses(model, scored), expected, rtol=1e-9, atol=1e-15)
+            assert_allclose(_scored_records(model, scored, None)[0], expected,
+                            rtol=1e-9, atol=1e-15)
             assert_allclose(evaluate(model, scored), expected.sum(), rtol=1e-9)

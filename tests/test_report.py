@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from negfactor.factorization import FactorParams, Hyperparams
 from negfactor.report import AnalysisBundle, analyze, rank_verbs, write_analysis
 
 from test_model import make_model
+
+DATA = Path(__file__).parent / "data"
 
 
 def zero_logit_model(hyper=Hyperparams(1, 1), n_verbs=3):
@@ -141,6 +144,12 @@ class TestSerialization:
         del data["pi"]
         with pytest.raises(SchemaError, match="missing field 'pi'"):
             AnalysisBundle.from_dict(data)
+
+
+    def test_file_of_an_earlier_version_is_reproduced_byte_for_byte(self):
+        # written by an earlier version of the package from a short (1, 1) fit
+        path = DATA / "bundle_1_1.json"
+        assert AnalysisBundle.load(path).to_json() + "\n" == path.read_text(encoding="utf-8")
 
 
 class TestWriteAnalysis:

@@ -15,9 +15,8 @@ from negfactor.factorization import FactorParams, Hyperparams, forward_negraisin
 from negfactor.response import (
     AcceptabilityCells,
     EffectsParams,
+    channel_losses,
     kl_loss,
-    predict_acceptability,
-    predict_negraising,
     prior_penalty,
     total_loss,
 )
@@ -43,6 +42,21 @@ def single_record_table(negraising, acceptability):
         negraising=np.array([negraising]),
         acceptability=np.array([acceptability]),
     )
+
+
+def predict_negraising(nu, effects, participant):
+    """Expected neg-raising response: the link's unclamped prediction."""
+    _, pred, _ = channel_losses(np.asarray(nu, dtype=float), np.asarray(participant), 0.5,
+                                effects.beta0, effects.sigma0, effects.beta, effects.sigma)
+    return pred
+
+
+def predict_acceptability(alpha, effects, participant):
+    """Expected acceptability response, with the primed link parameters."""
+    _, pred, _ = channel_losses(np.asarray(alpha, dtype=float), np.asarray(participant), 0.5,
+                                effects.beta0_acc, effects.sigma0_acc,
+                                effects.beta_acc, effects.sigma_acc)
+    return pred
 
 
 class TestPredictNegraising:
@@ -265,7 +279,10 @@ class TestTotalLoss:
                 table.negraising[n], float(np.clip(r_hat, 1e-15, 1 - 1e-15)))
             manual += bernoulli_kl_reference(
                 table.acceptability[n], float(np.clip(a_hat, 1e-15, 1 - 1e-15)))
-        for values, log_var in effects.random_effect_groups():
+        for values, log_var in ((effects.beta, effects.log_var_beta),
+                                (effects.sigma, effects.log_var_sigma),
+                                (effects.beta_acc, effects.log_var_beta_acc),
+                                (effects.sigma_acc, effects.log_var_sigma_acc)):
             manual += float(np.sum(values ** 2)) / (2 * math.exp(log_var))
             manual += len(values) / 2 * log_var
         assert_allclose(got, manual, rtol=1e-12, atol=1e-12)
