@@ -392,8 +392,14 @@ class PlantedSpec:
         if self.noise_scale < 0:
             raise DimensionError("noise_scale must be nonnegative")
         if self.true_factors is not None:
+            hyper = self.true_factors.hyper()
+            if hyper.as_tuple() != (self.n_lexical, self.n_structural):
+                raise DimensionError(
+                    f"true_factors have (n_lexical, n_structural) = {hyper.as_tuple()}, "
+                    f"but the spec names ({self.n_lexical}, {self.n_structural})"
+                )
             arrays = self.true_factors.arrays()
-            expected = factor_shapes(self.true_factors.hyper(), self.n_verbs, self.n_frames)
+            expected = factor_shapes(hyper, self.n_verbs, self.n_frames)
             for slot, shape in expected.items():
                 if arrays[slot].shape != shape:
                     raise DimensionError(

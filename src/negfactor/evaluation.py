@@ -10,8 +10,12 @@ pinned to the training set (fold -1) and never held out.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -270,35 +274,50 @@ def _as_grid(grid) -> list[Hyperparams]:
     return unique
 
 
-def _cross_validate_point(table: ResponseTable, assignment: FoldAssignment,
-                          hyper: Hyperparams, config: FitConfig):
-    """Held-out fold losses and per-cell losses of one grid point."""
-    fold_losses: list[float | None] = []
-    cell_losses = np.full(table.n_cells, np.nan)
-    for fold in range(assignment.n_folds):
-        held_cells = assignment.fold_of == fold
-        held_mask = held_cells[table.cell_idx]
-        train_mask = ~held_mask
-        if not held_mask.any():
-            fold_losses.append(0.0)
-            continue
-        fold_entropy = (config.seed, hyper.n_lexical, hyper.n_structural, fold)
-        fit_seed = int(np.random.SeedSequence(fold_entropy).generate_state(1)[0])
-        try:
-            outcome = fit(table, hyper, replace(config, seed=fit_seed),
-                          nr_mask=train_mask)
-        except FitError as err:
-            warnings.warn(
-                f"fit failed at {hyper.as_tuple()} fold {fold}: {err}",
-                stacklevel=3,
-            )
-            fold_losses.append(None)
-            continue
-        losses, cell_idx = _scored_records(outcome.model, table, held_mask)
-        fold_losses.append(float(np.sum(losses)))
-        per_cell = np.bincount(cell_idx, weights=losses, minlength=table.n_cells)
-        cell_losses[held_cells] = per_cell[held_cells]
-    return fold_losses, cell_losses
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` restricts them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The table, fold assignment and fit config of the cross_validate call a
+# pool worker serves, handed over once by the pool's initializer.
+_worker_shared: tuple[ResponseTable, FoldAssignment, FitConfig] | None = None
+
+
+def _init_worker(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _fit_fold_in_worker(task: tuple[Hyperparams, int]):
+    return _fit_fold(_worker_shared, task)
+
+
+def _fit_fold(shared: tuple[ResponseTable, FoldAssignment, FitConfig],
+              task: tuple[Hyperparams, int]):
+    """Held-out loss and held-out cell losses of one fold of one class.
+
+    Returns (fold loss, losses of the fold's cells in cell order), or the
+    ``FitError`` text when the fit fails.
+    """
+    table, assignment, config = shared
+    hyper, fold = task
+    held_cells = assignment.fold_of == fold
+    held_mask = held_cells[table.cell_idx]
+    if not held_mask.any():
+        return 0.0, np.empty(0)
+    fold_entropy = (config.seed, hyper.n_lexical, hyper.n_structural, fold)
+    fit_seed = int(np.random.SeedSequence(fold_entropy).generate_state(1)[0])
+    try:
+        outcome = fit(table, hyper, replace(config, seed=fit_seed), nr_mask=~held_mask)
+    except FitError as err:
+        return str(err)
+    losses, cell_idx = _scored_records(outcome.model, table, held_mask)
+    per_cell = np.bincount(cell_idx, weights=losses, minlength=table.n_cells)
+    return float(np.sum(losses)), per_cell[held_cells]
 
 
 def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
@@ -310,7 +329,7 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     responses of the training cells only; the acceptability channel always
     uses all records. Held-out loss is the weighted KL data loss of the
     held-out fold's records. A fit failure leaves None for that fold and
-    NaN for its cells; the report is still produced.
+    NaN for its cells, with a warning; the report is still produced.
 
     Grid points of one prediction class (``Hyperparams.representative``:
     (0, t) shares the class of (1, t)) are fitted once per fold, always as
@@ -318,6 +337,13 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     representative itself was requested. Every requested point of the class
     reports copies of the same fold and cell losses, and a point other than
     the representative names it in ``equivalent_to``.
+
+    The (class, fold) fits run in a pool of worker processes, one per
+    usable CPU (restrict them with ``taskset``). Every fit's seed derives
+    from (config.seed, class, fold), so the report is byte-identical to a
+    run on one CPU, which fits in this process. Workers start by the
+    ``spawn`` method, which imports the main module again: a script that
+    calls this must do so under ``if __name__ == "__main__":``.
     """
     if config is None:
         config = FitConfig()
@@ -327,12 +353,31 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     assignment = assign_folds(table, n_folds=n_folds, seed=fold_seed)
     assignment.validate(table)
 
-    by_class = {}
+    classes = list(dict.fromkeys(hyper.representative() for hyper in points))
+    tasks = [(rep, fold) for rep in classes for fold in range(n_folds)]
+    shared = (table, assignment, config)
+    workers = min(_usable_cpus(), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn"),
+                                 initializer=_init_worker, initargs=shared) as pool:
+            outcomes = list(pool.map(_fit_fold_in_worker, tasks))
+    else:
+        outcomes = list(map(partial(_fit_fold, shared), tasks))
+
+    by_class = {rep: ([], np.full(table.n_cells, np.nan)) for rep in classes}
+    for (rep, fold), outcome in zip(tasks, outcomes):
+        fold_losses, cell_losses = by_class[rep]
+        if isinstance(outcome, str):
+            warnings.warn(f"fit failed at {rep.as_tuple()} fold {fold}: {outcome}",
+                          stacklevel=2)
+            fold_losses.append(None)
+        else:
+            fold_losses.append(outcome[0])
+            cell_losses[assignment.fold_of == fold] = outcome[1]
+
     results = []
     for hyper in points:
         rep = hyper.representative()
-        if rep not in by_class:
-            by_class[rep] = _cross_validate_point(table, assignment, rep, config)
         fold_losses, cell_losses = by_class[rep]
         results.append(GridPointResult(
             hyper=hyper,

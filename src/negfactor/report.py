@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import spearmanr
 
 from .dataset import SUBJECT_LABELS, TENSE_LABELS, JsonArtifact, write_rows
 from .errors import DimensionError, SchemaError
@@ -117,6 +116,10 @@ def analyze(model: FittedModel) -> AnalysisBundle:
     if model.hyper.as_tuple() == (1, 1):
         verb_scores = psi[:, 0] * lambda_[:, 0]
         if n_verbs >= 2:
+            # scipy.stats is most of the package's import time, which every
+            # cross_validate worker process pays: import it only here
+            from scipy.stats import spearmanr
+
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 psi_lambda_spearman = float(spearmanr(psi[:, 0], lambda_[:, 0]).statistic)

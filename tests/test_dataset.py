@@ -276,6 +276,12 @@ class TestPlantedSpec:
         with pytest.raises(DimensionError, match="psi"):
             PlantedSpec(n_verbs=2, true_factors=factors)
 
+    def test_rejects_sizes_other_than_its_factors(self):
+        _, resolved = generate_synthetic(PlantedSpec(n_verbs=3, n_lexical=0, n_structural=2))
+        with pytest.raises(DimensionError, match=r"\(0, 2\).*\(4, 1\)"):
+            replace(resolved, n_lexical=4, n_structural=1)
+        assert replace(resolved, seed=1).n_structural == 2
+
     def test_dict_round_trip(self):
         spec = PlantedSpec(n_verbs=2, n_frames=3, seed=9, noise_scale=0.02,
                            participant_shift_sd=0.1)

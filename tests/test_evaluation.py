@@ -179,6 +179,8 @@ class TestCrossValidate:
             calls.append(hyper.as_tuple())
             return real_fit(table, hyper, *args, **kwargs)
 
+        # calls in pool workers would not reach this list: fit in-process
+        monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(negfactor.evaluation, "fit", counting_fit)
         table = dense_table(n_verbs=5, n_frames=2)
         report = cross_validate(table, [(0, 1), (1, 1)], QUICK)
@@ -221,6 +223,55 @@ class TestCrossValidate:
         report = EvalReport.load(path)
         assert [c.equivalent for c in report.comparisons] == [False, True]
         assert report.to_json() + "\n" == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("config, n_failed", [
+        (QUICK, 0), (FitConfig(learning_rate=1e4, max_iterations=20, n_restarts=1), 15),
+    ], ids=["fitting", "failing"])
+    def test_pool_and_one_worker_give_identical_reports(self, monkeypatch, config, n_failed):
+        table = dense_table(n_verbs=5, n_frames=2)
+        runs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: cpus)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = cross_validate(table, [(0, 1), (1, 1), (1, 0), (2, 1)], config)
+            runs.append((report.to_json(), [str(w.message) for w in caught]))
+        assert runs[0] == runs[1]
+        # three classes of five folds, each failed fit warned once
+        assert sum("fit failed" in message for message in runs[0][1]) == n_failed
+
+    def test_one_cpu_or_few_tasks_bound_the_workers(self, monkeypatch):
+        table = dense_table(n_verbs=4, n_frames=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 1)
+        serial = cross_validate(table, [(1, 1), (1, 0)], QUICK).to_json()
+
+        # more CPUs than (class, fold) tasks: one worker per task, run here
+        # by a stand-in pool that starts no process
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(negfactor.evaluation, "_worker_shared", None)
+        monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 64)
+        assert cross_validate(table, [(1, 1), (1, 0)], QUICK).to_json() == serial
+        assert started == [10]
 
     def test_unknown_point_lookup(self):
         table = dense_table(n_verbs=4, n_frames=2)
