@@ -20,7 +20,6 @@ from .dataset import (
     write_csv,
 )
 from .errors import (
-    CapacityError,
     ConsistencyError,
     CoverageError,
     DimensionError,
@@ -39,14 +38,7 @@ from .evaluation import (
     bootstrap_compare,
     cross_validate,
 )
-from .factorization import (
-    FactorParams,
-    FactorProbs,
-    Hyperparams,
-    enumeration_oracle,
-    forward_negraising,
-    negraising_grid,
-)
+from .factorization import FactorParams, Hyperparams, negraising_grid
 from .model import FittedModel
 from .normalization import NormalizedScores, normalize
 from .optim import (
@@ -56,14 +48,9 @@ from .optim import (
     evaluate,
     evaluate_per_cell,
     fit,
-)
-from .report import AnalysisBundle, analyze, rank_verbs, write_analysis
-from .response import (
-    AcceptabilityCells,
-    EffectsParams,
-    kl_loss,
-    prior_penalty,
     total_loss,
 )
+from .report import AnalysisBundle, analyze, rank_verbs, write_analysis
+from .response import AcceptabilityCells, EffectsParams
 
 __version__ = "0.1.0"

@@ -136,7 +136,7 @@ def fit_command(data_path, n_lexical, n_structural, config_path, out_path):
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
 @click.option("--folds", default=5, show_default=True, type=click.IntRange(min=2))
-@click.option("--fold-seed", default=None, type=int,
+@click.option("--fold-seed", default=None, type=click.IntRange(min=0),
               help="Seed for the fold assignment (default: the fit seed).")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @_friendly
@@ -164,7 +164,7 @@ def cv_command(data_path, grid, config_path, folds, fold_seed, out_path):
 @click.option("--a", "point_a", required=True, help="Grid point, e.g. 1,0.")
 @click.option("--b", "point_b", required=True, help="Grid point, e.g. 1,1.")
 @click.option("--n-boot", default=10_000, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the comparison record JSON here.")
 @_friendly

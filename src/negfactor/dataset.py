@@ -186,9 +186,12 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
     """
     if on_error not in ("fail", "drop"):
         raise ValueError(f'on_error must be "fail" or "drop", got {on_error!r}')
-    colmap = {name: name for name in CANONICAL_COLUMNS}
-    if schema:
-        colmap.update(schema)
+    unknown = sorted(set(schema or ()) - set(CANONICAL_COLUMNS))
+    if unknown:
+        raise ValueError(f"schema keys name no canonical column: {unknown}")
+    if isinstance(drop_participants, str):
+        raise TypeError("drop_participants must be a collection of ids, not one string")
+    colmap = {name: name for name in CANONICAL_COLUMNS} | (schema or {})
     dropped_participants = set(drop_participants)
 
     frame_ids = {label: i for i, label in enumerate(FRAME_LABELS)}
@@ -389,8 +392,8 @@ class PlantedSpec:
             raise DimensionError("n_verbs and n_participants must be positive")
         if not 1 <= self.n_frames <= len(FRAME_LABELS):
             raise DimensionError(f"n_frames must be in 1..{len(FRAME_LABELS)}")
-        if self.noise_scale < 0:
-            raise DimensionError("noise_scale must be nonnegative")
+        if self.noise_scale < 0 or self.seed < 0:
+            raise DimensionError("noise_scale and seed must be nonnegative")
         if self.true_factors is not None:
             hyper = self.true_factors.hyper()
             if hyper.as_tuple() != (self.n_lexical, self.n_structural):

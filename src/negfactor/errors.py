@@ -27,10 +27,6 @@ class DimensionError(NegfactorError):
     """Arrays or factor dimensions are inconsistent with each other."""
 
 
-class CapacityError(NegfactorError):
-    """A requested exact computation exceeds its enumeration budget."""
-
-
 class CoverageError(NegfactorError):
     """A dataset lacks the coverage needed for the requested operation."""
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 
 MAX_PROPERTIES = 4
-ORACLE_PAIR_BUDGET = 12
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,6 @@ class FactorParams:
         ))
 
 
-def _as_index_arrays(*indices):
-    arrays = [np.asarray(ix) for ix in indices]
-    scalar = all(a.ndim == 0 for a in arrays)
-    arrays = np.broadcast_arrays(*[np.atleast_1d(a) for a in arrays])
-    return arrays, scalar
-
-
 def pair_events(probs: FactorProbs, v, f, j, k):
     """The factorization kernel for index arrays of m cells.
 
@@ -183,21 +175,14 @@ def pair_events(probs: FactorProbs, v, f, j, k):
     return at, a, b, log_miss, log_miss.sum(axis=(1, 2))
 
 
-def negraising_from_probs(probs: FactorProbs, v, f, j, k):
-    """Cell probabilities for index arrays, on probability-scale factors."""
-    (v, f, j, k), scalar = _as_index_arrays(v, f, j, k)
-    *_, log_none = pair_events(probs, v, f, j, k)
-    out = -np.expm1(log_none)
-    return float(out[0]) if scalar else out
+def negraising_from_probs(probs: FactorProbs, v, f, j, k) -> np.ndarray:
+    """Cell probabilities for index arrays, on probability-scale factors.
 
-
-def forward_negraising(params: FactorParams, v, f, j, k):
-    """P(inference) for cell(s) (v, f, j, k); scalar ids or index arrays.
-
-    Returns raw probabilities in [0, 1]. The response link clamps them
-    away from the endpoints before taking logits.
+    Raw probabilities in [0, 1]; the response link clamps them away from
+    the endpoints before taking logits.
     """
-    return negraising_from_probs(params.probabilities(), v, f, j, k)
+    *_, log_none = pair_events(probs, v, f, j, k)
+    return -np.expm1(log_none)
 
 
 def negraising_grid(params: FactorParams) -> np.ndarray:
@@ -217,28 +202,3 @@ def negraising_grid(params: FactorParams) -> np.ndarray:
         log_miss = np.log1p(-zeta)
     return -np.expm1(log_miss.sum(axis=(4, 5)))
 
-
-def enumeration_oracle(params: FactorParams, v: int, f: int, j: int, k: int) -> float:
-    """Exact cell probability by exhaustive boolean enumeration.
-
-    The model takes each pairing event (t, i) to fire independently with
-    probability zeta = P(lambda) P(pi) P(omega) P(psi) P(phi); the cell
-    probability is that at least one pairing fires. This routine sums the
-    Bernoulli weight of every one of the 2^(T_eff * I_eff) joint assignments
-    to the pairing events where some pairing is on, with exactly-rounded
-    accumulation. Exponentially slow by construction; refuses dimension
-    pairs past the enumeration budget.
-    """
-    if params.hyper.n_lexical * params.hyper.n_structural > ORACLE_PAIR_BUDGET:
-        raise CapacityError(
-            f"enumeration over n_lexical*n_structural = "
-            f"{params.hyper.n_lexical * params.hyper.n_structural} > {ORACLE_PAIR_BUDGET}"
-        )
-    probs = params.probabilities()
-    structural = probs.lambda_[v] * probs.pi[:, f] * probs.omega[:, j, k]
-    lexical = probs.psi[v] * probs.phi[:, j, k]
-    zeta = (structural[:, None] * lexical[None, :]).ravel()
-    n_pairs = zeta.size
-    states = (np.arange(1, 2 ** n_pairs, dtype=np.int64)[:, None] >> np.arange(n_pairs)) & 1
-    weights = np.where(states == 1, zeta, 1.0 - zeta).prod(axis=1)
-    return math.fsum(weights.tolist())

@@ -13,7 +13,8 @@ by discounting hard cells.
 
 `_forward_backward` is the one objective, minimized by `fit` over the
 factor logits and by `normalization.normalize` over one free nu per
-cell; its link, divergence and prior come from `response`.
+cell, and evaluated by `total_loss`; its link and divergence come from
+`response`. Each of its pieces writes the gradient of what it reads.
 """
 
 from __future__ import annotations
@@ -25,17 +26,11 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .dataset import ResponseTable, clamp_responses
-from .errors import CoverageError, DimensionError, FitError
+from .errors import ConsistencyError, CoverageError, DimensionError, FitError
 from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, pair_events
 from .model import FittedModel
-from .response import (
-    PREDICTION_CLAMP,
-    PROB_CLAMP,
-    EffectsParams,
-    cell_link_values,
-    channel_losses,
-    prior_backward,
-)
+from .response import (PREDICTION_CLAMP, PROB_CLAMP, AcceptabilityCells, EffectsParams,
+                       cell_link_values, channel_losses)
 
 CONVERGENCE_WINDOW = 100
 # Adam moment decay rates and denominator offset, and the standard
@@ -64,8 +59,8 @@ class FitConfig:
             raise ValueError("patience must be at least 1")
         if self.max_iterations < 0 or self.n_restarts < 1:
             raise ValueError("max_iterations must be >= 0 and n_restarts >= 1")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be >= 0")
+        if self.convergence_tol < 0 or self.seed < 0:
+            raise ValueError("convergence_tol and seed must be >= 0")
 
 
 @dataclass
@@ -112,6 +107,10 @@ class ParameterPack:
         sl, shape = self._slices[name]
         x[sl] = np.reshape(value, -1) if shape else float(value)
 
+    def add(self, x: np.ndarray, name: str, value: np.ndarray) -> None:
+        """Add a gradient term into one named array parameter's entries of x."""
+        x[self._slices[name][0]] += np.reshape(value, -1)
+
     def take(self, x: np.ndarray, name: str):
         sl, shape = self._slices[name]
         return x[sl].reshape(shape).copy() if shape else float(x[sl][0])
@@ -146,17 +145,20 @@ class ParameterPack:
         return f"component {flat_index}"
 
 
-def channel_backward(values: np.ndarray, cell_idx: np.ndarray, part_idx: np.ndarray,
-                     responses: np.ndarray, beta0: float, sigma0: float,
-                     beta: np.ndarray, sigma: np.ndarray, n_cells: int,
-                     weights: np.ndarray | None = None,
-                     mask: np.ndarray | None = None):
-    """Loss and gradients for one response channel with per-cell latents.
+def channel_backward(values: np.ndarray, table: ResponseTable, responses: np.ndarray,
+                     effects: EffectsParams, suffix: str, pack: ParameterPack, g: np.ndarray,
+                     weights: np.ndarray | None = None, mask: np.ndarray | None = None):
+    """Loss of one response channel with per-cell latents ``values``.
 
-    Returns (loss, g_values, g_beta0, g_sigma0, g_beta, g_sigma) where
-    g_values is per cell. ``weights`` are per-record constants (the
+    The channel's link parameters are the ``EffectsParams`` fields beta0,
+    sigma0, beta and sigma, each name followed by ``suffix`` ("" or
+    "_acc"); their gradients are written into g. Returns (loss,
+    d loss / d values per cell). ``weights`` are per-record constants (the
     blocked alpha' weights); ``mask`` restricts the data term.
     """
+    beta0, sigma0, beta, sigma = (getattr(effects, name + suffix)
+                                  for name in ("beta0", "sigma0", "beta", "sigma"))
+    cell_idx, part_idx = table.cell_idx, table.part_idx
     n_participants = beta.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals_rec = values[cell_idx]
@@ -171,13 +173,38 @@ def channel_backward(values: np.ndarray, cell_idx: np.ndarray, part_idx: np.ndar
             g_z = weights * g_z
         if mask is not None:
             g_z = np.where(mask, g_z, 0.0)
-        g_beta0 = float(np.sum(g_z))
-        g_beta = np.bincount(part_idx, weights=g_z, minlength=n_participants)
+        pack.put(g, "beta0" + suffix, np.sum(g_z))
+        pack.put(g, "beta" + suffix, np.bincount(part_idx, weights=g_z, minlength=n_participants))
         g_scaled = g_z * scale
-        g_sigma0 = float(np.sum(g_scaled * vals_rec))
-        g_sigma = np.bincount(part_idx, weights=g_scaled * vals_rec, minlength=n_participants)
-        g_values = np.bincount(cell_idx, weights=g_scaled, minlength=n_cells)
-    return loss, g_values, g_beta0, g_sigma0, g_beta, g_sigma
+        g_spread = g_scaled * vals_rec
+        pack.put(g, "sigma0" + suffix, np.sum(g_spread))
+        pack.put(g, "sigma" + suffix,
+                 np.bincount(part_idx, weights=g_spread, minlength=n_participants))
+        g_values = np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
+    return loss, g_values
+
+
+def prior_backward(effects: EffectsParams, pack: ParameterPack, g: np.ndarray) -> float:
+    """Gaussian negative log prior over random effects, up to constants.
+
+    Each group contributes sum(x^2) / (2 v) plus the normalizer
+    (n/2) log v, with v the group's optimized variance. Adds the gradient
+    of each random effect into g, writes that of each log-variance, and
+    returns the penalty. Uses numpy float semantics so that degenerate
+    log-variances produce inf/nan values (caught by the optimizer's
+    finiteness checks) instead of range errors.
+    """
+    penalty = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for name in ("beta", "sigma", "beta_acc", "sigma_acc"):
+            values, log_var = getattr(effects, name), getattr(effects, "log_var_" + name)
+            variance = np.exp(np.float64(log_var))
+            sum_sq = np.float64(np.sum(values * values))
+            n = values.shape[0]
+            penalty += float(sum_sq / (2.0 * variance) + 0.5 * n * log_var)
+            pack.add(g, name, values / variance)
+            pack.put(g, "log_var_" + name, -sum_sq / (2.0 * variance) + 0.5 * n)
+    return penalty
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -235,39 +262,37 @@ def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
         nu = latent
     else:
         nu, factor_backward = _factor_forward(latent, table.cells)
-
-    weights = expit(alpha)[table.cell_idx]
-    nr_loss, g_nu, g_beta0, g_sigma0, g_beta, g_sigma = channel_backward(
-        nu, table.cell_idx, table.part_idx, table.negraising,
-        effects.beta0, effects.sigma0, effects.beta, effects.sigma,
-        table.n_cells, weights=weights, mask=nr_mask,
-    )
-    acc_loss, g_alpha, g_beta0_acc, g_sigma0_acc, g_beta_acc, g_sigma_acc = channel_backward(
-        alpha, table.cell_idx, table.part_idx, table.acceptability,
-        effects.beta0_acc, effects.sigma0_acc, effects.beta_acc, effects.sigma_acc,
-        table.n_cells,
-    )
-    penalty, value_grads, log_var_grads = prior_backward(effects)
-
     g = np.empty(pack.size)
+    nr_loss, g_nu = channel_backward(nu, table, table.negraising, effects, "", pack, g,
+                                     weights=expit(alpha)[table.cell_idx], mask=nr_mask)
+    acc_loss, g_alpha = channel_backward(alpha, table, table.acceptability, effects, "_acc",
+                                         pack, g)
+    penalty = prior_backward(effects, pack, g)
     if pack.hyper is None:
         pack.put(g, "nu", g_nu)
     else:
         factor_backward(g_nu, pack, g)
-    pack.put(g, "beta0", g_beta0)
-    pack.put(g, "sigma0", g_sigma0)
-    pack.put(g, "beta", g_beta + value_grads[0])
-    pack.put(g, "sigma", g_sigma + value_grads[1])
-    pack.put(g, "beta0_acc", g_beta0_acc)
-    pack.put(g, "sigma0_acc", g_sigma0_acc)
-    pack.put(g, "beta_acc", g_beta_acc + value_grads[2])
-    pack.put(g, "sigma_acc", g_sigma_acc + value_grads[3])
-    pack.put(g, "log_var_beta", log_var_grads[0])
-    pack.put(g, "log_var_sigma", log_var_grads[1])
-    pack.put(g, "log_var_beta_acc", log_var_grads[2])
-    pack.put(g, "log_var_sigma_acc", log_var_grads[3])
     pack.put(g, "alpha", g_alpha)
     return nr_loss + acc_loss + penalty, g
+
+
+def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects: EffectsParams,
+               cells: AcceptabilityCells, *, nr_mask: np.ndarray | None = None) -> float:
+    """The objective that `fit` and `normalization.normalize` minimize:
+    weighted neg-raising and acceptability divergences plus the prior.
+
+    ``factors`` holds the factor logits or one free nu per cell;
+    ``nr_mask``, one boolean per record, restricts the neg-raising term.
+    """
+    if cells.alpha.shape[0] != table.n_cells:
+        raise ConsistencyError(
+            f"alpha has {cells.alpha.shape[0]} cells, table has {table.n_cells}"
+        )
+    hyper = None if isinstance(factors, np.ndarray) else factors.hyper
+    pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
+                         table.n_participants, table.n_cells)
+    x = pack.pack(factors, effects, cells.alpha)
+    return _forward_backward(x, pack, table, _record_mask(nr_mask, table, "nr_mask"))[0]
 
 
 def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
@@ -343,10 +368,7 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
         config = FitConfig()
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
-    if nr_mask is not None:
-        nr_mask = np.asarray(nr_mask, dtype=bool)
-        if nr_mask.shape != (table.n_records,):
-            raise DimensionError("nr_mask must have one entry per record")
+    nr_mask = _record_mask(nr_mask, table, "nr_mask")
     pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
                          table.n_participants, table.n_cells)
     alpha0 = logit(clamp_responses(table.cell_mean(table.acceptability)))
@@ -385,6 +407,16 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
     # table reproduces it exactly
     model.final_data_loss = float(np.sum(_scored_records(model, table, nr_mask)[0]))
     return FitResult(model=model, trajectory=trajectory, iterations_run=steps, converged=converged)
+
+
+def _record_mask(mask: np.ndarray | None, table: ResponseTable, name: str) -> np.ndarray | None:
+    """``mask`` as one boolean per record of ``table`` (None stays None)."""
+    if mask is None:
+        return None
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (table.n_records,):
+        raise DimensionError(f"{name} must have one entry per record")
+    return mask
 
 
 def _positions(labels: tuple[str, ...], within: tuple[str, ...],
@@ -428,6 +460,7 @@ def _scored_records(model: FittedModel, table: ResponseTable,
     beta = np.where(seen, model.effects.beta[part_map], 0.0)
     sigma = np.where(seen, model.effects.sigma[part_map], 0.0)
     cell_idx, part_idx, responses = table.cell_idx, table.part_idx, table.negraising
+    record_mask = _record_mask(record_mask, table, "record_mask")
     if record_mask is not None:
         cell_idx, part_idx, responses = (a[record_mask] for a in (cell_idx, part_idx, responses))
     each, _, _ = channel_losses(nu[cell_idx], part_idx, responses,

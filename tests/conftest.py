@@ -8,12 +8,13 @@ bugs with the vectorized library code they check.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit, rel_entr
 
 from negfactor.dataset import ResponseTable, FRAME_LABELS
-from negfactor.factorization import FactorParams
+from negfactor.factorization import FactorParams, negraising_from_probs
 
 
 def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
@@ -40,6 +41,57 @@ def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
                 weight *= zeta if bit else 1.0 - zeta
             total += weight
     return total
+
+
+def cell_probability(params: FactorParams, v, f, j, k):
+    """The library's cell probability at scalar ids (a float) or at
+    equal-length index arrays."""
+    out = negraising_from_probs(params.probabilities(), *(np.atleast_1d(i) for i in (v, f, j, k)))
+    return float(out[0]) if np.ndim(v) == 0 else out
+
+
+def reference_objective(table, latent, effects, alpha, *, weight_alpha=None,
+                        nr_mask=None) -> float:
+    """The fitted objective written out from its definition, one term per record.
+
+    ``latent`` is factor logits or one free nu per cell. A cell
+    probability is 1 - prod(1 - zeta) over the cell's pairing events,
+    clamped to [1e-7, 1 - 1e-7] before its logit; predictions are clamped
+    to [1e-15, 1 - 1e-15] before the divergence. expit(weight_alpha), by
+    default expit(alpha), weights each cell's neg-raising divergence:
+    passing a fixed array holds the weights constant, the way the gradient
+    treats them. ``nr_mask`` keeps the selected records in the neg-raising
+    term. Each random-effect group adds sum(x^2) / (2 v) + (n/2) log v.
+    """
+    if isinstance(latent, np.ndarray):
+        nu = latent
+    else:
+        probs = latent.probabilities()
+        v, f, j, k = table.cells.T
+        structural = probs.lambda_[v] * probs.pi[:, f].T * probs.omega[:, j, k].T
+        lexical = probs.psi[v] * probs.phi[:, j, k].T
+        zeta = structural[:, :, None] * lexical[:, None, :]
+        p = -np.expm1(np.log1p(-zeta).sum(axis=(1, 2)))
+        nu = logit(np.clip(p, 1e-7, 1 - 1e-7))
+    weight_alpha = alpha if weight_alpha is None else weight_alpha
+    cell, part, e = table.cell_idx, table.part_idx, effects
+
+    def divergence(r, pred):
+        r_hat = np.clip(pred, 1e-15, 1 - 1e-15)
+        return rel_entr(r, r_hat) + rel_entr(1.0 - r, 1.0 - r_hat)
+
+    r_hat = expit(np.exp(e.sigma0 + e.sigma[part]) * nu[cell] + e.beta0 + e.beta[part])
+    nr = expit(weight_alpha)[cell] * divergence(table.negraising, r_hat)
+    if nr_mask is not None:
+        nr = nr[nr_mask]
+    a_hat = expit(np.exp(e.sigma0_acc + e.sigma_acc[part]) * alpha[cell]
+                  + e.beta0_acc + e.beta_acc[part])
+    acc = divergence(table.acceptability, a_hat)
+    prior = 0.0
+    for values, log_var in ((e.beta, e.log_var_beta), (e.sigma, e.log_var_sigma),
+                            (e.beta_acc, e.log_var_beta_acc), (e.sigma_acc, e.log_var_sigma_acc)):
+        prior += float(np.sum(values ** 2)) / (2.0 * math.exp(log_var)) + values.size / 2 * log_var
+    return float(np.sum(nr)) + float(np.sum(acc)) + prior
 
 
 def random_factor_params(rng, hyper, n_verbs, n_frames, scale=2.0) -> FactorParams:
@@ -116,15 +168,13 @@ def identity_link_effects(n_participants):
 
 
 def planted_probability_grid(params) -> np.ndarray:
-    """Cell probabilities for every (v, f, j, k), via the scalar forward path."""
-    from negfactor.factorization import forward_negraising
-
+    """Cell probabilities for every (v, f, j, k), one cell at a time."""
     grid = np.empty((params.n_verbs, params.n_frames, 2, 2))
     for v in range(params.n_verbs):
         for f in range(params.n_frames):
             for j in range(2):
                 for k in range(2):
-                    grid[v, f, j, k] = forward_negraising(params, v, f, j, k)
+                    grid[v, f, j, k] = cell_probability(params, v, f, j, k)
     return grid
 
 

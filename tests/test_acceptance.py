@@ -22,23 +22,18 @@ from negfactor.dataset import (
     load_csv,
 )
 from negfactor.evaluation import bootstrap_compare, cross_validate
-from negfactor.factorization import (
-    Hyperparams,
-    enumeration_oracle,
-    forward_negraising,
-)
-from negfactor.optim import FitConfig, fit
+from negfactor.factorization import Hyperparams
+from negfactor.optim import FitConfig, fit, total_loss
 from negfactor.report import analyze, rank_verbs
-from negfactor.response import (
-    AcceptabilityCells,
-    acceptability_record_losses,
-    kl_loss,
-    negraising_record_losses,
-    prior_penalty,
-    total_loss,
-)
+from negfactor.response import AcceptabilityCells, _divergence
 
-from conftest import random_factor_params, random_table
+from conftest import (
+    cell_probability,
+    random_factor_params,
+    random_table,
+    reference_objective,
+    reference_or_probability,
+)
 from test_evaluation import synthetic_report
 from test_optim import fd_relative_error, random_effects, random_instance
 
@@ -77,8 +72,12 @@ def test_criterion_1_oracle_equivalence():
             f = int(rng.integers(n_frames))
             j = int(rng.integers(2))
             k = int(rng.integers(2))
-            closed_form = forward_negraising(params, v, f, j, k)
-            reference = enumeration_oracle(params, v, f, j, k)
+            probs = params.probabilities()
+            closed_form = cell_probability(params, v, f, j, k)
+            reference = reference_or_probability(
+                probs.lambda_[v], probs.pi[:, f], probs.omega[:, j, k],
+                probs.psi[v], probs.phi[:, j, k],
+            )
             worst = max(worst, abs(closed_form - reference))
         assert worst <= 1e-10, f"worst absolute gap {worst}"
         return f"1000 instances, worst gap {worst:.2e}"
@@ -210,20 +209,18 @@ def test_criterion_5_loss_identities():
     def check():
         rng = np.random.default_rng(5)
         r = rng.uniform(1e-6, 1.0 - 1e-6, size=10_000)
-        same = kl_loss(r, r)
-        assert np.all(same == 0.0), "kl_loss(r, r) must be exactly zero"
-        pairs = kl_loss(r, rng.uniform(1e-6, 1.0 - 1e-6, size=10_000))
-        assert np.all(pairs >= 0.0), "kl_loss must be nonnegative"
+        same = _divergence(r, r)
+        assert np.all(same == 0.0), "the divergence D(r || r) must be exactly zero"
+        pairs = _divergence(r, rng.uniform(1e-6, 1.0 - 1e-6, size=10_000))
+        assert np.all(pairs >= 0.0), "the divergence must be nonnegative"
 
         table = random_table(rng, n_verbs=4, n_frames=3, n_participants=3,
                              ratings_per_cell=2)
         factors = random_factor_params(rng, Hyperparams(2, 1), 4, 3, scale=0.8)
         effects = random_effects(rng, 3)
-        cells = AcceptabilityCells(rng.normal(size=table.n_cells))
-        fused = total_loss(table, factors, effects, cells)
-        reference = (float(np.sum(negraising_record_losses(table, factors, effects, cells)))
-                     + float(np.sum(acceptability_record_losses(table, effects, cells)))
-                     + prior_penalty(effects))
+        alpha = rng.normal(size=table.n_cells)
+        fused = total_loss(table, factors, effects, AcceptabilityCells(alpha))
+        reference = reference_objective(table, factors, effects, alpha)
         np.testing.assert_allclose(fused, reference, rtol=1e-12)
         return "exact zero, nonnegative on 10000 pairs, composition to 1e-12"
 

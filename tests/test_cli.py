@@ -61,6 +61,15 @@ class TestDataCommands:
             assert result.exit_code == 0, result.output
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "data.csv").read_bytes()
 
+    def test_negative_spec_seed_is_a_clean_error(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_verbs": 2, "seed": -1}))
+        result = runner.invoke(main, [
+            "data", "synth", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert "seed must be nonnegative" in result.output
+
     def test_summarize_prints_json(self, runner, workspace):
         result = runner.invoke(main, ["data", "summarize", str(workspace / "data.csv")])
         assert result.exit_code == 0, result.output
@@ -114,7 +123,7 @@ class TestFitAndReport:
     def test_bad_config_rejected(self, runner, workspace):
         bad = workspace / "bad_config.json"
         for config in ({"learning_rte": 0.01}, {"patience": 0}, {"convergence_tol": -1e-6},
-                       {"learning_rate": 0}):
+                       {"learning_rate": 0}, {"seed": -1}):
             bad.write_text(json.dumps(config))
             result = runner.invoke(main, [
                 "fit", "--data", str(workspace / "data.csv"),
@@ -178,6 +187,8 @@ class TestCvAndCompare:
             ["cv", "--data", data, "--folds", "1", "--out", str(workspace / "report.json")],
             ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--n-boot", "0"],
             ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--n-boot", "-3"],
+            ["cv", "--data", data, "--fold-seed", "-1", "--out", str(workspace / "report.json")],
+            ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--seed", "-1"],
         ):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)

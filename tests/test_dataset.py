@@ -146,6 +146,23 @@ class TestLoadCsv:
         assert table.participants == ("p1",)
         assert table.n_records == 1
 
+    def test_bare_string_drop_participants_rejected(self, tmp_path):
+        # set("bot") would drop raters "b", "o" and "t" instead of "bot"
+        path = write_lines(tmp_path / "t.csv", [
+            HEADER,
+            f'think,"{FRAME_LABELS[0]}",first,past,bot,0.5,0.5',
+        ])
+        with pytest.raises(TypeError, match="drop_participants"):
+            load_csv(path, drop_participants="bot")
+
+    def test_schema_key_naming_no_column_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", [
+            "predicate,frame,subject,tense,participant,negraising,acceptability",
+            f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8',
+        ])
+        with pytest.raises(ValueError, match="verbs"):
+            load_csv(path, schema={"verbs": "predicate"})
+
     def test_endpoint_responses_are_clamped(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", [
             HEADER,
@@ -266,6 +283,8 @@ class TestPlantedSpec:
             PlantedSpec(n_verbs=3, n_frames=9)
         with pytest.raises(DimensionError):
             PlantedSpec(n_verbs=3, noise_scale=-0.1)
+        with pytest.raises(DimensionError, match="seed"):
+            PlantedSpec(n_verbs=3, seed=-1)
 
     def test_rejects_mismatched_factors(self):
         factors = PlantedFactors(

@@ -7,16 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logit
 
-from negfactor.errors import CapacityError, DimensionError
-from negfactor.factorization import (
-    FactorParams,
-    Hyperparams,
-    enumeration_oracle,
-    forward_negraising,
-    negraising_grid,
-)
+from negfactor.errors import DimensionError
+from negfactor.factorization import FactorParams, Hyperparams, negraising_grid
 
 from conftest import (
+    cell_probability,
     probabilities_to_logits,
     random_factor_params,
     reference_or_probability,
@@ -128,7 +123,7 @@ class TestForwardNegraising:
             psi_logits=saturated(1, 1),
             phi_logits=saturated(1, 2, 2),
         )
-        assert forward_negraising(params, 0, 0, 0, 0) == 1.0
+        assert cell_probability(params, 0, 0, 0, 0) == 1.0
 
     def test_single_pair_product(self):
         # P(lambda) = P(psi) = 0.8, rest saturated: 1 - (1 - 0.64) = 0.64
@@ -142,7 +137,7 @@ class TestForwardNegraising:
             psi_logits=logit(np.array([[0.8]])),
             phi_logits=saturated(1, 2, 2),
         )
-        assert_allclose(forward_negraising(params, 0, 0, 1, 1), 0.64, rtol=0, atol=1e-12)
+        assert_allclose(cell_probability(params, 0, 0, 1, 1), 0.64, rtol=0, atol=1e-12)
 
     def test_matches_reference_enumeration(self):
         rng = np.random.default_rng(7012)
@@ -161,9 +156,10 @@ class TestForwardNegraising:
                 probs.lambda_[v], probs.pi[:, f], probs.omega[:, j, k],
                 probs.psi[v], probs.phi[:, j, k],
             )
-            assert_allclose(forward_negraising(params, v, f, j, k), expected, rtol=0, atol=1e-10)
+            assert_allclose(cell_probability(params, v, f, j, k), expected, rtol=0, atol=1e-10)
 
     def test_matches_library_oracle(self):
+        # up to 3 x 3 pairings, against the itertools enumeration
         rng = np.random.default_rng(90210)
         for _ in range(100):
             n_i = int(rng.integers(0, 4))
@@ -171,11 +167,13 @@ class TestForwardNegraising:
             if n_i == 0 and n_t == 0:
                 n_i = 1
             params = random_factor_params(rng, Hyperparams(n_i, n_t), n_verbs=3, n_frames=3)
+            probs = params.probabilities()
             v, f = int(rng.integers(3)), int(rng.integers(3))
             j, k = int(rng.integers(2)), int(rng.integers(2))
             assert_allclose(
-                forward_negraising(params, v, f, j, k),
-                enumeration_oracle(params, v, f, j, k),
+                cell_probability(params, v, f, j, k),
+                reference_or_probability(probs.lambda_[v], probs.pi[:, f], probs.omega[:, j, k],
+                                         probs.psi[v], probs.phi[:, j, k]),
                 rtol=0,
                 atol=1e-10,
             )
@@ -187,16 +185,16 @@ class TestForwardNegraising:
         f = rng.integers(0, 3, size=20)
         j = rng.integers(0, 2, size=20)
         k = rng.integers(0, 2, size=20)
-        batch = forward_negraising(params, v, f, j, k)
+        batch = cell_probability(params, v, f, j, k)
         assert batch.shape == (20,)
         for m in range(20):
-            assert batch[m] == forward_negraising(params, int(v[m]), int(f[m]), int(j[m]), int(k[m]))
+            assert batch[m] == cell_probability(params, int(v[m]), int(f[m]), int(j[m]), int(k[m]))
 
     def test_monotone_in_each_factor(self):
         rng = np.random.default_rng(314)
         for _ in range(25):
             params = random_factor_params(rng, Hyperparams(2, 2), n_verbs=2, n_frames=2)
-            base = forward_negraising(params, 0, 0, 0, 0)
+            base = cell_probability(params, 0, 0, 0, 0)
             name = ["lambda_logits", "pi_logits", "omega_logits", "psi_logits", "phi_logits"][rng.integers(5)]
             arr = getattr(params, name)
             bumped = arr.copy()
@@ -213,7 +211,7 @@ class TestForwardNegraising:
                 "phi_logits": params.phi_logits,
             }
             kwargs[name] = bumped
-            assert forward_negraising(FactorParams(**kwargs), 0, 0, 0, 0) >= base
+            assert cell_probability(FactorParams(**kwargs), 0, 0, 0, 0) >= base
 
     def test_boundary_embedding(self):
         # A second structural column with P(lambda) = 0 is inert.
@@ -234,8 +232,8 @@ class TestForwardNegraising:
                 for j in range(2):
                     for k in range(2):
                         assert_allclose(
-                            forward_negraising(wide, v, f, j, k),
-                            forward_negraising(small, v, f, j, k),
+                            cell_probability(wide, v, f, j, k),
+                            cell_probability(small, v, f, j, k),
                             rtol=0,
                             atol=1e-14,
                         )
@@ -258,14 +256,16 @@ class TestForwardNegraising:
         for v in range(3):
             for f in range(2):
                 assert_allclose(
-                    forward_negraising(params, v, f, 1, 0),
-                    forward_negraising(permuted, v, f, 1, 0),
+                    cell_probability(params, v, f, 1, 0),
+                    cell_probability(permuted, v, f, 1, 0),
                     rtol=0,
                     atol=1e-14,
                 )
 
 
 class TestEnumerationOracle:
+    """Cases whose exact probability follows by hand from the enumeration."""
+
     def test_all_zero_probabilities(self):
         params = FactorParams(
             hyper=Hyperparams(1, 1),
@@ -277,7 +277,7 @@ class TestEnumerationOracle:
             psi_logits=np.full((1, 1), -800.0),
             phi_logits=np.full((1, 2, 2), -800.0),
         )
-        assert enumeration_oracle(params, 0, 0, 0, 0) == 0.0
+        assert cell_probability(params, 0, 0, 0, 0) == 0.0
 
     def test_single_pairing_is_plain_product(self):
         params = FactorParams(
@@ -295,10 +295,4 @@ class TestEnumerationOracle:
             probs.lambda_[0, 0] * probs.pi[0, 0] * probs.omega[0, 0, 1]
             * probs.psi[0, 0] * probs.phi[0, 0, 1]
         )
-        assert_allclose(enumeration_oracle(params, 0, 0, 0, 1), product, rtol=0, atol=1e-14)
-
-    def test_capacity_error(self):
-        rng = np.random.default_rng(33)
-        params = random_factor_params(rng, Hyperparams(4, 4), n_verbs=1, n_frames=1)
-        with pytest.raises(CapacityError):
-            enumeration_oracle(params, 0, 0, 0, 0)
+        assert_allclose(cell_probability(params, 0, 0, 0, 1), product, rtol=0, atol=1e-14)

@@ -12,7 +12,7 @@ from scipy.special import expit, logit
 
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import CoverageError, DimensionError, FitError
-from negfactor.factorization import FactorParams, Hyperparams, forward_negraising
+from negfactor.factorization import FactorParams, Hyperparams
 from negfactor.model import FittedModel
 from negfactor.optim import (
     CONVERGENCE_WINDOW,
@@ -26,21 +26,15 @@ from negfactor.optim import (
     evaluate_per_cell,
     fit,
 )
-from negfactor.response import (
-    AcceptabilityCells,
-    EffectsParams,
-    acceptability_record_losses,
-    cell_link_values,
-    negraising_record_losses,
-    prior_penalty,
-    total_loss,
-)
+from negfactor.response import EffectsParams, cell_link_values
 
 from conftest import (
     bernoulli_kl_reference,
+    cell_probability,
     finite_difference_gradient,
     random_factor_params,
     random_table,
+    reference_objective,
 )
 
 # None stands for the normalization layout: one free nu per cell
@@ -118,15 +112,9 @@ def fd_relative_error(instance, h=1e-5):
     table, latent, effects, alpha, nr_mask = instance
     pack, x0 = packed(instance)
     _, analytic = _forward_backward(x0, pack, table, nr_mask)
-    frozen_weights = AcceptabilityCells(alpha)
 
     def loss_at(x):
-        trial_latent, trial_effects, trial_alpha = pack.unpack(x)
-        nr = negraising_record_losses(table, trial_latent, trial_effects, frozen_weights)
-        if nr_mask is not None:
-            nr = nr[nr_mask]
-        acc = acceptability_record_losses(table, trial_effects, AcceptabilityCells(trial_alpha))
-        return float(np.sum(nr)) + float(np.sum(acc)) + prior_penalty(trial_effects)
+        return reference_objective(table, *pack.unpack(x), weight_alpha=alpha, nr_mask=nr_mask)
 
     numeric = finite_difference_gradient(loss_at, x0, h=h)
     rel = np.abs(analytic - numeric) / np.maximum(
@@ -199,8 +187,7 @@ class TestLossConsistency:
             table, latent, effects, alpha, nr_mask = instance
             pack, x0 = packed(instance)
             loss, _ = _forward_backward(x0, pack, table, nr_mask)
-            reference = total_loss(table, latent, effects, AcceptabilityCells(alpha),
-                                   nr_mask=nr_mask)
+            reference = reference_objective(table, latent, effects, alpha, nr_mask=nr_mask)
             assert_allclose(loss, reference, rtol=1e-12)
 
 
@@ -382,6 +369,25 @@ class TestEvaluate:
         assert_allclose(part + rest, full, rtol=1e-12)
         assert part < full
 
+    def test_zero_one_int_mask_selects_like_bool(self):
+        rng = np.random.default_rng(16)
+        table = random_table(rng, n_verbs=3, n_frames=2, n_participants=3)
+        result = fit(table, Hyperparams(1, 1), FitConfig(max_iterations=40, n_restarts=1))
+        mask = np.zeros(table.n_records, dtype=bool)
+        mask[::3] = True
+        for score in (evaluate, evaluate_per_cell):
+            assert_array_equal(score(result.model, table, record_mask=mask.astype(int)),
+                               score(result.model, table, record_mask=mask))
+
+    def test_mask_of_wrong_length_rejected(self):
+        rng = np.random.default_rng(17)
+        table = random_table(rng, n_verbs=3, n_frames=2, n_participants=3)
+        result = fit(table, Hyperparams(1, 1), FitConfig(max_iterations=5, n_restarts=1))
+        short = np.ones(table.n_records - 1, dtype=bool)
+        for score in (evaluate, evaluate_per_cell):
+            with pytest.raises(DimensionError, match="record_mask"):
+                score(result.model, table, record_mask=short)
+
     def test_per_cell_sums_to_total(self):
         rng = np.random.default_rng(15)
         table = random_table(rng, n_verbs=4, n_frames=2, n_participants=3)
@@ -460,8 +466,8 @@ class TestEvaluate:
             for n in range(scored.n_records):
                 v, f, j, k = scored.cells[scored.cell_idx[n]]
                 verb, frame = scored.verbs[v], scored.frames[f]
-                pn = forward_negraising(model.factors, model.verbs.index(verb),
-                                        model.frames.index(frame), int(j), int(k))
+                pn = cell_probability(model.factors, model.verbs.index(verb),
+                                      model.frames.index(frame), int(j), int(k))
                 nu = logit(np.clip(pn, 1e-7, 1 - 1e-7))
                 part = scored.participants[scored.part_idx[n]]
                 if part in model.participants:
