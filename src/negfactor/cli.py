@@ -13,7 +13,7 @@ import click
 
 from . import __version__
 from .dataset import (PlantedSpec, generate_synthetic, json_text, load_csv, read_json, summarize,
-                      write_csv, write_json)
+                      write_csv)
 from .errors import NegfactorError
 from .evaluation import EvalReport, bootstrap_compare, cross_validate
 from .factorization import MAX_PROPERTIES, Hyperparams
@@ -36,13 +36,18 @@ def _friendly(command):
     return wrapper
 
 
-def _load_config(path: str | None) -> FitConfig | None:
+def _load_settings(path: str | None, load, what: str):
+    """``load(path)``, or None without a path; a malformed file is a CLI error."""
     if path is None:
         return None
     try:
-        return FitConfig(**read_json(path))
-    except (TypeError, ValueError) as err:
-        raise click.ClickException(f"bad fit config {path}: {err}") from err
+        return load(path)
+    except (TypeError, ValueError, KeyError, NegfactorError) as err:
+        raise click.ClickException(f"bad {what} {path}: {err}") from err
+
+
+def _load_config(path: str | None) -> FitConfig | None:
+    return _load_settings(path, lambda path: FitConfig(**read_json(path)), "fit config")
 
 
 def _parse_point(text: str) -> Hyperparams:
@@ -97,11 +102,11 @@ def data_summarize(path):
 @_friendly
 def data_synth(spec_path, out_path, truth_path):
     """Generate a synthetic judgment dataset from planted factors."""
-    spec = PlantedSpec.from_json_file(spec_path)
+    spec = _load_settings(spec_path, PlantedSpec.load, "spec")
     table, resolved = generate_synthetic(spec)
     write_csv(table, out_path)
     if truth_path is not None:
-        write_json(truth_path, resolved.to_dict())
+        resolved.save(truth_path)
     click.echo(f"wrote {table.n_records} records ({table.n_cells} cells) to {out_path}")
 
 
@@ -175,9 +180,9 @@ def compare_command(report_path, point_a, point_b, n_boot, seed, out_path):
         report, _parse_point(point_a), _parse_point(point_b),
         n_boot=n_boot, seed=seed,
     )
-    click.echo(json_text(record.to_dict()))
+    click.echo(record.to_json())
     if out_path is not None:
-        write_json(out_path, record.to_dict())
+        record.save(out_path)
 
 
 @main.command("normalize")

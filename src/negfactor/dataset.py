@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -364,7 +365,7 @@ class PlantedFactors:
 
 
 @dataclass
-class PlantedSpec:
+class PlantedSpec(JsonArtifact):
     """Recipe for a synthetic dataset with known latent structure.
 
     When ``true_factors`` is None, factors are drawn uniformly: membership
@@ -388,8 +389,13 @@ class PlantedSpec:
     true_factors: PlantedFactors | None = None
 
     def __post_init__(self):
-        if self.n_verbs <= 0 or self.n_participants <= 0:
-            raise DimensionError("n_verbs and n_participants must be positive")
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise DimensionError(f"{name} must be an integer") from None
+        if self.n_verbs <= 0 or self.n_participants <= 0 or self.ratings_per_cell < 1:
+            raise DimensionError("n_verbs, n_participants and ratings_per_cell must be positive")
         if not 1 <= self.n_frames <= len(FRAME_LABELS):
             raise DimensionError(f"n_frames must be in 1..{len(FRAME_LABELS)}")
         if self.noise_scale < 0 or self.seed < 0:
@@ -420,10 +426,6 @@ class PlantedSpec:
             return spec
         return replace(spec, true_factors=PlantedFactors.from_dict(data["true_factors"],
                                                                    spec.n_frames))
-
-    @classmethod
-    def from_json_file(cls, path) -> "PlantedSpec":
-        return cls.from_dict(read_json(path))
 
 
 def _draw_planted_factors(spec: PlantedSpec, rng: np.random.Generator) -> PlantedFactors:

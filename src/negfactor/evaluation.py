@@ -30,20 +30,14 @@ SWAP_CAP = 10_000
 BOOT_CHUNK = 512
 
 
-def _pair_extrema(pair_ids: np.ndarray, fold_of: np.ndarray, n_pairs: int):
+def _violated_pairs(pair_ids: np.ndarray, fold_of: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Pairs whose every cell sits in one single non-pinned fold: that fold's
+    training portion would lack the pair entirely."""
     lo = np.full(n_pairs, np.iinfo(np.int64).max, dtype=np.int64)
     hi = np.full(n_pairs, np.iinfo(np.int64).min, dtype=np.int64)
     np.minimum.at(lo, pair_ids, fold_of)
     np.maximum.at(hi, pair_ids, fold_of)
-    present = hi >= lo
-    return lo, hi, present
-
-
-def _violated_pairs(pair_ids: np.ndarray, fold_of: np.ndarray, n_pairs: int) -> np.ndarray:
-    """Pairs whose every cell sits in one single non-pinned fold: that fold's
-    training portion would lack the pair entirely."""
-    lo, hi, present = _pair_extrema(pair_ids, fold_of, n_pairs)
-    return np.flatnonzero(present & (lo == hi) & (lo >= 0))
+    return np.flatnonzero((lo == hi) & (lo >= 0))
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ class GridPointResult:
 
 
 @dataclass
-class ComparisonRecord:
+class ComparisonRecord(JsonArtifact):
     """Bootstrap CI for the mean per-sentence held-out loss difference A - B.
 
     ``equivalent`` marks two grid points of one prediction class; such a
@@ -282,28 +276,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The table, fold assignment and fit config of the cross_validate call a
-# pool worker serves, handed over once by the pool's initializer.
-_worker_shared: tuple[ResponseTable, FoldAssignment, FitConfig] | None = None
-
-
-def _init_worker(*shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _fit_fold_in_worker(task: tuple[Hyperparams, int]):
-    return _fit_fold(_worker_shared, task)
-
-
-def _fit_fold(shared: tuple[ResponseTable, FoldAssignment, FitConfig],
+def _fit_fold(table: ResponseTable, assignment: FoldAssignment, config: FitConfig,
               task: tuple[Hyperparams, int]):
     """Held-out loss and held-out cell losses of one fold of one class.
 
     Returns (fold loss, losses of the fold's cells in cell order), or the
     ``FitError`` text when the fit fails.
     """
-    table, assignment, config = shared
     hyper, fold = task
     held_cells = assignment.fold_of == fold
     held_mask = held_cells[table.cell_idx]
@@ -341,9 +320,10 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     The (class, fold) fits run in a pool of worker processes, one per
     usable CPU (restrict them with ``taskset``). Every fit's seed derives
     from (config.seed, class, fold), so the report is byte-identical to a
-    run on one CPU, which fits in this process. Workers start by the
-    ``spawn`` method, which imports the main module again: a script that
-    calls this must do so under ``if __name__ == "__main__":``.
+    run on one CPU, which fits in this process. The table goes with each
+    task. Workers start by ``spawn``, which imports the main module again:
+    a script that calls this must do so under ``if __name__ == "__main__":``,
+    else it fails at once with ``BrokenProcessPool``.
     """
     if config is None:
         config = FitConfig()
@@ -355,14 +335,13 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
 
     classes = list(dict.fromkeys(hyper.representative() for hyper in points))
     tasks = [(rep, fold) for rep in classes for fold in range(n_folds)]
-    shared = (table, assignment, config)
+    fit_fold = partial(_fit_fold, table, assignment, config)
     workers = min(_usable_cpus(), len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(workers, mp_context=get_context("spawn"),
-                                 initializer=_init_worker, initargs=shared) as pool:
-            outcomes = list(pool.map(_fit_fold_in_worker, tasks))
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            outcomes = list(pool.map(fit_fold, tasks))
     else:
-        outcomes = list(map(partial(_fit_fold, shared), tasks))
+        outcomes = list(map(fit_fold, tasks))
 
     by_class = {rep: ([], np.full(table.n_cells, np.nan)) for rep in classes}
     for (rep, fold), outcome in zip(tasks, outcomes):

@@ -20,6 +20,7 @@ cell, and evaluated by `total_loss`; its link and divergence come from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +54,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.patience < 1:

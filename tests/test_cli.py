@@ -70,6 +70,17 @@ class TestDataCommands:
         assert result.exit_code == 1, result.output
         assert "seed must be nonnegative" in result.output
 
+    @pytest.mark.parametrize("spec", [{"n_verbs": 2.5}, {"n_verb": 3}, {},
+                                      {"n_verbs": 3, "true_factors": {}}])
+    def test_bad_spec_is_a_clean_error(self, runner, tmp_path, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, [
+            "data", "synth", "--spec", str(spec_path), "--out", str(tmp_path / "data.csv"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert "bad spec" in result.output
+
     def test_summarize_prints_json(self, runner, workspace):
         result = runner.invoke(main, ["data", "summarize", str(workspace / "data.csv")])
         assert result.exit_code == 0, result.output
@@ -123,7 +134,8 @@ class TestFitAndReport:
     def test_bad_config_rejected(self, runner, workspace):
         bad = workspace / "bad_config.json"
         for config in ({"learning_rte": 0.01}, {"patience": 0}, {"convergence_tol": -1e-6},
-                       {"learning_rate": 0}, {"seed": -1}):
+                       {"learning_rate": 0}, {"seed": -1}, {"max_iterations": 1.5},
+                       {"n_restarts": 2.0}, {"seed": 1.5}, {"patience": 1.5}):
             bad.write_text(json.dumps(config))
             result = runner.invoke(main, [
                 "fit", "--data", str(workspace / "data.csv"),

@@ -20,7 +20,6 @@ from negfactor.dataset import (
     sample_participant_effects,
     summarize,
     write_csv,
-    write_json,
 )
 from negfactor.errors import DimensionError, RowError, SchemaError
 from negfactor.factorization import negraising_grid
@@ -285,6 +284,13 @@ class TestPlantedSpec:
             PlantedSpec(n_verbs=3, noise_scale=-0.1)
         with pytest.raises(DimensionError, match="seed"):
             PlantedSpec(n_verbs=3, seed=-1)
+        with pytest.raises(DimensionError, match="n_verbs must be an integer"):
+            PlantedSpec(n_verbs=2.5)
+        with pytest.raises(DimensionError, match="seed must be an integer"):
+            PlantedSpec(n_verbs=3, seed=1.5)
+        for ratings in (-1, 0):
+            with pytest.raises(DimensionError, match="ratings_per_cell"):
+                PlantedSpec(n_verbs=3, ratings_per_cell=ratings)
 
     def test_rejects_mismatched_factors(self):
         factors = PlantedFactors(
@@ -317,7 +323,7 @@ class TestPlantedSpec:
 
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"n_verbs": 4, "seed": 3}), encoding="utf-8")
-        spec = PlantedSpec.from_json_file(path)
+        spec = PlantedSpec.load(path)
         assert spec.n_verbs == 4
         assert spec.n_frames == 6
 
@@ -326,7 +332,7 @@ class TestPlantedSpec:
     def test_truth_file_of_an_earlier_version_is_reproduced_byte_for_byte(self, tmp_path, name):
         # written by an earlier version of the package (`data synth --truth`)
         path = tmp_path / name
-        write_json(path, PlantedSpec.from_json_file(DATA / name).to_dict())
+        PlantedSpec.load(DATA / name).save(path)
         assert path.read_bytes() == (DATA / name).read_bytes()
 
 

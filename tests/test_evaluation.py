@@ -4,6 +4,10 @@ comparisons."""
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -255,9 +259,8 @@ class TestCrossValidate:
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
+            def __init__(self, max_workers, mp_context):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -267,11 +270,31 @@ class TestCrossValidate:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(negfactor.evaluation, "_worker_shared", None)
         monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 64)
         assert cross_validate(table, [(1, 1), (1, 0)], QUICK).to_json() == serial
         assert started == [10]
+
+    @pytest.mark.skipif(negfactor.evaluation._usable_cpus() < 2,
+                        reason="one usable CPU fits in process and starts no worker")
+    def test_unguarded_script_fails_at_once(self, tmp_path):
+        # spawned workers import the script again and die starting a pool
+        # of their own; with a table whose pickle exceeds a pipe buffer
+        # (64 KiB) the parent must still see the broken pool, not block
+        table, _ = generate_synthetic(PlantedSpec(n_verbs=12))
+        assert len(pickle.dumps(table)) > 64 * 1024
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from negfactor import FitConfig, PlantedSpec, cross_validate, generate_synthetic\n"
+            "from negfactor.cli import _parse_grid\n"
+            "table, _ = generate_synthetic(PlantedSpec(n_verbs=12))\n"
+            "cross_validate(table, _parse_grid('all'), FitConfig(max_iterations=20))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(negfactor.__file__).parents[1])}
+        done = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "BrokenProcessPool" in done.stderr
 
     def test_unknown_point_lookup(self):
         table = dense_table(n_verbs=4, n_frames=2)
