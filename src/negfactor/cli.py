@@ -68,7 +68,10 @@ def _parse_grid(text: str) -> list[Hyperparams]:
             for t in range(MAX_PROPERTIES + 1)
             if (i, t) != (0, 0)
         ]
-    return [_parse_point(entry) for entry in text.split(";") if entry.strip()]
+    points = [_parse_point(entry) for entry in text.split(";") if entry.strip()]
+    if not points:
+        raise click.BadParameter(f"no grid point in {text!r}")
+    return points
 
 
 @click.group()

@@ -19,15 +19,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, logit
 
 from .errors import DimensionError, RowError, SchemaError
-from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, negraising_grid
+from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes,
+                            negraising_grid, require_integers)
 
 FRAME_LABELS = (
     "NP __ that S",
@@ -112,7 +112,8 @@ class ResponseTable:
     @classmethod
     def build(cls, verbs, frames, participants, verb_idx, frame_idx, subj_idx, tense_idx,
               part_idx, negraising, acceptability) -> "ResponseTable":
-        """Construct a table from raw columns, deriving the cell index."""
+        """Construct a table from raw columns, deriving the cell index;
+        unequal columns or an index outside its labels raise DimensionError."""
         verb_idx = np.asarray(verb_idx, dtype=np.int64)
         frame_idx = np.asarray(frame_idx, dtype=np.int64)
         subj_idx = np.asarray(subj_idx, dtype=np.int64)
@@ -120,8 +121,15 @@ class ResponseTable:
         part_idx = np.asarray(part_idx, dtype=np.int64)
         negraising = np.asarray(negraising, dtype=float)
         acceptability = np.asarray(acceptability, dtype=float)
-        keys = np.stack([verb_idx, frame_idx, subj_idx, tense_idx], axis=1)
-        cells, cell_idx = np.unique(keys, axis=0, return_inverse=True)
+        columns = (verb_idx, frame_idx, subj_idx, tense_idx, part_idx, negraising, acceptability)
+        if len({column.shape for column in columns}) > 1:
+            raise DimensionError("every column must hold one entry per record")
+        shape = (len(verbs), len(frames), len(SUBJECT_LABELS), len(TENSE_LABELS))
+        try:
+            key = np.ravel_multi_index((verb_idx, frame_idx, subj_idx, tense_idx), shape)
+        except ValueError:
+            raise DimensionError(f"an index lies outside its labels, of sizes {shape}") from None
+        cell_keys, cell_idx = np.unique(key, return_inverse=True)
         return cls(
             verbs=tuple(verbs),
             frames=tuple(frames),
@@ -133,8 +141,8 @@ class ResponseTable:
             part_idx=part_idx,
             negraising=negraising,
             acceptability=acceptability,
-            cells=cells,
-            cell_idx=np.asarray(cell_idx, dtype=np.int64).reshape(-1),
+            cells=np.stack(np.unravel_index(cell_keys, shape), axis=1),
+            cell_idx=cell_idx,
         )
 
     @property
@@ -201,82 +209,66 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
 
     verbs: dict[str, int] = {}
     participants: dict[str, int] = {}
-    rows: list[tuple[int, int, int, int, int, float, float]] = []
+    ids: list[tuple[int, int, int, int, int]] = []
+    responses: list[tuple[float, float]] = []
     n_dropped = 0
 
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         for canonical in CANONICAL_COLUMNS:
             if colmap[canonical] not in header:
                 raise SchemaError(f"missing column {colmap[canonical]!r} (for {canonical!r})")
-
-        def parse_row(line_number: int, row: dict[str, str]):
-            frame = row[colmap["frame"]]
-            if frame not in frame_ids:
-                raise RowError(line_number, f"unknown frame label {frame!r}")
-            subject = row[colmap["subject"]]
-            if subject not in subject_ids:
-                raise RowError(line_number, f"unknown subject label {subject!r}")
-            tense = row[colmap["tense"]]
-            if tense not in tense_ids:
-                raise RowError(line_number, f"unknown tense label {tense!r}")
-            responses = []
-            for column in ("negraising", "acceptability"):
-                raw = row[colmap[column]]
-                try:
-                    value = float(raw)
-                except (TypeError, ValueError):
-                    raise RowError(line_number, f"{column} value {raw!r} is not a number") from None
-                if not 0.0 <= value <= 1.0:
-                    raise RowError(line_number, f"{column} value {value} outside [0, 1]")
-                responses.append(value)
-            verb = row[colmap["verb"]]
-            participant = row[colmap["participant"]]
-            verb_id = verbs.setdefault(verb, len(verbs))
-            participant_id = participants.setdefault(participant, len(participants))
-            return (
-                verb_id,
-                frame_ids[frame],
-                subject_ids[subject],
-                tense_ids[tense],
-                participant_id,
-                responses[0],
-                responses[1],
-            )
-
+        # a name the header repeats reads its last column
+        position = {name: i for i, name in enumerate(header)}
+        columns = [position[colmap[canonical]] for canonical in CANONICAL_COLUMNS]
         for row in reader:
-            if row.get(colmap["participant"]) in dropped_participants:
+            if not row:  # a blank line
                 continue
+            row += [None] * (len(header) - len(row))  # a short record reads as missing values
+            verb, frame, subject, tense, participant, nr, acc = (row[i] for i in columns)
+            if participant in dropped_participants:
+                continue
+            line = reader.line_num  # where the record ends, past blank lines and quoted newlines
             try:
-                # the physical line the record ends on, past blank lines
-                # and quoted newlines
-                rows.append(parse_row(reader.line_num, row))
+                if frame not in frame_ids:
+                    raise RowError(line, f"unknown frame label {frame!r}")
+                if subject not in subject_ids:
+                    raise RowError(line, f"unknown subject label {subject!r}")
+                if tense not in tense_ids:
+                    raise RowError(line, f"unknown tense label {tense!r}")
+                responses.append((_response(line, "negraising", nr),
+                                  _response(line, "acceptability", acc)))
             except RowError:
                 if on_error == "fail":
                     raise
                 n_dropped += 1
+                continue
+            ids.append((verbs.setdefault(verb, len(verbs)), frame_ids[frame], subject_ids[subject],
+                        tense_ids[tense], participants.setdefault(participant, len(participants))))
 
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} malformed rows while loading {path}")
-    if not rows:
+    if not ids:
         raise SchemaError(f"no usable rows in {path}")
 
-    columns = np.array(rows, dtype=object)
-    frame_used = sorted({int(r[1]) for r in rows})
-    frame_remap = {old: new for new, old in enumerate(frame_used)}
-    return ResponseTable.build(
-        verbs=tuple(verbs),
-        frames=tuple(FRAME_LABELS[i] for i in frame_used),
-        participants=tuple(participants),
-        verb_idx=columns[:, 0].astype(np.int64),
-        frame_idx=np.array([frame_remap[int(r[1])] for r in rows], dtype=np.int64),
-        subj_idx=columns[:, 2].astype(np.int64),
-        tense_idx=columns[:, 3].astype(np.int64),
-        part_idx=columns[:, 4].astype(np.int64),
-        negraising=clamp_responses(columns[:, 5].astype(float)),
-        acceptability=clamp_responses(columns[:, 6].astype(float)),
-    )
+    verb_idx, frame_idx, subj_idx, tense_idx, part_idx = np.array(ids, dtype=np.int64).T.copy()
+    frames_used, frame_idx = np.unique(frame_idx, return_inverse=True)
+    negraising, acceptability = clamp_responses(np.array(responses).T.copy())
+    return ResponseTable.build(tuple(verbs), tuple(FRAME_LABELS[i] for i in frames_used),
+                               tuple(participants), verb_idx, frame_idx, subj_idx, tense_idx,
+                               part_idx, negraising, acceptability)
+
+
+def _response(line_number: int, column: str, raw: str | None) -> float:
+    """One slider response, which must be a number in [0, 1]."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise RowError(line_number, f"{column} value {raw!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:
+        raise RowError(line_number, f"{column} value {value} outside [0, 1]")
+    return value
 
 
 def labels_at(labels, index: np.ndarray) -> list:
@@ -389,17 +381,18 @@ class PlantedSpec(JsonArtifact):
     true_factors: PlantedFactors | None = None
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type == "int"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise DimensionError(f"{name} must be an integer") from None
+        require_integers(self, DimensionError)
         if self.n_verbs <= 0 or self.n_participants <= 0 or self.ratings_per_cell < 1:
             raise DimensionError("n_verbs, n_participants and ratings_per_cell must be positive")
         if not 1 <= self.n_frames <= len(FRAME_LABELS):
             raise DimensionError(f"n_frames must be in 1..{len(FRAME_LABELS)}")
-        if self.noise_scale < 0 or self.seed < 0:
-            raise DimensionError("noise_scale and seed must be nonnegative")
+        if not (self.noise_scale >= 0 and self.participant_shift_sd >= 0
+                and self.participant_scale_sd >= 0 and self.seed >= 0):
+            raise DimensionError("noise_scale, the participant sds and seed must be nonnegative")
+        if not 0 <= self.acceptability <= 1:
+            raise DimensionError("acceptability must be in [0, 1]")
+        if not (math.isfinite(self.beta0) and math.isfinite(self.sigma0)):
+            raise DimensionError("beta0 and sigma0 must be finite")
         if self.true_factors is not None:
             hyper = self.true_factors.hyper()
             if hyper.as_tuple() != (self.n_lexical, self.n_structural):

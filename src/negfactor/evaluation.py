@@ -195,11 +195,11 @@ class EvalReport(JsonArtifact):
     comparisons: list[ComparisonRecord] = field(default_factory=list)
 
     def point(self, hyper: Hyperparams | tuple[int, int]) -> GridPointResult:
-        key = hyper.as_tuple() if isinstance(hyper, Hyperparams) else (int(hyper[0]), int(hyper[1]))
+        key = hyper if isinstance(hyper, Hyperparams) else Hyperparams(*hyper)
         for result in self.results:
-            if result.hyper.as_tuple() == key:
+            if result.hyper == key:
                 return result
-        raise ValueError(f"grid point {key} is not in the report")
+        raise ValueError(f"grid point {key.as_tuple()} is not in the report")
 
     def ranking(self) -> list[tuple[int, int]]:
         """Grid points from best to worst total; failed points last.
@@ -255,17 +255,10 @@ class EvalReport(JsonArtifact):
 
 
 def _as_grid(grid) -> list[Hyperparams]:
-    points = []
-    for entry in grid:
-        if isinstance(entry, Hyperparams):
-            points.append(entry)
-        else:
-            n_lexical, n_structural = entry
-            points.append(Hyperparams(int(n_lexical), int(n_structural)))
-    unique = sorted(set(points), key=Hyperparams.as_tuple)
-    if not unique:
+    points = {entry if isinstance(entry, Hyperparams) else Hyperparams(*entry) for entry in grid}
+    if not points:
         raise ValueError("grid is empty")
-    return unique
+    return sorted(points, key=Hyperparams.as_tuple)
 
 
 def _usable_cpus() -> int:

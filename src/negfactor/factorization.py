@@ -15,7 +15,8 @@ property, which contributes multiplicative ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -23,6 +24,16 @@ from scipy.special import expit
 from .errors import DimensionError
 
 MAX_PROPERTIES = 4
+
+
+def require_integers(settings, error: type[Exception]) -> None:
+    """Raise ``error`` unless every ``int`` field of the dataclass
+    ``settings`` holds an integer, and store each as a Python int."""
+    for name in (f.name for f in fields(settings) if f.type == "int"):
+        try:
+            object.__setattr__(settings, name, operator.index(getattr(settings, name)))
+        except TypeError:
+            raise error(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -33,6 +44,7 @@ class Hyperparams:
     n_structural: int
 
     def __post_init__(self):
+        require_integers(self, DimensionError)
         for name, value in (("n_lexical", self.n_lexical), ("n_structural", self.n_structural)):
             if not 0 <= value <= MAX_PROPERTIES:
                 raise DimensionError(f"{name} must be in 0..{MAX_PROPERTIES}, got {value}")

@@ -20,7 +20,6 @@ cell, and evaluated by `total_loss`; its link and divergence come from
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,7 +27,8 @@ from scipy.special import expit, logit
 
 from .dataset import ResponseTable, clamp_responses
 from .errors import ConsistencyError, CoverageError, DimensionError, FitError
-from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, pair_events
+from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, pair_events,
+                            require_integers)
 from .model import FittedModel
 from .response import (PREDICTION_CLAMP, PROB_CLAMP, AcceptabilityCells, EffectsParams,
                        cell_link_values, channel_losses)
@@ -54,18 +54,14 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self) if f.type == "int"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        if self.learning_rate <= 0:
+        require_integers(self, ValueError)
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.max_iterations < 0 or self.n_restarts < 1:
             raise ValueError("max_iterations must be >= 0 and n_restarts >= 1")
-        if self.convergence_tol < 0 or self.seed < 0:
+        if not self.convergence_tol >= 0 or self.seed < 0:
             raise ValueError("convergence_tol and seed must be >= 0")
 
 

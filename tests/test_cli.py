@@ -71,7 +71,8 @@ class TestDataCommands:
         assert "seed must be nonnegative" in result.output
 
     @pytest.mark.parametrize("spec", [{"n_verbs": 2.5}, {"n_verb": 3}, {},
-                                      {"n_verbs": 3, "true_factors": {}}])
+                                      {"n_verbs": 3, "true_factors": {}},
+                                      {"n_verbs": 3, "noise_scale": float("nan")}])
     def test_bad_spec_is_a_clean_error(self, runner, tmp_path, spec):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -135,7 +136,8 @@ class TestFitAndReport:
         bad = workspace / "bad_config.json"
         for config in ({"learning_rte": 0.01}, {"patience": 0}, {"convergence_tol": -1e-6},
                        {"learning_rate": 0}, {"seed": -1}, {"max_iterations": 1.5},
-                       {"n_restarts": 2.0}, {"seed": 1.5}, {"patience": 1.5}):
+                       {"n_restarts": 2.0}, {"seed": 1.5}, {"patience": 1.5},
+                       {"convergence_tol": float("nan")}, {"learning_rate": float("nan")}):
             bad.write_text(json.dumps(config))
             result = runner.invoke(main, [
                 "fit", "--data", str(workspace / "data.csv"),
@@ -201,6 +203,8 @@ class TestCvAndCompare:
             ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--n-boot", "-3"],
             ["cv", "--data", data, "--fold-seed", "-1", "--out", str(workspace / "report.json")],
             ["compare", "--report", data, "--a", "1,0", "--b", "1,1", "--seed", "-1"],
+            ["cv", "--data", data, "--grid", ";", "--out", str(workspace / "report.json")],
+            ["cv", "--data", data, "--grid", "", "--out", str(workspace / "report.json")],
         ):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)

@@ -171,6 +171,21 @@ class TestLoadCsv:
         assert table.negraising[0] == RESPONSE_EPS
         assert table.acceptability[0] == 1.0 - RESPONSE_EPS
 
+    def test_short_record_is_a_row_error_naming_its_line(self, tmp_path):
+        rows = [HEADER, f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8',
+                f'know,"{FRAME_LABELS[0]}",first,past,p1,0.9']
+        path = write_lines(tmp_path / "t.csv", rows)
+        with pytest.raises(RowError, match="line 3: acceptability value None is not a number"):
+            load_csv(path)
+        with pytest.warns(UserWarning, match="dropped 1"):
+            assert load_csv(path, on_error="drop").verbs == ("think",)
+
+    def test_extra_trailing_field_is_ignored(self, tmp_path):
+        row = f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8'
+        plain = load_csv(write_lines(tmp_path / "plain.csv", [HEADER, row]))
+        extra = load_csv(write_lines(tmp_path / "extra.csv", [HEADER, row + ",note"]))
+        assert decoded_records(extra) == decoded_records(plain)
+
     def test_empty_file_is_schema_error(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", [HEADER])
         with pytest.raises(SchemaError, match="no usable rows"):
@@ -237,6 +252,35 @@ class TestCellIndex:
                    table.subj_idx[n], table.tense_idx[n])
             assert tuple(table.cells[table.cell_idx[n]]) == key
 
+    def test_cells_match_the_lexicographic_unique_of_the_records(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            table = random_table(rng, n_verbs=int(rng.integers(1, 6)),
+                                 n_frames=int(rng.integers(1, 7)), ratings_per_cell=2)
+            # half the records, shuffled, so that some cells are absent
+            pick = rng.permutation(table.n_records)[: table.n_records // 2]
+            columns = [getattr(table, name)[pick] for name in
+                       ("verb_idx", "frame_idx", "subj_idx", "tense_idx", "part_idx",
+                        "negraising", "acceptability")]
+            sparse = ResponseTable.build(table.verbs, table.frames, table.participants, *columns)
+            cells, cell_idx = np.unique(np.stack(columns[:4], axis=1), axis=0,
+                                        return_inverse=True)
+            assert_array_equal(sparse.cells, cells)
+            assert_array_equal(sparse.cell_idx, cell_idx.reshape(-1))
+            assert sparse.cells.dtype == cells.dtype == np.int64
+            assert sparse.cell_idx.dtype == np.int64
+
+    def test_index_outside_its_labels_is_rejected(self):
+        columns = dict(verb_idx=[0, 0], frame_idx=[0, 1], subj_idx=[0, 0], tense_idx=[0, 0],
+                       part_idx=[0, 0], negraising=[0.5, 0.5], acceptability=[0.9, 0.9])
+        with pytest.raises(DimensionError, match="outside its labels"):
+            ResponseTable.build(("a",), (FRAME_LABELS[0],), ("p1",), **columns)
+        two_frames = ResponseTable.build(("a",), FRAME_LABELS[:2], ("p1",), **columns)
+        assert two_frames.n_cells == 2
+        # a one-entry column is not broadcast over the others
+        with pytest.raises(DimensionError, match="one entry per record"):
+            ResponseTable.build(("a",), FRAME_LABELS[:2], ("p1",), **{**columns, "verb_idx": [0]})
+
     def test_cell_means(self):
         table = ResponseTable.build(
             verbs=("a",), frames=(FRAME_LABELS[0],), participants=("p1", "p2"),
@@ -291,6 +335,18 @@ class TestPlantedSpec:
         for ratings in (-1, 0):
             with pytest.raises(DimensionError, match="ratings_per_cell"):
                 PlantedSpec(n_verbs=3, ratings_per_cell=ratings)
+        nan = float("nan")
+        for setting, match in (({"noise_scale": nan}, "noise_scale"),
+                               ({"participant_shift_sd": -1}, "participant sds"),
+                               ({"participant_scale_sd": -1}, "participant sds"),
+                               ({"participant_shift_sd": nan}, "participant sds"),
+                               ({"acceptability": 1.5}, "acceptability"),
+                               ({"acceptability": -0.1}, "acceptability"),
+                               ({"acceptability": nan}, "acceptability"),
+                               ({"beta0": nan}, "beta0"),
+                               ({"sigma0": float("inf")}, "sigma0")):
+            with pytest.raises(DimensionError, match=match):
+                PlantedSpec(n_verbs=3, **setting)
 
     def test_rejects_mismatched_factors(self):
         factors = PlantedFactors(

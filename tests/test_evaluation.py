@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import negfactor.evaluation
 from negfactor.dataset import FRAME_LABELS, PlantedSpec, ResponseTable, generate_synthetic
-from negfactor.errors import ConsistencyError, PairingError
+from negfactor.errors import ConsistencyError, DimensionError, PairingError
 from negfactor.evaluation import (
     ComparisonRecord,
     EvalReport,
@@ -301,6 +301,19 @@ class TestCrossValidate:
         report = cross_validate(table, [(1, 1)], QUICK)
         with pytest.raises(ValueError, match="not in the report"):
             report.point((2, 2))
+
+    def test_non_integer_points_are_rejected_not_truncated(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 2)
+        with pytest.raises(DimensionError, match="n_lexical must be an integer"):
+            cross_validate(dense_table(n_verbs=4, n_frames=2), [(1.5, 1), (2.9, 0)], QUICK)
+        report = synthetic_report({(1, 1): np.ones(8)})
+        with pytest.raises(DimensionError, match="n_lexical must be an integer"):
+            report.point((1.7, 1))
+        assert report.point((np.int64(1), 1)) is report.results[0]
 
 
 def synthetic_report(losses_by_point, n_folds=5, seed=0):

@@ -34,6 +34,16 @@ class TestHyperparams:
         assert Hyperparams(0, 1).n_lexical == 0
         assert Hyperparams(4, 4).n_structural == 4
 
+    def test_sizes_must_be_integers(self):
+        for sizes in ((1.5, 1), (1, 2.0)):
+            with pytest.raises(DimensionError, match="must be an integer"):
+                Hyperparams(*sizes)
+        # a numpy integer is accepted and kept as a Python int, so records
+        # holding the sizes stay JSON-serializable
+        hyper = Hyperparams(np.int64(1), 1)
+        assert hyper == Hyperparams(1, 1)
+        assert type(hyper.n_lexical) is int
+
     def test_representative_joins_zero_and_one_lexical(self):
         for t in range(1, 5):
             assert Hyperparams(0, t).representative() == Hyperparams(1, t)
