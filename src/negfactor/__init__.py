@@ -38,7 +38,7 @@ from .evaluation import (
     bootstrap_compare,
     cross_validate,
 )
-from .factorization import FactorParams, Hyperparams, negraising_grid
+from .factorization import FactorParams, Hyperparams
 from .model import FittedModel
 from .normalization import NormalizedScores, normalize
 from .optim import (

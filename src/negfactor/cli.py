@@ -150,11 +150,9 @@ def fit_command(data_path, n_lexical, n_structural, config_path, out_path):
 @_friendly
 def cv_command(data_path, grid, config_path, folds, fold_seed, out_path):
     """Cross-validate the hyperparameter grid and save the report."""
-    table = load_csv(data_path)
-    report = cross_validate(
-        table, _parse_grid(grid), _load_config(config_path),
-        n_folds=folds, fold_seed=fold_seed,
-    )
+    points = _parse_grid(grid)  # a usage error before the slow load
+    report = cross_validate(load_csv(data_path), points, _load_config(config_path),
+                            n_folds=folds, fold_seed=fold_seed)
     report.save(out_path)
     for n_lexical, n_structural in report.ranking():
         point = report.point((n_lexical, n_structural))
@@ -178,11 +176,12 @@ def cv_command(data_path, grid, config_path, folds, fold_seed, out_path):
 @_friendly
 def compare_command(report_path, point_a, point_b, n_boot, seed, out_path):
     """Bootstrap the paired held-out loss difference between two grid points."""
-    report = EvalReport.load(report_path)
-    record = bootstrap_compare(
-        report, _parse_point(point_a), _parse_point(point_b),
-        n_boot=n_boot, seed=seed,
-    )
+    a, b = _parse_point(point_a), _parse_point(point_b)
+    report = _load_settings(report_path, EvalReport.load, "report")
+    try:
+        record = bootstrap_compare(report, a, b, n_boot=n_boot, seed=seed)
+    except ValueError as err:  # a point the report lacks
+        raise click.ClickException(str(err)) from err
     click.echo(record.to_json())
     if out_path is not None:
         record.save(out_path)

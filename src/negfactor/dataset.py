@@ -26,8 +26,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import DimensionError, RowError, SchemaError
-from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes,
-                            negraising_grid, require_integers)
+from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
+                            require_integers)
 
 FRAME_LABELS = (
     "NP __ that S",
@@ -124,6 +124,9 @@ class ResponseTable:
         columns = (verb_idx, frame_idx, subj_idx, tense_idx, part_idx, negraising, acceptability)
         if len({column.shape for column in columns}) > 1:
             raise DimensionError("every column must hold one entry per record")
+        if np.any((part_idx < 0) | (part_idx >= len(participants))):
+            raise DimensionError(
+                f"a participant index lies outside the {len(participants)} participants")
         shape = (len(verbs), len(frames), len(SUBJECT_LABELS), len(TENSE_LABELS))
         try:
             key = np.ravel_multi_index((verb_idx, frame_idx, subj_idx, tense_idx), shape)
@@ -464,27 +467,20 @@ def generate_synthetic(spec: PlantedSpec) -> tuple[ResponseTable, PlantedSpec]:
 
     shift, log_scale, shift_acc, log_scale_acc = sample_participant_effects(spec)
 
-    grid = negraising_grid(factors.as_factor_params())  # (V, F, 2, 2)
-    nu_grid = logit(np.clip(grid, 1e-7, 1.0 - 1e-7))
-
     n_cells = spec.n_verbs * spec.n_frames * 4
-    cell_v, cell_f, cell_j, cell_k = np.unravel_index(
-        np.arange(n_cells), (spec.n_verbs, spec.n_frames, 2, 2)
-    )
+    cells = np.stack(np.unravel_index(np.arange(n_cells), (spec.n_verbs, spec.n_frames, 2, 2)),
+                     axis=1)
     per_cell = min(spec.ratings_per_cell, spec.n_participants)
     assign_rng = np.random.default_rng(streams[2])
     scores = assign_rng.random((n_cells, spec.n_participants))
     raters = np.sort(np.argsort(scores, axis=1)[:, :per_cell], axis=1)  # (n_cells, per_cell)
 
-    verb_idx = np.repeat(cell_v, per_cell)
-    frame_idx = np.repeat(cell_f, per_cell)
-    subj_idx = np.repeat(cell_j, per_cell)
-    tense_idx = np.repeat(cell_k, per_cell)
+    verb_idx, frame_idx, subj_idx, tense_idx = (np.repeat(column, per_cell) for column in cells.T)
     part_idx = raters.reshape(-1)
 
-    nu = nu_grid[verb_idx, frame_idx, subj_idx, tense_idx]
+    nu, _ = link_values(factors.as_factor_params(), cells)
     scale = np.exp(spec.sigma0 + log_scale[part_idx])
-    r_clean = expit(scale * nu + spec.beta0 + shift[part_idx])
+    r_clean = expit(scale * np.repeat(nu, per_cell) + spec.beta0 + shift[part_idx])
 
     alpha_value = logit(np.clip(spec.acceptability, RESPONSE_EPS, 1.0 - RESPONSE_EPS))
     scale_acc = np.exp(spec.sigma0 + log_scale_acc[part_idx])

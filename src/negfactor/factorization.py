@@ -10,6 +10,14 @@ property pairing has all five of its participating entries true:
 
 Sides requested with zero properties are frozen to a single always-true
 property, which contributes multiplicative ones.
+
+`link_values` is the one forward pass from factor logits to the latent
+nu of each cell, the logit of its clamped probability; fitting, the
+scoring of saved models and synthesis all read nu from it. Its backward
+pass uses two identities: the derivative of the cell probability with
+respect to one pairing term zeta is the product of all other (1 - zeta)
+factors, computed stably as exp(sum log1p(-zeta) - log1p(-zeta_own)); and
+the derivative of a probability with respect to its logit is p (1 - p).
 """
 
 from __future__ import annotations
@@ -19,11 +27,13 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .errors import DimensionError
 
 MAX_PROPERTIES = 4
+# a cell probability is clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before its logit
+PROB_CLAMP = 1e-7
 
 
 def require_integers(settings, error: type[Exception]) -> None:
@@ -187,30 +197,55 @@ def pair_events(probs: FactorProbs, v, f, j, k):
     return at, a, b, log_miss, log_miss.sum(axis=(1, 2))
 
 
-def negraising_from_probs(probs: FactorProbs, v, f, j, k) -> np.ndarray:
-    """Cell probabilities for index arrays, on probability-scale factors.
+def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) sums of the (m, k) rows of ``values`` grouped by ``index``,
+    added in row order like ``np.add.at``, so bit-identical to it."""
+    k = values.shape[1]
+    flat = (index[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
 
-    Raw probabilities in [0, 1]; the response link clamps them away from
-    the endpoints before taking logits.
+
+def link_values(factors: FactorParams, cells: np.ndarray):
+    """The forward pass from factor logits to the latent nu of each cell
+    (rows of ``cells``): the logit of its probability clamped to
+    [PROB_CLAMP, 1 - PROB_CLAMP].
+
+    Also returns the backward pass, which maps d loss / d nu to the
+    gradient of each active slot's logits, keyed by slot.
     """
-    *_, log_none = pair_events(probs, v, f, j, k)
-    return -np.expm1(log_none)
+    probs = factors.probabilities()
+    cv, cf, cj, ck = (cells[:, i] for i in range(4))
+    at, a, b, log_miss, s = pair_events(probs, cv, cf, cj, ck)
+    pn = -np.expm1(s)
+    pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
+    def backward(g_nu: np.ndarray) -> dict[str, np.ndarray]:
+        # chain g_nu back through the clamped logit and the factorization
+        active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
+        g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            others = np.exp(s[:, None, None] - log_miss)
+        g_zeta = g_pn[:, None, None] * others
+        g_zeta[~active] = 0.0
+        g_a = (g_zeta * b[:, None, :]).sum(axis=2)
+        g_b = (g_zeta * a[:, :, None]).sum(axis=1)
+        grads = {}
+        if factors.hyper.n_structural:
+            n_t = factors.hyper.n_structural
+            g_lambda = _scatter(cv, g_a * at.pi * at.omega, factors.n_verbs)
+            g_pi = _scatter(cf, g_a * at.lambda_ * at.omega, factors.n_frames)
+            g_omega = _scatter(cj * 2 + ck, g_a * at.lambda_ * at.pi, 4)
+            lam, pi, om = probs.lambda_, probs.pi, probs.omega
+            grads["lambda"] = g_lambda * lam * (1.0 - lam)
+            grads["pi"] = g_pi.T * pi * (1.0 - pi)
+            grads["omega"] = g_omega.T.reshape(n_t, 2, 2) * om * (1.0 - om)
+        if factors.hyper.n_lexical:
+            n_i = factors.hyper.n_lexical
+            g_psi = _scatter(cv, g_b * at.phi, factors.n_verbs)
+            g_phi = _scatter(cj * 2 + ck, g_b * at.psi, 4)
+            psi, phi = probs.psi, probs.phi
+            grads["psi"] = g_psi * psi * (1.0 - psi)
+            grads["phi"] = g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi)
+        return grads
 
-def negraising_grid(params: FactorParams) -> np.ndarray:
-    """Dense (n_verbs, n_frames, 2, 2) array of cell probabilities."""
-    probs = params.probabilities()
-    a = (
-        probs.lambda_[:, None, None, None, :]
-        * probs.pi.T[None, :, None, None, :]
-        * np.transpose(probs.omega, (1, 2, 0))[None, None, :, :, :]
-    )  # (V, F, 2, 2, eff_t)
-    b = (
-        probs.psi[:, None, None, :]
-        * np.transpose(probs.phi, (1, 2, 0))[None, :, :, :]
-    )  # (V, 2, 2, eff_i)
-    zeta = a[..., :, None] * b[:, None, :, :, None, :]
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-zeta)
-    return -np.expm1(log_miss.sum(axis=(4, 5)))
-
+    return logit(pn_c), backward

@@ -1,20 +1,17 @@
 """Gradient computation and Adam fitting of all model parameters.
 
-Gradients are derived by hand and fully vectorized. The factorization
-chain uses two identities: the derivative of the cell probability with
-respect to one pairing term zeta is the product of all other (1 - zeta)
-factors, computed stably as exp(sum log1p(-zeta) - log1p(-zeta_own)); and
-the derivative of a probability with respect to its logit is p (1 - p).
-
-The per-cell weights alpha' on the neg-raising loss are deliberately
-treated as constants: alpha receives gradients only through the
-acceptability channel, so the optimizer cannot shrink the weighted loss
-by discounting hard cells.
+Gradients are derived by hand and fully vectorized. The per-cell
+weights alpha' on the neg-raising loss are deliberately treated as
+constants: alpha receives gradients only through the acceptability
+channel, so the optimizer cannot shrink the weighted loss by discounting
+hard cells.
 
 `_forward_backward` is the one objective, minimized by `fit` over the
 factor logits and by `normalization.normalize` over one free nu per
-cell, and evaluated by `total_loss`; its link and divergence come from
-`response`. Each of its pieces writes the gradient of what it reads.
+cell, and evaluated by `total_loss`. Its nu comes from
+`factorization.link_values`, whose backward pass gives the factor-logit
+gradient, and its link and divergence from `response`. Each piece
+supplies the gradient of what it reads.
 """
 
 from __future__ import annotations
@@ -27,11 +24,10 @@ from scipy.special import expit, logit
 
 from .dataset import ResponseTable, clamp_responses
 from .errors import ConsistencyError, CoverageError, DimensionError, FitError
-from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, pair_events,
+from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
                             require_integers)
 from .model import FittedModel
-from .response import (PREDICTION_CLAMP, PROB_CLAMP, AcceptabilityCells, EffectsParams,
-                       cell_link_values, channel_losses)
+from .response import PREDICTION_CLAMP, AcceptabilityCells, EffectsParams, channel_losses
 
 CONVERGENCE_WINDOW = 100
 # Adam moment decay rates and denominator offset, and the standard
@@ -209,53 +205,6 @@ def prior_backward(effects: EffectsParams, pack: ParameterPack, g: np.ndarray) -
     return penalty
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, k) sums of the (m, k) rows of ``values`` grouped by ``index``,
-    added in row order like ``np.add.at``, so bit-identical to it."""
-    k = values.shape[1]
-    flat = (index[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
-
-
-def _factor_forward(factors: FactorParams, cells: np.ndarray):
-    """Clamped-logit nu per cell from the factorization, and the backward
-    pass that writes the factor-logit gradient for a given d loss / d nu."""
-    probs = factors.probabilities()
-    cv, cf, cj, ck = (cells[:, i] for i in range(4))
-    at, a, b, log_miss, s = pair_events(probs, cv, cf, cj, ck)
-    pn = -np.expm1(s)
-    pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-    def backward(g_nu: np.ndarray, pack: ParameterPack, g: np.ndarray) -> None:
-        # chain g_nu back through the clamped logit and the factorization
-        active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
-        g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            others = np.exp(s[:, None, None] - log_miss)
-        g_zeta = g_pn[:, None, None] * others
-        g_zeta[~active] = 0.0
-        g_a = (g_zeta * b[:, None, :]).sum(axis=2)
-        g_b = (g_zeta * a[:, :, None]).sum(axis=1)
-        if factors.hyper.n_structural:
-            n_t = factors.hyper.n_structural
-            g_lambda = _scatter(cv, g_a * at.pi * at.omega, factors.n_verbs)
-            g_pi = _scatter(cf, g_a * at.lambda_ * at.omega, factors.n_frames)
-            g_omega = _scatter(cj * 2 + ck, g_a * at.lambda_ * at.pi, 4)
-            lam, pi, om = probs.lambda_, probs.pi, probs.omega
-            pack.put(g, "lambda", g_lambda * lam * (1.0 - lam))
-            pack.put(g, "pi", g_pi.T * pi * (1.0 - pi))
-            pack.put(g, "omega", g_omega.T.reshape(n_t, 2, 2) * om * (1.0 - om))
-        if factors.hyper.n_lexical:
-            n_i = factors.hyper.n_lexical
-            g_psi = _scatter(cv, g_b * at.phi, factors.n_verbs)
-            g_phi = _scatter(cj * 2 + ck, g_b * at.psi, 4)
-            psi, phi = probs.psi, probs.phi
-            pack.put(g, "psi", g_psi * psi * (1.0 - psi))
-            pack.put(g, "phi", g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi))
-
-    return logit(pn_c), backward
-
-
 def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
                       nr_mask: np.ndarray | None):
     """Objective value and packed gradient at the packed point x."""
@@ -263,7 +212,7 @@ def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
     if pack.hyper is None:
         nu = latent
     else:
-        nu, factor_backward = _factor_forward(latent, table.cells)
+        nu, factor_backward = link_values(latent, table.cells)
     g = np.empty(pack.size)
     nr_loss, g_nu = channel_backward(nu, table, table.negraising, effects, "", pack, g,
                                      weights=expit(alpha)[table.cell_idx], mask=nr_mask)
@@ -273,7 +222,8 @@ def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
     if pack.hyper is None:
         pack.put(g, "nu", g_nu)
     else:
-        factor_backward(g_nu, pack, g)
+        for slot, grad in factor_backward(g_nu).items():
+            pack.put(g, slot, grad)
     pack.put(g, "alpha", g_alpha)
     return nr_loss + acc_loss + penalty, g
 
@@ -457,7 +407,7 @@ def _scored_records(model: FittedModel, table: ResponseTable,
             f"model does not cover cell {(table.verbs[v], table.frames[f], int(j), int(k))}"
         )
 
-    nu = cell_link_values(cells, model.factors)
+    nu, _ = link_values(model.factors, cells)
     seen = part_map >= 0
     beta = np.where(seen, model.effects.beta[part_map], 0.0)
     sigma = np.where(seen, model.effects.sigma[part_map], 0.0)

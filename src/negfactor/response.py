@@ -3,9 +3,10 @@
 Both slider channels share the same link shape: the latent cell value is
 scaled by a per-participant factor exp(sigma0 + sigma_l), shifted by
 beta0 + beta_l, and squashed through the inverse logit. The neg-raising
-channel reads its latent value off the factor model; the acceptability
-channel optimizes one free alpha per cell, whose inverse logit also serves
-as that cell's weight on the neg-raising loss.
+channel reads its latent value nu off the factor model
+(`factorization.link_values`); the acceptability channel optimizes one
+free alpha per cell, whose inverse logit also serves as that cell's
+weight on the neg-raising loss.
 
 The link and the divergence are each written once here. The one
 objective (`optim`, which adds the prior on the random effects) and the
@@ -17,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
-from .factorization import FactorParams, negraising_from_probs
-
-PROB_CLAMP = 1e-7
 PREDICTION_CLAMP = 1e-15
 
 
@@ -94,12 +92,3 @@ def channel_losses(values, participant, responses, beta0, sigma0, beta, sigma):
     pred, scale = _link(values, participant, beta0, sigma0, beta, sigma)
     pred_c = np.clip(pred, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
     return _divergence(responses, pred_c), pred, scale
-
-
-def cell_link_values(cells: np.ndarray, factors: FactorParams) -> np.ndarray:
-    """Latent nu per cell (rows of ``cells``): the logit of the clamped
-    forward probability."""
-    pn = negraising_from_probs(
-        factors.probabilities(), cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
-    )
-    return logit(np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit, logit, rel_entr
 
 from negfactor.dataset import ResponseTable, FRAME_LABELS
-from negfactor.factorization import FactorParams, negraising_from_probs
+from negfactor.factorization import FactorParams, pair_events
 
 
 def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
@@ -46,7 +46,8 @@ def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
 def cell_probability(params: FactorParams, v, f, j, k):
     """The library's cell probability at scalar ids (a float) or at
     equal-length index arrays."""
-    out = negraising_from_probs(params.probabilities(), *(np.atleast_1d(i) for i in (v, f, j, k)))
+    *_, log_none = pair_events(params.probabilities(), *(np.atleast_1d(i) for i in (v, f, j, k)))
+    out = -np.expm1(log_none)
     return float(out[0]) if np.ndim(v) == 0 else out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,8 @@ from click.testing import CliRunner
 from negfactor.cli import _parse_grid, _parse_point, main
 from negfactor.evaluation import EvalReport
 from negfactor.model import FittedModel
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -210,6 +213,27 @@ class TestCvAndCompare:
             assert result.exit_code == 2, (args, result.output)
             assert "Invalid value" in result.output
             assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_bad_grid_is_reported_before_the_data_is_loaded(self, runner, tmp_path):
+        data = tmp_path / "unloadable.csv"
+        data.write_text("not,a,judgment,table\n", encoding="utf-8")
+        result = runner.invoke(main, ["cv", "--data", str(data), "--grid", ";",
+                                      "--out", str(tmp_path / "report.json")])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value: no grid point in ';'" in result.output
+        assert "missing column" not in result.output
+
+    def test_point_missing_from_the_report_is_a_one_line_error(self, runner, workspace):
+        result = runner.invoke(main, ["compare", "--report", str(DATA / "report.json"),
+                                      "--a", "3,3", "--b", "1,1"])
+        assert result.exit_code == 1
+        assert result.output == "Error: grid point (3, 3) is not in the report\n"
+        # a file that is no report is named in a one-line error too
+        result = runner.invoke(main, ["compare", "--report", str(workspace / "data.csv"),
+                                      "--a", "1,0", "--b", "1,1"])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: bad report {workspace / 'data.csv'}: ")
+        assert len(result.output.splitlines()) == 1
 
     def test_out_of_range_point(self, runner, workspace):
         result = runner.invoke(main, [

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import expit
 
 from negfactor.dataset import (
     FRAME_LABELS,
@@ -15,6 +16,7 @@ from negfactor.dataset import (
     PlantedFactors,
     PlantedSpec,
     ResponseTable,
+    clamp_responses,
     generate_synthetic,
     load_csv,
     sample_participant_effects,
@@ -22,9 +24,9 @@ from negfactor.dataset import (
     write_csv,
 )
 from negfactor.errors import DimensionError, RowError, SchemaError
-from negfactor.factorization import negraising_grid
+from negfactor.factorization import link_values
 
-from conftest import random_table
+from conftest import cell_probability, random_table
 
 DATA = Path(__file__).parent / "data"
 HEADER = "verb,frame,subject,tense,participant,negraising,acceptability"
@@ -280,6 +282,11 @@ class TestCellIndex:
         # a one-entry column is not broadcast over the others
         with pytest.raises(DimensionError, match="one entry per record"):
             ResponseTable.build(("a",), FRAME_LABELS[:2], ("p1",), **{**columns, "verb_idx": [0]})
+        # the cell key does not read part_idx, so it is checked on its own
+        for part_idx in ([0, 5], [0, 1], [-1, 0]):
+            with pytest.raises(DimensionError, match="participant index"):
+                ResponseTable.build(("a",), FRAME_LABELS[:2], ("p1",),
+                                    **{**columns, "part_idx": part_idx})
 
     def test_cell_means(self):
         table = ResponseTable.build(
@@ -427,11 +434,21 @@ class TestGenerateSynthetic:
         spec = PlantedSpec(n_verbs=3, n_frames=2, n_participants=5,
                            ratings_per_cell=2, noise_scale=0.0, seed=2)
         table, resolved = generate_synthetic(spec)
-        grid = negraising_grid(resolved.true_factors.as_factor_params())
-        expected = grid[table.verb_idx, table.frame_idx,
-                        table.subj_idx, table.tense_idx]
+        expected = cell_probability(resolved.true_factors.as_factor_params(), table.verb_idx,
+                                    table.frame_idx, table.subj_idx, table.tense_idx)
         expected = np.clip(expected, RESPONSE_EPS, 1.0 - RESPONSE_EPS)
         assert_allclose(table.negraising, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (4, 4)])
+    def test_noise_free_responses_are_the_fitted_forward_pass_exactly(self, sizes):
+        # synthesis and fitting read nu off the same kernel, bit for bit
+        n_lexical, n_structural = sizes
+        spec = PlantedSpec(n_verbs=5, n_frames=3, n_participants=4, ratings_per_cell=3,
+                           noise_scale=0.0, n_lexical=n_lexical, n_structural=n_structural,
+                           seed=8)
+        table, resolved = generate_synthetic(spec)
+        nu, _ = link_values(resolved.true_factors.as_factor_params(), table.cells)
+        assert_array_equal(table.negraising, clamp_responses(expit(nu))[table.cell_idx])
 
     def test_effect_draws_deterministic_and_zero_at_zero_sd(self):
         spec = PlantedSpec(n_verbs=2, n_participants=4, seed=5)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import logit
 
 from negfactor.errors import DimensionError
-from negfactor.factorization import FactorParams, Hyperparams, negraising_grid
+from negfactor.factorization import FactorParams, Hyperparams
 
 from conftest import (
     cell_probability,
@@ -58,6 +58,7 @@ class TestAbsorption:
         # lambda'_vt = lambda_vt psi_v and omega'_tjk = omega_tjk phi_jk turn a
         # (1, t) model into a (0, t) model with the same cell probabilities
         rng = np.random.default_rng(40 + n_structural)
+        every_cell = np.unravel_index(np.arange(5 * 3 * 4), (5, 3, 2, 2))
         for _ in range(50):
             params = random_factor_params(rng, Hyperparams(1, n_structural),
                                           n_verbs=5, n_frames=3)
@@ -70,8 +71,8 @@ class TestAbsorption:
                 psi_logits=None,
                 phi_logits=None,
             )
-            assert_allclose(negraising_grid(absorbed), negraising_grid(params),
-                            rtol=0, atol=1e-12)
+            assert_allclose(cell_probability(absorbed, *every_cell),
+                            cell_probability(params, *every_cell), rtol=0, atol=1e-12)
 
 
 class TestFactorParams:

@@ -12,21 +12,20 @@ from scipy.special import expit, logit
 
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import CoverageError, DimensionError, FitError
-from negfactor.factorization import FactorParams, Hyperparams
+from negfactor.factorization import FactorParams, Hyperparams, _scatter, link_values
 from negfactor.model import FittedModel
 from negfactor.optim import (
     CONVERGENCE_WINDOW,
     FitConfig,
     ParameterPack,
     _forward_backward,
-    _scatter,
     _scored_records,
     adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,
 )
-from negfactor.response import EffectsParams, cell_link_values
+from negfactor.response import EffectsParams
 
 from conftest import (
     bernoulli_kl_reference,
@@ -90,7 +89,7 @@ def random_instance(seed):
     if rng.random() < 0.5:
         nr_mask = rng.random(table.n_records) < 0.8
     if hyper is not None:
-        nu = cell_link_values(table.cells, latent)
+        nu, _ = link_values(latent, table.cells)
         if np.any(np.abs(nu) > logit(1.0 - 1e-5)):
             return None
     return table, latent, effects, alpha, nr_mask
