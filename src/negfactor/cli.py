@@ -50,14 +50,19 @@ def _load_config(path: str | None) -> FitConfig | None:
     return _load_settings(path, lambda path: FitConfig(**read_json(path)), "fit config")
 
 
+def _hyperparams(n_lexical, n_structural) -> Hyperparams:
+    """The grid point of two sizes; a bad size is a usage error."""
+    try:
+        return Hyperparams(int(n_lexical), int(n_structural))
+    except (ValueError, NegfactorError) as err:
+        raise click.BadParameter(str(err))
+
+
 def _parse_point(text: str) -> Hyperparams:
     parts = text.split(",")
     if len(parts) != 2:
         raise click.BadParameter(f"expected n_lexical,n_structural, got {text!r}")
-    try:
-        return Hyperparams(int(parts[0]), int(parts[1]))
-    except (ValueError, NegfactorError) as err:
-        raise click.BadParameter(str(err))
+    return _hyperparams(*parts)
 
 
 def _parse_grid(text: str) -> list[Hyperparams]:
@@ -126,8 +131,8 @@ def data_synth(spec_path, out_path, truth_path):
 @_friendly
 def fit_command(data_path, n_lexical, n_structural, config_path, out_path):
     """Fit the factorization model and save it as JSON."""
-    table = load_csv(data_path)
-    result = fit(table, Hyperparams(n_lexical, n_structural), _load_config(config_path))
+    hyper = _hyperparams(n_lexical, n_structural)  # a usage error before the slow load
+    result = fit(load_csv(data_path), hyper, _load_config(config_path))
     result.model.save(out_path)
     status = "" if result.converged else " (max iterations reached)"
     click.echo(
@@ -212,8 +217,7 @@ def normalize_command(data_path, config_path, inside_link, out_path):
 @_friendly
 def report_command(model_path, out_dir):
     """Write probability tables and verb scores for a saved model."""
-    model = FittedModel.load(model_path)
-    bundle = analyze(model)
+    bundle = analyze(_load_settings(model_path, FittedModel.load, "model"))
     paths = write_analysis(bundle, out_dir)
     for name in sorted(paths):
         click.echo(f"wrote {paths[name]}")

@@ -155,7 +155,7 @@ class FactorParams:
 
     @classmethod
     def random(cls, hyper: Hyperparams, n_verbs: int, n_frames: int, rng: np.random.Generator,
-               scale: float = 0.5) -> "FactorParams":
+               scale: float) -> "FactorParams":
         """Logits drawn from Normal(0, scale^2); frozen sides stay None."""
         return cls(hyper, n_verbs, n_frames, **{
             FACTOR_SLOTS[slot]: rng.normal(0.0, scale, size=shape) if math.prod(shape) else None

@@ -7,7 +7,7 @@ keys are sorted, which makes identical fits produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,21 +79,34 @@ class FittedModel(JsonArtifact):
                     return np.asarray(value, dtype=float)
                 return None if value is None else float(value)
 
+            def checked(name, value, shape):
+                """A number for shape (), else a list of ``shape`` numbers as an array."""
+                if shape == () and isinstance(value, (int, float)) and not isinstance(value, bool):
+                    return float(value)
+                if shape and isinstance(value, list) and np.shape(value) == shape:
+                    return np.asarray(value, dtype=float)
+                raise SchemaError(f"{name} must be {f'{shape[0]} numbers' if shape else 'a number'}")
+
+            cells = np.asarray(data["cells"], dtype=np.int64)
+            bounds = (len(verbs), len(frames), 2, 2)
+            if cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
+                raise SchemaError(f"cells must be rows of four indices below {bounds}")
             factors = FactorParams(hyper, len(verbs), len(frames), **{
                 field: arr(data["factors"][slot]) for slot, field in FACTOR_SLOTS.items()
             })
             effects = EffectsParams(**{
-                f.name: arr(data["effects"][f.name]) for f in fields(EffectsParams)
+                name: checked(f"effects.{name}", data["effects"][name], np.shape(zero))
+                for name, zero in vars(EffectsParams.zeros(len(participants))).items()
             })
             return cls(
                 hyper=hyper,
                 verbs=verbs,
                 frames=frames,
                 participants=participants,
-                cells=np.asarray(data["cells"], dtype=np.int64),
+                cells=cells,
                 factors=factors,
                 effects=effects,
-                alpha=np.asarray(data["alpha"], dtype=float),
+                alpha=checked("alpha", data["alpha"], (len(cells),)),
                 seed=int(data["seed"]),
                 final_loss=float(data["final_loss"]),
                 final_data_loss=float(data["final_data_loss"]),

@@ -1,10 +1,10 @@
 """Per-cell normalization of the raw judgments.
 
 This is the objective that model fitting minimizes, with one free latent
-nu per (verb, frame, subject, tense) cell in place of the factorization:
-the same response links, random effects, priors, acceptability latents
-and weighted KL loss (``optim.ParameterPack`` with no hyperparameters).
-The resulting score summarizes a cell's neg-raising strength with
+nu per (verb, frame, subject, tense) cell in place of the factorization,
+run by the optimizer driver of `optim.fit`: the same response links,
+random effects, priors, acceptability latents and weighted KL loss. The
+resulting score summarizes a cell's neg-raising strength with
 participant variation regressed out.
 
 The reported score is logit^-1(exp(sigma0) * nu) + beta0. With the
@@ -22,8 +22,7 @@ from scipy.special import expit, logit
 
 from .dataset import (SUBJECT_LABELS, TENSE_LABELS, ResponseTable, clamp_responses, labels_at,
                       write_rows)
-from .errors import DimensionError
-from .optim import FitConfig, ParameterPack, _forward_backward, adam_minimize
+from .optim import FitConfig, ParameterPack, _minimize
 from .response import EffectsParams
 
 
@@ -61,19 +60,11 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
     """
     if config is None:
         config = FitConfig()
-    if table.n_records == 0:
-        raise DimensionError("cannot normalize an empty table")
-    pack = ParameterPack(None, table.n_verbs, table.n_frames,
-                         table.n_participants, table.n_cells)
-    x0 = pack.pack(
-        logit(clamp_responses(table.cell_mean(table.negraising))),
-        EffectsParams.zeros(table.n_participants),
-        logit(clamp_responses(table.cell_mean(table.acceptability))),
-    )
-    x, trajectory, converged, steps = adam_minimize(
-        x0, lambda point: _forward_backward(point, pack, table, None), config, pack.name_at,
-    )
-    nu, effects, alpha = pack.unpack(x)
+    start = (logit(clamp_responses(table.cell_mean(table.negraising))),
+             EffectsParams.zeros(table.n_participants),
+             logit(clamp_responses(table.cell_mean(table.acceptability))))
+    (nu, effects, alpha), _, converged, steps = _minimize(
+        table, ParameterPack(None, table), [start], config, None)
     scaled = np.exp(effects.sigma0) * nu
     if inside_link:
         score = expit(scaled + effects.beta0)

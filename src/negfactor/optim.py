@@ -6,18 +6,19 @@ constants: alpha receives gradients only through the acceptability
 channel, so the optimizer cannot shrink the weighted loss by discounting
 hard cells.
 
-`_forward_backward` is the one objective, minimized by `fit` over the
-factor logits and by `normalization.normalize` over one free nu per
-cell, and evaluated by `total_loss`. Its nu comes from
-`factorization.link_values`, whose backward pass gives the factor-logit
-gradient, and its link and divergence from `response`. Each piece
-supplies the gradient of what it reads.
+`_objective` is the one objective, evaluated by `total_loss` and
+minimized by `_minimize`, the one optimizer driver, for `fit` (over the
+factor logits) and for `normalization.normalize` (one free nu per cell).
+Its nu comes from `factorization.link_values`, whose backward pass gives
+the factor-logit gradient, and its link and divergence from `response`.
+Each piece returns the gradient of what it reads, keyed by parameter
+name; only `ParameterPack` lays the names out in a flat vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
@@ -70,7 +71,8 @@ class FitResult:
 
 
 class ParameterPack:
-    """Flat-vector view over every optimized parameter.
+    """Flat-vector layout of every optimized parameter of ``table``: the
+    only code that builds or reads the optimizer's flat vector.
 
     The latent block holds the factor logits of ``hyper`` (``fit``) or,
     when ``hyper`` is None, one free nu per cell (``normalize``). Frozen
@@ -79,62 +81,44 @@ class ParameterPack:
     of alpha follow the latent block.
     """
 
-    def __init__(self, hyper: Hyperparams | None, n_verbs: int, n_frames: int,
-                 n_participants: int, n_cells: int):
+    def __init__(self, hyper: Hyperparams | None, table: ResponseTable):
         self.hyper = hyper
-        self.n_verbs = n_verbs
-        self.n_frames = n_frames
+        self.n_verbs = table.n_verbs
+        self.n_frames = table.n_frames
         if hyper is None:
-            layout = [("nu", (n_cells,))]
+            layout = [("nu", (table.n_cells,))]
         else:
-            shapes = factor_shapes(hyper, n_verbs, n_frames)
+            shapes = factor_shapes(hyper, table.n_verbs, table.n_frames)
             layout = [(slot, shape) for slot, shape in shapes.items() if math.prod(shape)]
         layout += [(name, np.shape(value))
-                   for name, value in vars(EffectsParams.zeros(n_participants)).items()]
-        layout.append(("alpha", (n_cells,)))
-        self._slices: dict[str, tuple[slice, tuple[int, ...]]] = {}
-        offset = 0
-        for name, shape in layout:
-            size = int(np.prod(shape)) if shape else 1
-            self._slices[name] = (slice(offset, offset + size), shape)
-            offset += size
-        self.size = offset
+                   for name, value in vars(EffectsParams.zeros(table.n_participants)).items()]
+        layout.append(("alpha", (table.n_cells,)))
+        ends = np.cumsum([math.prod(shape) for _, shape in layout]).tolist()
+        self._slices = {name: (slice(end - math.prod(shape), end), shape)
+                        for (name, shape), end in zip(layout, ends)}
+        self.size = ends[-1]
 
-    def put(self, x: np.ndarray, name: str, value) -> None:
-        """Write one named parameter, or its gradient, into the flat vector x."""
-        sl, shape = self._slices[name]
-        x[sl] = np.reshape(value, -1) if shape else float(value)
-
-    def add(self, x: np.ndarray, name: str, value: np.ndarray) -> None:
-        """Add a gradient term into one named array parameter's entries of x."""
-        x[self._slices[name][0]] += np.reshape(value, -1)
-
-    def take(self, x: np.ndarray, name: str):
-        sl, shape = self._slices[name]
-        return x[sl].reshape(shape).copy() if shape else float(x[sl][0])
+    def flat(self, named: dict) -> np.ndarray:
+        """The flat vector of each slot's value (a parameter or its
+        gradient) in ``named``, keyed by slot name."""
+        return np.concatenate([np.ravel(named[name]) for name in self._slices])
 
     def pack(self, latent: FactorParams | np.ndarray, effects: EffectsParams,
              alpha: np.ndarray) -> np.ndarray:
-        if self.hyper is None:
-            values = {"nu": latent}
-        else:
-            values = latent.arrays()
-        values.update(vars(effects), alpha=alpha)
-        x = np.empty(self.size)
-        for name in self._slices:
-            self.put(x, name, values[name])
-        return x
+        named = {"nu": latent} if self.hyper is None else latent.arrays()
+        return self.flat({**named, **vars(effects), "alpha": alpha})
 
     def unpack(self, x: np.ndarray) -> tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray]:
+        named = {name: x[sl].reshape(shape).copy() if shape else float(x[sl][0])
+                 for name, (sl, shape) in self._slices.items()}
         if self.hyper is None:
-            latent = self.take(x, "nu")
+            latent = named.pop("nu")
         else:
             latent = FactorParams(self.hyper, self.n_verbs, self.n_frames, **{
-                field: self.take(x, slot) if slot in self._slices else None
-                for slot, field in FACTOR_SLOTS.items()
+                field: named.pop(slot, None) for slot, field in FACTOR_SLOTS.items()
             })
-        effects = EffectsParams(**{f.name: self.take(x, f.name) for f in fields(EffectsParams)})
-        return latent, effects, self.take(x, "alpha")
+        alpha = named.pop("alpha")
+        return latent, EffectsParams(**named), alpha
 
     def name_at(self, flat_index: int) -> str:
         for name, (sl, _) in self._slices.items():
@@ -144,15 +128,16 @@ class ParameterPack:
 
 
 def channel_backward(values: np.ndarray, table: ResponseTable, responses: np.ndarray,
-                     effects: EffectsParams, suffix: str, pack: ParameterPack, g: np.ndarray,
-                     weights: np.ndarray | None = None, mask: np.ndarray | None = None):
+                     effects: EffectsParams, suffix: str, weights: np.ndarray | None = None,
+                     mask: np.ndarray | None = None):
     """Loss of one response channel with per-cell latents ``values``.
 
     The channel's link parameters are the ``EffectsParams`` fields beta0,
     sigma0, beta and sigma, each name followed by ``suffix`` ("" or
-    "_acc"); their gradients are written into g. Returns (loss,
-    d loss / d values per cell). ``weights`` are per-record constants (the
-    blocked alpha' weights); ``mask`` restricts the data term.
+    "_acc"). Returns (loss, d loss / d values per cell, the gradient of
+    each link parameter keyed by field name). ``weights`` are per-record
+    constants (the blocked alpha' weights); ``mask`` restricts the data
+    term.
     """
     beta0, sigma0, beta, sigma = (getattr(effects, name + suffix)
                                   for name in ("beta0", "sigma0", "beta", "sigma"))
@@ -171,26 +156,27 @@ def channel_backward(values: np.ndarray, table: ResponseTable, responses: np.nda
             g_z = weights * g_z
         if mask is not None:
             g_z = np.where(mask, g_z, 0.0)
-        pack.put(g, "beta0" + suffix, np.sum(g_z))
-        pack.put(g, "beta" + suffix, np.bincount(part_idx, weights=g_z, minlength=n_participants))
         g_scaled = g_z * scale
         g_spread = g_scaled * vals_rec
-        pack.put(g, "sigma0" + suffix, np.sum(g_spread))
-        pack.put(g, "sigma" + suffix,
-                 np.bincount(part_idx, weights=g_spread, minlength=n_participants))
+        grads = {
+            "beta0" + suffix: np.sum(g_z),
+            "beta" + suffix: np.bincount(part_idx, weights=g_z, minlength=n_participants),
+            "sigma0" + suffix: np.sum(g_spread),
+            "sigma" + suffix: np.bincount(part_idx, weights=g_spread, minlength=n_participants),
+        }
         g_values = np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
-    return loss, g_values
+    return loss, g_values, grads
 
 
-def prior_backward(effects: EffectsParams, pack: ParameterPack, g: np.ndarray) -> float:
+def prior_backward(effects: EffectsParams, grads: dict) -> float:
     """Gaussian negative log prior over random effects, up to constants.
 
     Each group contributes sum(x^2) / (2 v) plus the normalizer
     (n/2) log v, with v the group's optimized variance. Adds the gradient
-    of each random effect into g, writes that of each log-variance, and
-    returns the penalty. Uses numpy float semantics so that degenerate
-    log-variances produce inf/nan values (caught by the optimizer's
-    finiteness checks) instead of range errors.
+    of each random effect into its entry of ``grads``, sets that of each
+    log-variance, and returns the penalty. Uses numpy float semantics so
+    that degenerate log-variances produce inf/nan values (caught by the
+    optimizer's finiteness checks) instead of range errors.
     """
     penalty = 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -200,32 +186,33 @@ def prior_backward(effects: EffectsParams, pack: ParameterPack, g: np.ndarray) -
             sum_sq = np.float64(np.sum(values * values))
             n = values.shape[0]
             penalty += float(sum_sq / (2.0 * variance) + 0.5 * n * log_var)
-            pack.add(g, name, values / variance)
-            pack.put(g, "log_var_" + name, -sum_sq / (2.0 * variance) + 0.5 * n)
+            grads[name] = grads[name] + values / variance
+            grads["log_var_" + name] = -sum_sq / (2.0 * variance) + 0.5 * n
     return penalty
+
+
+def _objective(latent: FactorParams | np.ndarray, effects: EffectsParams, alpha: np.ndarray,
+               table: ResponseTable, nr_mask: np.ndarray | None):
+    """The objective and its gradient keyed by slot name, at factor
+    logits or, for ``normalize``, one free nu per cell (``latent``)."""
+    if isinstance(latent, np.ndarray):
+        nu, latent_backward = latent, lambda g_nu: {"nu": g_nu}
+    else:
+        nu, latent_backward = link_values(latent, table.cells)
+    nr_loss, g_nu, grads = channel_backward(nu, table, table.negraising, effects, "",
+                                            weights=expit(alpha)[table.cell_idx], mask=nr_mask)
+    acc_loss, g_alpha, acc_grads = channel_backward(alpha, table, table.acceptability,
+                                                    effects, "_acc")
+    grads.update(acc_grads, alpha=g_alpha, **latent_backward(g_nu))
+    penalty = prior_backward(effects, grads)
+    return nr_loss + acc_loss + penalty, grads
 
 
 def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
                       nr_mask: np.ndarray | None):
-    """Objective value and packed gradient at the packed point x."""
-    latent, effects, alpha = pack.unpack(x)
-    if pack.hyper is None:
-        nu = latent
-    else:
-        nu, factor_backward = link_values(latent, table.cells)
-    g = np.empty(pack.size)
-    nr_loss, g_nu = channel_backward(nu, table, table.negraising, effects, "", pack, g,
-                                     weights=expit(alpha)[table.cell_idx], mask=nr_mask)
-    acc_loss, g_alpha = channel_backward(alpha, table, table.acceptability, effects, "_acc",
-                                         pack, g)
-    penalty = prior_backward(effects, pack, g)
-    if pack.hyper is None:
-        pack.put(g, "nu", g_nu)
-    else:
-        for slot, grad in factor_backward(g_nu).items():
-            pack.put(g, slot, grad)
-    pack.put(g, "alpha", g_alpha)
-    return nr_loss + acc_loss + penalty, g
+    """Objective value and flat gradient at the flat point x."""
+    loss, grads = _objective(*pack.unpack(x), table, nr_mask)
+    return loss, pack.flat(grads)
 
 
 def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects: EffectsParams,
@@ -236,15 +223,16 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
     ``factors`` holds the factor logits or one free nu per cell;
     ``nr_mask``, one boolean per record, restricts the neg-raising term.
     """
-    if cells.alpha.shape[0] != table.n_cells:
-        raise ConsistencyError(
-            f"alpha has {cells.alpha.shape[0]} cells, table has {table.n_cells}"
-        )
-    hyper = None if isinstance(factors, np.ndarray) else factors.hyper
-    pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
-                         table.n_participants, table.n_cells)
-    x = pack.pack(factors, effects, cells.alpha)
-    return _forward_backward(x, pack, table, _record_mask(nr_mask, table, "nr_mask"))[0]
+    free = isinstance(factors, np.ndarray)
+    got = (np.shape(factors) if free else (factors.n_verbs, factors.n_frames),
+           effects.n_participants, cells.alpha.shape[0])
+    want = ((table.n_cells,) if free else (table.n_verbs, table.n_frames),
+            table.n_participants, table.n_cells)
+    if got != want:
+        raise ConsistencyError(f"(latent, participant, alpha) sizes {got} do not match the "
+                               f"table's {want}")
+    return _objective(factors, effects, cells.alpha, table,
+                      _record_mask(nr_mask, table, "nr_mask"))[0]
 
 
 def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
@@ -262,42 +250,56 @@ def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
     streak = 0
     converged = False
     steps = 0
-    one_m_b1 = 1.0 - ADAM_BETA1
-    one_m_b2 = 1.0 - ADAM_BETA2
-    for it in range(config.max_iterations):
+    # the pass after the last update only records the loss at the returned x
+    for it in range(config.max_iterations + 1):
         loss, grad = fun(x)
         if not np.isfinite(loss):
             tail = ", ".join(f"{value:.6g}" for value in trajectory[-8:])
-            raise FitError(f"loss became non-finite at iteration {it}; recent losses [{tail}]")
+            when = "after the final step" if it == config.max_iterations else f"at iteration {it}"
+            raise FitError(f"loss became non-finite {when}; recent losses [{tail}]")
+        trajectory.append(float(loss))
+        if it == config.max_iterations:
+            break
         if not np.all(np.isfinite(grad)):
             bad = int(np.argmin(np.isfinite(grad)))
             where = name_at(bad) if name_at else f"component {bad}"
             raise FitError(f"non-finite gradient for {where} at iteration {it}")
-        trajectory.append(float(loss))
         if it > 0 and it % CONVERGENCE_WINDOW == 0:
             previous = trajectory[it - CONVERGENCE_WINDOW]
             relative = abs(trajectory[it] - previous) / max(abs(previous), 1e-12)
-            if relative < config.convergence_tol:
-                streak += 1
-                if streak >= config.patience:
-                    converged = True
-                    break
-            else:
-                streak = 0
-        m = ADAM_BETA1 * m + one_m_b1 * grad
-        v = ADAM_BETA2 * v + one_m_b2 * (grad * grad)
+            streak = streak + 1 if relative < config.convergence_tol else 0
+            converged = streak >= config.patience
+            if converged:
+                break
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (grad * grad)
         steps = it + 1
         m_hat = m / (1.0 - ADAM_BETA1 ** steps)
         v_hat = v / (1.0 - ADAM_BETA2 ** steps)
         x -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    if not converged:
-        # x moved after the last recorded loss (or never ran); record its loss
-        final_loss, _ = fun(x)
-        if not np.isfinite(final_loss):
-            tail = ", ".join(f"{value:.6g}" for value in trajectory[-8:])
-            raise FitError(f"loss became non-finite after the final step; recent losses [{tail}]")
-        trajectory.append(float(final_loss))
     return x, trajectory, converged, steps
+
+
+def _minimize(table: ResponseTable, pack: ParameterPack, starts, config: FitConfig,
+              nr_mask: np.ndarray | None):
+    """Run Adam on the objective from each (latent, effects, alpha) of
+    ``starts`` and keep the lowest final loss, the earliest on a tie.
+
+    Returns the kept parameters as (latent, effects, alpha), its
+    trajectory, whether it converged and its update steps.
+    """
+    if table.n_records == 0:
+        raise DimensionError("cannot fit an empty table")
+    nr_mask = _record_mask(nr_mask, table, "nr_mask")
+    best = None
+    for start in starts:
+        outcome = adam_minimize(pack.pack(*start),
+                                lambda x: _forward_backward(x, pack, table, nr_mask),
+                                config, pack.name_at)
+        if best is None or outcome[1][-1] < best[1][-1]:
+            best = outcome
+    x, trajectory, converged, steps = best
+    return pack.unpack(x), trajectory, converged, steps
 
 
 def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = None,
@@ -318,28 +320,13 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
     """
     if config is None:
         config = FitConfig()
-    if table.n_records == 0:
-        raise DimensionError("cannot fit an empty table")
-    nr_mask = _record_mask(nr_mask, table, "nr_mask")
-    pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
-                         table.n_participants, table.n_cells)
     alpha0 = logit(clamp_responses(table.cell_mean(table.acceptability)))
     effects0 = EffectsParams.zeros(table.n_participants)
-
-    def objective(x):
-        return _forward_backward(x, pack, table, nr_mask)
-
-    best = None
-    for child in np.random.SeedSequence(config.seed).spawn(config.n_restarts):
-        rng = np.random.default_rng(child)
-        factors0 = FactorParams.random(hyper, table.n_verbs, table.n_frames, rng,
-                                       scale=INIT_SCALE)
-        x0 = pack.pack(factors0, effects0, alpha0)
-        outcome = adam_minimize(x0, objective, config, pack.name_at)
-        if best is None or outcome[1][-1] < best[1][-1]:
-            best = outcome
-    x, trajectory, converged, steps = best
-    factors, effects, alpha = pack.unpack(x)
+    starts = ((FactorParams.random(hyper, table.n_verbs, table.n_frames,
+                                   np.random.default_rng(child), INIT_SCALE), effects0, alpha0)
+              for child in np.random.SeedSequence(config.seed).spawn(config.n_restarts))
+    (factors, effects, alpha), trajectory, converged, steps = _minimize(
+        table, ParameterPack(hyper, table), starts, config, nr_mask)
     model = FittedModel(
         hyper=hyper,
         verbs=table.verbs,

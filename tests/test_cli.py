@@ -126,6 +126,33 @@ class TestFitAndReport:
         assert "Error:" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("sizes, message", [
+        (("9", "1"), "n_lexical must be in 0..4, got 9"),
+        (("1", "-1"), "n_structural must be in 0..4, got -1"),
+        (("0", "0"), "at least one of n_lexical, n_structural must be positive"),
+    ], ids=["9,1", "1,-1", "0,0"])
+    def test_bad_size_is_a_usage_error_before_the_data_is_loaded(self, runner, tmp_path,
+                                                                  sizes, message):
+        data = tmp_path / "unloadable.csv"
+        data.write_text("not,a,judgment,table\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "fit", "--data", str(data), "--n-lexical", sizes[0], "--n-structural", sizes[1],
+            "--out", str(tmp_path / "model.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value: {message}" in result.output
+        assert "missing column" not in result.output
+
+    def test_malformed_model_is_a_one_line_error(self, runner, workspace):
+        for text in ("not json at all", json.dumps({"format": "negfactor-model"})):
+            bad = workspace / "bad_model.json"
+            bad.write_text(text, encoding="utf-8")
+            result = runner.invoke(main, ["report", "--model", str(bad),
+                                          "--out-dir", str(workspace / "analysis")])
+            assert result.exit_code == 1, result.output
+            assert result.output.startswith(f"Error: bad model {bad}: ")
+            assert len(result.output.splitlines()) == 1
+
     def test_missing_data_file_rejected(self, runner, tmp_path):
         result = runner.invoke(main, [
             "fit", "--data", str(tmp_path / "nope.csv"),

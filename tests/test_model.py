@@ -115,3 +115,44 @@ class TestEarlierVersions:
         # written by an earlier version of the package from a short fit
         path = DATA / name
         assert FittedModel.load(path).to_json() + "\n" == path.read_text(encoding="utf-8")
+
+
+class TestSizesAgainstTheVocabulary:
+    """A model file whose arrays contradict its own vocabulary is refused
+    on load, instead of failing later inside scoring."""
+
+    def saved(self):
+        return json.loads((DATA / "model_2_1.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("field", ["beta", "sigma", "beta_acc", "sigma_acc"])
+    def test_per_participant_field_needs_one_entry_per_participant(self, field):
+        data = self.saved()
+        data["effects"][field] = data["effects"][field][:1]
+        with pytest.raises(SchemaError, match=f"effects.{field} must be 4 numbers"):
+            FittedModel.from_dict(data)
+
+    @pytest.mark.parametrize("value", [[0.5], "0.5", None, True])
+    def test_scalar_field_must_be_a_number(self, value):
+        data = self.saved()
+        data["effects"]["beta0"] = value
+        with pytest.raises(SchemaError, match="effects.beta0 must be a number"):
+            FittedModel.from_dict(data)
+
+    def test_alpha_needs_one_entry_per_cell(self):
+        data = self.saved()
+        data["alpha"] = data["alpha"][:-1]
+        with pytest.raises(SchemaError, match=f"alpha must be {len(data['cells'])} numbers"):
+            FittedModel.from_dict(data)
+
+    @pytest.mark.parametrize("column, value", [(0, 99), (1, -1), (2, 2), (3, 5)])
+    def test_cells_must_index_inside_the_vocabulary(self, column, value):
+        data = self.saved()
+        data["cells"][0][column] = value
+        with pytest.raises(SchemaError, match="cells must be rows of four indices"):
+            FittedModel.from_dict(data)
+
+    def test_cells_must_be_rows_of_four(self):
+        data = self.saved()
+        data["cells"] = [row[:3] for row in data["cells"]]
+        with pytest.raises(SchemaError, match="cells must be rows of four indices"):
+            FittedModel.from_dict(data)

@@ -19,6 +19,7 @@ from negfactor.optim import (
     FitConfig,
     ParameterPack,
     _forward_backward,
+    _objective,
     _scored_records,
     adam_minimize,
     evaluate,
@@ -42,6 +43,10 @@ FD_HYPERS = [
     Hyperparams(0, 1), Hyperparams(1, 0), Hyperparams(0, 3), Hyperparams(3, 0),
     None,
 ]
+
+
+def layout_id(hyper):
+    return "free-nu" if hyper is None else "{},{}".format(*hyper.as_tuple())
 
 
 def random_effects(rng, n_participants, scale=0.3):
@@ -99,8 +104,7 @@ def packed(instance):
     """The instance's parameter layout and its flat point."""
     table, latent, effects, alpha, _ = instance
     hyper = latent.hyper if isinstance(latent, FactorParams) else None
-    pack = ParameterPack(hyper, table.n_verbs, table.n_frames,
-                         table.n_participants, table.n_cells)
+    pack = ParameterPack(hyper, table)
     return pack, pack.pack(latent, effects, alpha)
 
 
@@ -110,7 +114,8 @@ def fd_relative_error(instance, h=1e-5):
     way the gradient treats them."""
     table, latent, effects, alpha, nr_mask = instance
     pack, x0 = packed(instance)
-    _, analytic = _forward_backward(x0, pack, table, nr_mask)
+    _, grads = _objective(latent, effects, alpha, table, nr_mask)
+    analytic = pack.flat(grads)
 
     def loss_at(x):
         return reference_objective(table, *pack.unpack(x), weight_alpha=alpha, nr_mask=nr_mask)
@@ -141,12 +146,11 @@ class TestGradientAgainstFiniteDifferences:
         rng = np.random.default_rng(0)
         table = random_table(rng, n_verbs=2, n_frames=2, n_participants=2)
         factors = random_factor_params(rng, Hyperparams(0, 2), 2, 2)
-        pack, x = packed((table, factors, random_effects(rng, 2), np.zeros(table.n_cells), None))
-        _, g = _forward_backward(x, pack, table, None)
-        grad_factors, _, _ = pack.unpack(g)
-        assert grad_factors.psi_logits is None
-        assert grad_factors.phi_logits is None
-        assert grad_factors.lambda_logits.shape == (2, 2)
+        _, grads = _objective(factors, random_effects(rng, 2), np.zeros(table.n_cells),
+                              table, None)
+        assert "psi" not in grads
+        assert "phi" not in grads
+        assert grads["lambda"].shape == (2, 2)
 
     def test_alpha_gradient_ignores_negraising_channel(self):
         # with the acceptability channel dropped conceptually: alpha's
@@ -157,12 +161,66 @@ class TestGradientAgainstFiniteDifferences:
                              ratings_per_cell=1)
         factors = random_factor_params(rng, Hyperparams(1, 1), 2, 1)
         alpha = logit(table.acceptability[np.argsort(table.cell_idx)])
-        pack, x = packed((table, factors, EffectsParams.zeros(1), alpha, None))
-        _, g = _forward_backward(x, pack, table, None)
-        _, _, grad_alpha = pack.unpack(g)
+        _, grads = _objective(factors, EffectsParams.zeros(1), alpha, table, None)
         # each record is its own cell and alpha reproduces the responses
         # exactly, so the acceptability channel is at its optimum
-        assert_allclose(grad_alpha, np.zeros_like(alpha), atol=1e-12)
+        assert_allclose(grads["alpha"], np.zeros_like(alpha), atol=1e-12)
+
+    @pytest.mark.parametrize("hyper", [None] + [
+        Hyperparams(i, t) for i in range(5) for t in range(5) if (i, t) != (0, 0)
+    ], ids=layout_id)
+    def test_gradient_names_are_the_layout_slots(self, hyper):
+        # the flat gradient is written by name, and flat() ignores a name
+        # outside the layout, so a stray or missing name must show here
+        rng = np.random.default_rng(5)
+        table = random_table(rng, n_verbs=3, n_frames=2, n_participants=2)
+        if hyper is None:
+            latent = rng.normal(size=table.n_cells)
+        else:
+            latent = random_factor_params(rng, hyper, 3, 2, scale=0.7)
+        _, grads = _objective(latent, random_effects(rng, 2), np.zeros(table.n_cells),
+                              table, None)
+        pack = ParameterPack(hyper, table)
+        slots = {pack.name_at(i).split("[")[0] for i in range(pack.size)}
+        assert set(grads) == slots
+
+    @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 3), Hyperparams(0, 2),
+                                       Hyperparams(3, 0)], ids=layout_id)
+    def test_unpack_inverts_pack(self, hyper):
+        rng = np.random.default_rng(6)
+        table = random_table(rng, n_verbs=3, n_frames=2, n_participants=3)
+        if hyper is None:
+            latent = rng.normal(size=table.n_cells)
+        else:
+            latent = random_factor_params(rng, hyper, 3, 2)
+        effects = random_effects(rng, 3)
+        alpha = rng.normal(size=table.n_cells)
+        pack = ParameterPack(hyper, table)
+        x = pack.pack(latent, effects, alpha)
+        assert x.shape == (pack.size,)
+        got_latent, got_effects, got_alpha = pack.unpack(x)
+        if hyper is None:
+            assert_array_equal(got_latent, latent)
+        else:
+            for slot, value in latent.arrays().items():
+                got = got_latent.arrays()[slot]
+                assert got is None if value is None else np.array_equal(got, value)
+        for name, value in vars(effects).items():
+            assert_array_equal(getattr(got_effects, name), value)
+            assert type(getattr(got_effects, name)) is type(value)
+        assert_array_equal(got_alpha, alpha)
+
+    def test_flat_gradient_is_the_named_gradient(self):
+        for seed in (3, 7, 19):
+            instance = random_instance(seed)
+            if instance is None:
+                continue
+            table, latent, effects, alpha, nr_mask = instance
+            pack, x0 = packed(instance)
+            loss, g = _forward_backward(x0, pack, table, nr_mask)
+            expected_loss, grads = _objective(latent, effects, alpha, table, nr_mask)
+            assert loss == expected_loss
+            assert_array_equal(g, pack.flat(grads))
 
     def test_gradient_scatter_is_bit_identical_to_add_at(self):
         # the factor gradients are summed per verb, frame or (subject,

@@ -12,7 +12,7 @@ from scipy.special import expit, logit
 from negfactor.dataset import FRAME_LABELS, ResponseTable
 from negfactor.errors import ConsistencyError
 from negfactor.factorization import FactorParams, Hyperparams
-from negfactor.optim import ParameterPack, prior_backward, total_loss
+from negfactor.optim import prior_backward, total_loss
 from negfactor.response import AcceptabilityCells, EffectsParams, _divergence, channel_losses
 
 from conftest import (
@@ -56,8 +56,7 @@ def predict_acceptability(alpha, effects, participant):
 
 def prior_penalty(effects):
     """The prior term of the objective, as `optim.prior_backward` returns it."""
-    pack = ParameterPack(None, 1, 1, effects.n_participants, 1)
-    return prior_backward(effects, pack, np.zeros(pack.size))
+    return prior_backward(effects, dict.fromkeys(vars(effects), 0.0))
 
 
 class TestPredictNegraising:
@@ -312,3 +311,16 @@ class TestTotalLoss:
         short = AcceptabilityCells(cells.alpha[:-1])
         with pytest.raises(ConsistencyError):
             total_loss(table, params, effects, short)
+
+    def test_parameters_sized_for_another_table_are_rejected(self):
+        # the objective indexes every parameter by the table's cells and
+        # participants, so a larger parameter would be read in part
+        table, params, effects, cells = self.make_matched_setup()
+        rng = np.random.default_rng(3)
+        wider = random_factor_params(rng, Hyperparams(1, 1), table.n_verbs + 1, table.n_frames)
+        more = EffectsParams.zeros(table.n_participants + 1)
+        for args in ((wider, effects, cells), (params, more, cells),
+                     (np.zeros(table.n_cells + 1), effects, cells)):
+            with pytest.raises(ConsistencyError, match="do not match the table's"):
+                total_loss(table, *args)
+        total_loss(table, np.zeros(table.n_cells), effects, cells)
