@@ -23,11 +23,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import DimensionError, RowError, SchemaError
 from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
                             require_integers)
+from .response import expit, logit
 
 FRAME_LABELS = (
     "NP __ that S",
@@ -479,11 +479,11 @@ def generate_synthetic(spec: PlantedSpec) -> tuple[ResponseTable, PlantedSpec]:
     part_idx = raters.reshape(-1)
 
     nu, _ = link_values(factors.as_factor_params(), cells)
-    scale = np.exp(spec.sigma0 + log_scale[part_idx])
+    scale = np.exp(spec.sigma0 + log_scale)[part_idx]
     r_clean = expit(scale * np.repeat(nu, per_cell) + spec.beta0 + shift[part_idx])
 
     alpha_value = logit(np.clip(spec.acceptability, RESPONSE_EPS, 1.0 - RESPONSE_EPS))
-    scale_acc = np.exp(spec.sigma0 + log_scale_acc[part_idx])
+    scale_acc = np.exp(spec.sigma0 + log_scale_acc)[part_idx]
     a_clean = expit(scale_acc * alpha_value + spec.beta0 + shift_acc[part_idx])
 
     noise_nr = np.random.default_rng(streams[3]).normal(0.0, 1.0, size=r_clean.size)

@@ -27,9 +27,9 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import DimensionError
+from .response import expit, logit
 
 MAX_PROPERTIES = 4
 # a cell probability is clamped to [PROB_CLAMP, 1 - PROB_CLAMP] before its logit

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import JsonArtifact
 from .errors import SchemaError
-from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams
+from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes
 from .response import EffectsParams
 
 MODEL_FORMAT = "negfactor-model"
@@ -73,26 +73,36 @@ class FittedModel(JsonArtifact):
             frames = tuple(data["frames"])
             participants = tuple(data["participants"])
 
-            def arr(value):
-                # a JSON list is an array, a number a float, null a frozen side
-                if isinstance(value, list):
-                    return np.asarray(value, dtype=float)
-                return None if value is None else float(value)
+            def numbers(value, kind=float):
+                """``value`` (nested lists, or one entry) as an array of ``kind``, or
+                None if an entry is not a number of that kind (an int is a float
+                too, and a bool or a string is neither) or does not fit in it."""
+                entries = np.asarray(value, dtype=object)
+                allowed = (int, float) if kind is float else int
+                if any(t is bool or not issubclass(t, allowed) for t in set(map(type, entries.flat))):
+                    return None
+                try:
+                    return entries.astype(kind)
+                except OverflowError:
+                    return None
 
             def checked(name, value, shape):
-                """A number for shape (), else a list of ``shape`` numbers as an array."""
-                if shape == () and isinstance(value, (int, float)) and not isinstance(value, bool):
-                    return float(value)
-                if shape and isinstance(value, list) and np.shape(value) == shape:
-                    return np.asarray(value, dtype=float)
-                raise SchemaError(f"{name} must be {f'{shape[0]} numbers' if shape else 'a number'}")
+                """A number for shape (), else nested lists of ``shape`` numbers as an array."""
+                array = numbers(value)
+                if array is None or array.shape != shape:
+                    raise SchemaError(f"{name} must be "
+                                      + (" x ".join(map(str, shape)) + " numbers" if shape else "a number"))
+                return array if shape else float(value)
 
-            cells = np.asarray(data["cells"], dtype=np.int64)
+            cells = numbers(data["cells"], int)
             bounds = (len(verbs), len(frames), 2, 2)
-            if cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
+            if cells is None or cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
                 raise SchemaError(f"cells must be rows of four indices below {bounds}")
+            shapes = factor_shapes(hyper, len(verbs), len(frames))
             factors = FactorParams(hyper, len(verbs), len(frames), **{
-                field: arr(data["factors"][slot]) for slot, field in FACTOR_SLOTS.items()
+                field: None if (value := data["factors"][slot]) is None
+                else checked(f"factors.{slot}", value, shapes[slot])
+                for slot, field in FACTOR_SLOTS.items()
             })
             effects = EffectsParams(**{
                 name: checked(f"effects.{name}", data["effects"][name], np.shape(zero))

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .dataset import (SUBJECT_LABELS, TENSE_LABELS, ResponseTable, clamp_responses, labels_at,
                       write_rows)
 from .optim import FitConfig, ParameterPack, _minimize
-from .response import EffectsParams
+from .response import EffectsParams, expit, logit
 
 
 @dataclass

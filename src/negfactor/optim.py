@@ -21,14 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .dataset import ResponseTable, clamp_responses
 from .errors import ConsistencyError, CoverageError, DimensionError, FitError
 from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
                             require_integers)
 from .model import FittedModel
-from .response import PREDICTION_CLAMP, AcceptabilityCells, EffectsParams, channel_losses
+from .response import (PREDICTION_CLAMP, AcceptabilityCells, EffectsParams, channel_losses, expit,
+                       logit)
 
 CONVERGENCE_WINDOW = 100
 # Adam moment decay rates and denominator offset, and the standard

@@ -16,12 +16,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import SUBJECT_LABELS, TENSE_LABELS, JsonArtifact, write_rows
 from .errors import DimensionError, SchemaError
 from .factorization import Hyperparams, factor_shapes
 from .model import FittedModel
+from .response import expit
 
 BUNDLE_FORMAT = "negfactor-analysis"
 BUNDLE_VERSION = 1
@@ -116,8 +116,9 @@ def analyze(model: FittedModel) -> AnalysisBundle:
     if model.hyper.as_tuple() == (1, 1):
         verb_scores = psi[:, 0] * lambda_[:, 0]
         if n_verbs >= 2:
-            # scipy.stats is most of the package's import time, which every
-            # cross_validate worker process pays: import it only here
+            # this is the package's only use of scipy, whose import would more
+            # than double the start-up of every CLI call and every
+            # cross_validate worker: import it only here
             from scipy.stats import spearmanr
 
             with warnings.catch_warnings():

@@ -8,9 +8,10 @@ channel reads its latent value nu off the factor model
 free alpha per cell, whose inverse logit also serves as that cell's
 weight on the neg-raising loss.
 
-The link and the divergence are each written once here. The one
-objective (`optim`, which adds the prior on the random effects) and the
-scoring of saved models reuse them.
+The link and the divergence are each written once here, and so are the
+sigmoid `expit` and its inverse `logit`, in numpy, which every module of
+the package imports from here. The one objective (`optim`, which adds the
+prior on the random effects) and the scoring of saved models reuse them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 PREDICTION_CLAMP = 1e-15
+
+
+@np.errstate(over="ignore")
+def expit(x):
+    """The sigmoid 1 / (1 + exp(-x)), bit for bit; a scalar gives an np.float64.
+
+    It fills one new array in place. Below x = -709, exp(-x) overflows and
+    the result is 0, without a warning.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.negative(x, out=np.empty_like(x))
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out[()]
+
+
+def logit(p):
+    """The inverse of ``expit``, log(p / (1 - p)), for p inside (0, 1)."""
+    return np.log(p / (1.0 - p))
 
 
 @dataclass
@@ -73,7 +93,7 @@ class AcceptabilityCells:
 
 def _link(values, participant, beta0, sigma0, beta, sigma):
     """logit^-1(exp(sigma0 + sigma_l) v + beta0 + beta_l), and the scale exp(sigma0 + sigma_l)."""
-    scale = np.exp(sigma0 + sigma[participant])
+    scale = np.exp(sigma0 + sigma)[participant]
     return expit(scale * values + beta0 + beta[participant]), scale
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.special import expit
 
 from negfactor.dataset import (
     FRAME_LABELS,
@@ -25,6 +24,7 @@ from negfactor.dataset import (
 )
 from negfactor.errors import DimensionError, RowError, SchemaError
 from negfactor.factorization import link_values
+from negfactor.response import expit
 
 from conftest import cell_probability, random_table
 
@@ -441,7 +441,7 @@ class TestGenerateSynthetic:
 
     @pytest.mark.parametrize("sizes", [(1, 1), (4, 4)])
     def test_noise_free_responses_are_the_fitted_forward_pass_exactly(self, sizes):
-        # synthesis and fitting read nu off the same kernel, bit for bit
+        # synthesis and fitting read nu off the same kernels, bit for bit
         n_lexical, n_structural = sizes
         spec = PlantedSpec(n_verbs=5, n_frames=3, n_participants=4, ratings_per_cell=3,
                            noise_scale=0.0, n_lexical=n_lexical, n_structural=n_structural,

@@ -19,6 +19,11 @@ from conftest import random_factor_params, random_table
 DATA = Path(__file__).parent / "data"
 
 
+def saved_model_data():
+    """The JSON of a model written by an earlier version, as a dict to edit."""
+    return json.loads((DATA / "model_2_1.json").read_text(encoding="utf-8"))
+
+
 def make_model(seed=0, hyper=Hyperparams(2, 1)):
     rng = np.random.default_rng(seed)
     table = random_table(rng, n_verbs=3, n_frames=2, n_participants=3)
@@ -121,38 +126,65 @@ class TestSizesAgainstTheVocabulary:
     """A model file whose arrays contradict its own vocabulary is refused
     on load, instead of failing later inside scoring."""
 
-    def saved(self):
-        return json.loads((DATA / "model_2_1.json").read_text(encoding="utf-8"))
-
     @pytest.mark.parametrize("field", ["beta", "sigma", "beta_acc", "sigma_acc"])
     def test_per_participant_field_needs_one_entry_per_participant(self, field):
-        data = self.saved()
+        data = saved_model_data()
         data["effects"][field] = data["effects"][field][:1]
         with pytest.raises(SchemaError, match=f"effects.{field} must be 4 numbers"):
             FittedModel.from_dict(data)
 
     @pytest.mark.parametrize("value", [[0.5], "0.5", None, True])
     def test_scalar_field_must_be_a_number(self, value):
-        data = self.saved()
+        data = saved_model_data()
         data["effects"]["beta0"] = value
         with pytest.raises(SchemaError, match="effects.beta0 must be a number"):
             FittedModel.from_dict(data)
 
     def test_alpha_needs_one_entry_per_cell(self):
-        data = self.saved()
+        data = saved_model_data()
         data["alpha"] = data["alpha"][:-1]
         with pytest.raises(SchemaError, match=f"alpha must be {len(data['cells'])} numbers"):
             FittedModel.from_dict(data)
 
-    @pytest.mark.parametrize("column, value", [(0, 99), (1, -1), (2, 2), (3, 5)])
+    @pytest.mark.parametrize("column, value", [(0, 99), (1, -1), (2, 2), (3, 5), (0, 10**30)])
     def test_cells_must_index_inside_the_vocabulary(self, column, value):
-        data = self.saved()
+        data = saved_model_data()
         data["cells"][0][column] = value
         with pytest.raises(SchemaError, match="cells must be rows of four indices"):
             FittedModel.from_dict(data)
 
     def test_cells_must_be_rows_of_four(self):
-        data = self.saved()
+        data = saved_model_data()
         data["cells"] = [row[:3] for row in data["cells"]]
         with pytest.raises(SchemaError, match="cells must be rows of four indices"):
+            FittedModel.from_dict(data)
+
+
+class TestEntriesAreNumbers:
+    """Array entries are JSON numbers: a numeric string or a bool is refused
+    instead of converted, and a cell index must be an integer."""
+
+    def test_alpha_of_numeric_strings(self):
+        data = saved_model_data()
+        data["alpha"] = [str(a) for a in data["alpha"]]
+        with pytest.raises(SchemaError, match=f"alpha must be {len(data['cells'])} numbers"):
+            FittedModel.from_dict(data)
+
+    @pytest.mark.parametrize("row", [[0.7, 0.7, 0.7, 0.7], [True, False, 0, 1]])
+    def test_cell_indices_must_be_integers(self, row):
+        data = saved_model_data()
+        data["cells"][0] = row
+        with pytest.raises(SchemaError, match="cells must be rows of four indices"):
+            FittedModel.from_dict(data)
+
+    def test_factor_of_numeric_strings(self):
+        data = saved_model_data()
+        data["factors"]["lambda"] = [[str(x) for x in row] for row in data["factors"]["lambda"]]
+        with pytest.raises(SchemaError, match="factors.lambda must be 3 x 1 numbers"):
+            FittedModel.from_dict(data)
+
+    def test_per_participant_effect_of_booleans(self):
+        data = saved_model_data()
+        data["effects"]["beta"] = [True, False, True, False]
+        with pytest.raises(SchemaError, match="effects.beta must be 4 numbers"):
             FittedModel.from_dict(data)

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
+from negfactor import response
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import CoverageError, DimensionError, FitError
 from negfactor.factorization import FactorParams, Hyperparams, _scatter, link_values
@@ -352,9 +353,10 @@ class TestFit:
         assert_array_equal(result.model.factors.lambda_logits, expected.lambda_logits)
         assert_array_equal(result.model.factors.phi_logits, expected.phi_logits)
         assert result.model.effects.beta0 == 0.0
+        # alpha starts at the package's logit of the clipped cell mean, bit for bit
         assert_array_equal(
             result.model.alpha,
-            logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4)),
+            response.logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4)),
         )
 
     def test_empty_mask_shape_rejected(self):

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
+import negfactor
+from negfactor import response
 from negfactor.dataset import FRAME_LABELS, ResponseTable
 from negfactor.errors import ConsistencyError
 from negfactor.factorization import FactorParams, Hyperparams
@@ -57,6 +64,46 @@ def predict_acceptability(alpha, effects, participant):
 def prior_penalty(effects):
     """The prior term of the objective, as `optim.prior_backward` returns it."""
     return prior_backward(effects, dict.fromkeys(vars(effects), 0.0))
+
+
+class TestSigmoidAndLogit:
+    """The package's numpy sigmoid and logit against scipy's, which only the
+    tests import."""
+
+    def test_expit_matches_scipy(self):
+        x = np.concatenate([np.linspace(-800, 800, 200001),
+                            np.random.default_rng(0).normal(0.0, 10.0, 100_000)])
+        assert_allclose(response.expit(x), expit(x), rtol=5e-16, atol=0)
+
+    def test_logit_matches_scipy(self):
+        p = np.concatenate([np.linspace(1e-15, 1 - 1e-15, 200001),
+                            np.random.default_rng(1).uniform(1e-15, 1 - 1e-15, 100_000)])
+        assert_allclose(response.logit(p), logit(p), rtol=0, atol=2e-15)
+
+    def test_expit_is_the_plain_formula_bit_for_bit(self):
+        x = np.concatenate([np.linspace(-800, 800, 20001), np.random.default_rng(2).normal(size=1000)])
+        with np.errstate(over="ignore"):
+            assert_array_equal(response.expit(x), 1.0 / (1.0 + np.exp(-x)))
+
+    def test_extremes_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_array_equal(response.expit(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+            assert response.expit(-1000.0) == 0.0
+
+    def test_scalar_in_gives_scalar_out(self):
+        assert type(response.expit(0.5)) is np.float64
+        assert type(response.logit(0.25)) is np.float64
+        assert response.expit(0.0) == 0.5
+        assert response.logit(0.5) == 0.0
+
+    def test_importing_the_package_loads_no_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(negfactor.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, negfactor; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestPredictNegraising:
