@@ -478,7 +478,7 @@ def generate_synthetic(spec: PlantedSpec) -> tuple[ResponseTable, PlantedSpec]:
     verb_idx, frame_idx, subj_idx, tense_idx = (np.repeat(column, per_cell) for column in cells.T)
     part_idx = raters.reshape(-1)
 
-    nu, _ = link_values(factors.as_factor_params(), cells)
+    nu = link_values(factors.as_factor_params(), cells)
     scale = np.exp(spec.sigma0 + log_scale)[part_idx]
     r_clean = expit(scale * np.repeat(nu, per_cell) + spec.beta0 + shift[part_idx])
 

@@ -11,13 +11,15 @@ property pairing has all five of its participating entries true:
 Sides requested with zero properties are frozen to a single always-true
 property, which contributes multiplicative ones.
 
-`link_values` is the one forward pass from factor logits to the latent
-nu of each cell, the logit of its clamped probability; fitting, the
-scoring of saved models and synthesis all read nu from it. Its backward
-pass uses two identities: the derivative of the cell probability with
-respect to one pairing term zeta is the product of all other (1 - zeta)
-factors, computed stably as exp(sum log1p(-zeta) - log1p(-zeta_own)); and
-the derivative of a probability with respect to its logit is p (1 - p).
+`CellLink.values` is the one forward pass from factor probabilities to
+the latent nu of each cell, the logit of its clamped probability. A fit
+builds one `CellLink` for its cells and runs it at every evaluation; the
+scoring of saved models and synthesis read nu from it through
+`link_values`. Its backward pass uses two identities: the derivative of
+the cell probability with respect to one pairing term zeta is the
+product of all other (1 - zeta) factors, computed stably as
+exp(sum log1p(-zeta) - log1p(-zeta_own)); and the derivative of a
+probability with respect to its logit is p (1 - p).
 """
 
 from __future__ import annotations
@@ -97,6 +99,15 @@ class FactorProbs:
     psi: np.ndarray      # (n_verbs, eff_lexical)
     phi: np.ndarray      # (eff_lexical, 2, 2)
 
+    @classmethod
+    def widened(cls, shapes: dict[str, tuple[int, ...]],
+                probs: dict[str, np.ndarray]) -> "FactorProbs":
+        """Each slot's array of ``probs``, keyed by slot; a slot it lacks (a
+        frozen side, whose ``shapes`` entry has size zero) becomes one
+        always-true property: ones, its property axis widened to size one."""
+        return cls(*(probs[slot] if slot in probs else np.ones(tuple(max(d, 1) for d in shape))
+                     for slot, shape in shapes.items()))
+
 
 # Each factor array's slot name (in the flat parameter layout and the
 # model JSON) and its FactorParams field. The order is that of the
@@ -170,12 +181,9 @@ class FactorParams:
         return {slot: getattr(self, field) for slot, field in FACTOR_SLOTS.items()}
 
     def probabilities(self) -> FactorProbs:
-        # a frozen side becomes one always-true property: its zero-size
-        # property axis widens to size one
-        return FactorProbs(*(
-            np.ones(tuple(max(d, 1) for d in shape)) if logits is None else expit(logits)
-            for logits, shape in zip(self.arrays().values(), self.shapes().values())
-        ))
+        return FactorProbs.widened(self.shapes(), {
+            slot: expit(logits) for slot, logits in self.arrays().items() if logits is not None
+        })
 
 
 def pair_events(probs: FactorProbs, v, f, j, k):
@@ -197,55 +205,86 @@ def pair_events(probs: FactorProbs, v, f, j, k):
     return at, a, b, log_miss, log_miss.sum(axis=(1, 2))
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, k) sums of the (m, k) rows of ``values`` grouped by ``index``,
-    added in row order like ``np.add.at``, so bit-identical to it."""
+def _scatter_bins(index: np.ndarray, k: int) -> np.ndarray:
+    """The bins of `_scatter` for rows of k columns grouped by ``index``."""
+    return (index[:, None] * k + np.arange(k)).ravel()
+
+
+def _scatter(bins: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) sums of the (m, k) rows of ``values`` grouped by the index
+    whose `_scatter_bins` are ``bins``, added in row order like
+    ``np.add.at``, so bit-identical to it."""
     k = values.shape[1]
-    flat = (index[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
+    return np.bincount(bins, weights=values.ravel(), minlength=n * k).reshape(n, k)
 
 
-def link_values(factors: FactorParams, cells: np.ndarray):
-    """The forward pass from factor logits to the latent nu of each cell
-    (rows of ``cells``): the logit of its probability clamped to
+class CellLink:
+    """The forward pass from factor probabilities to the latent nu of each
+    row of ``cells``: the logit of its probability clamped to
     [PROB_CLAMP, 1 - PROB_CLAMP].
 
-    Also returns the backward pass, which maps d loss / d nu to the
-    gradient of each active slot's logits, keyed by slot.
+    What depends only on the cells (their index columns and the scatter
+    bins of the backward pass) is built once, so a fit builds one and
+    calls `values` at every evaluation.
     """
-    probs = factors.probabilities()
-    cv, cf, cj, ck = (cells[:, i] for i in range(4))
-    at, a, b, log_miss, s = pair_events(probs, cv, cf, cj, ck)
-    pn = -np.expm1(s)
-    pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
-    def backward(g_nu: np.ndarray) -> dict[str, np.ndarray]:
-        # chain g_nu back through the clamped logit and the factorization
-        active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
-        g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            others = np.exp(s[:, None, None] - log_miss)
-        g_zeta = g_pn[:, None, None] * others
-        g_zeta[~active] = 0.0
-        g_a = (g_zeta * b[:, None, :]).sum(axis=2)
-        g_b = (g_zeta * a[:, :, None]).sum(axis=1)
-        grads = {}
-        if factors.hyper.n_structural:
-            n_t = factors.hyper.n_structural
-            g_lambda = _scatter(cv, g_a * at.pi * at.omega, factors.n_verbs)
-            g_pi = _scatter(cf, g_a * at.lambda_ * at.omega, factors.n_frames)
-            g_omega = _scatter(cj * 2 + ck, g_a * at.lambda_ * at.pi, 4)
-            lam, pi, om = probs.lambda_, probs.pi, probs.omega
-            grads["lambda"] = g_lambda * lam * (1.0 - lam)
-            grads["pi"] = g_pi.T * pi * (1.0 - pi)
-            grads["omega"] = g_omega.T.reshape(n_t, 2, 2) * om * (1.0 - om)
-        if factors.hyper.n_lexical:
-            n_i = factors.hyper.n_lexical
-            g_psi = _scatter(cv, g_b * at.phi, factors.n_verbs)
-            g_phi = _scatter(cj * 2 + ck, g_b * at.psi, 4)
-            psi, phi = probs.psi, probs.phi
-            grads["psi"] = g_psi * psi * (1.0 - psi)
-            grads["phi"] = g_phi.T.reshape(n_i, 2, 2) * phi * (1.0 - phi)
-        return grads
+    def __init__(self, hyper: Hyperparams, n_verbs: int, n_frames: int, cells: np.ndarray):
+        self.hyper = hyper
+        self.columns = tuple(cells[:, i] for i in range(4))
+        cv, cf, cj, ck = self.columns
+        subject_tense = cj * 2 + ck
+        n_t, n_i = hyper.n_structural, hyper.n_lexical
+        # each active slot's scatter bins and number of rows, by slot
+        rows = {"lambda": (cv, n_t, n_verbs), "pi": (cf, n_t, n_frames),
+                "omega": (subject_tense, n_t, 4), "psi": (cv, n_i, n_verbs),
+                "phi": (subject_tense, n_i, 4)}
+        self.bins = {slot: (_scatter_bins(index, k), n)
+                     for slot, (index, k, n) in rows.items() if k}
 
-    return logit(pn_c), backward
+    def values(self, probs: FactorProbs):
+        """nu of each cell under ``probs``, and the backward pass.
+
+        ``backward(g_nu, grads)`` chains d loss / d nu back to the logits
+        and writes each active slot's gradient into ``grads[slot]``. Run it
+        under ``np.errstate(invalid="ignore", over="ignore")``: a pair
+        event of probability one overflows the product of the others.
+        """
+        at, a, b, log_miss, s = pair_events(probs, *self.columns)
+        pn = -np.expm1(s)
+        pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        by_slot = dict(zip(FACTOR_SLOTS, vars(probs).values()))
+
+        def backward(g_nu: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+            def write(slot, g_at):
+                # g_at holds d loss / d (the slot's probabilities at each cell)
+                bins, n = self.bins[slot]
+                g = _scatter(bins, g_at, n)
+                p, out = by_slot[slot], grads[slot]
+                # lambda and psi are (verb, property); the others put properties first
+                np.multiply(g if slot in ("lambda", "psi") else g.T.reshape(p.shape), p, out=out)
+                out *= 1.0 - p
+
+            # chain g_nu back through the clamped logit and the factorization
+            active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
+            g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
+            g_zeta = np.exp(s[:, None, None] - log_miss)
+            g_zeta *= g_pn[:, None, None]
+            g_zeta[~active] = 0.0
+            g_a = (g_zeta * b[:, None, :]).sum(axis=2)
+            g_b = (g_zeta * a[:, :, None]).sum(axis=1)
+            if self.hyper.n_structural:
+                write("lambda", g_a * at.pi * at.omega)
+                write("pi", g_a * at.lambda_ * at.omega)
+                write("omega", g_a * at.lambda_ * at.pi)
+            if self.hyper.n_lexical:
+                write("psi", g_b * at.phi)
+                write("phi", g_b * at.psi)
+
+        return logit(pn_c), backward
+
+
+def link_values(factors: FactorParams, cells: np.ndarray) -> np.ndarray:
+    """The latent nu of each row of ``cells`` under the factor logits
+    ``factors``, by `CellLink`."""
+    link = CellLink(factors.hyper, factors.n_verbs, factors.n_frames, cells)
+    return link.values(factors.probabilities())[0]

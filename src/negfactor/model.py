@@ -65,10 +65,6 @@ class FittedModel(JsonArtifact):
         try:
             if data["format"] != MODEL_FORMAT:
                 raise SchemaError(f"unexpected format tag {data['format']!r}")
-            hyper = Hyperparams(
-                n_lexical=int(data["hyper"]["n_lexical"]),
-                n_structural=int(data["hyper"]["n_structural"]),
-            )
             verbs = tuple(data["verbs"])
             frames = tuple(data["frames"])
             participants = tuple(data["participants"])
@@ -94,6 +90,17 @@ class FittedModel(JsonArtifact):
                                       + (" x ".join(map(str, shape)) + " numbers" if shape else "a number"))
                 return array if shape else float(value)
 
+            def integer(name, value):
+                """A JSON integer (not a bool), of any size."""
+                if type(value) is not int:
+                    raise SchemaError(f"{name} must be an integer")
+                return value
+
+            hyper = Hyperparams(n_lexical=integer("hyper.n_lexical", data["hyper"]["n_lexical"]),
+                                n_structural=integer("hyper.n_structural",
+                                                     data["hyper"]["n_structural"]))
+            if not isinstance(data["converged"], bool):
+                raise SchemaError("converged must be true or false")
             cells = numbers(data["cells"], int)
             bounds = (len(verbs), len(frames), 2, 2)
             if cells is None or cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
@@ -117,11 +124,11 @@ class FittedModel(JsonArtifact):
                 factors=factors,
                 effects=effects,
                 alpha=checked("alpha", data["alpha"], (len(cells),)),
-                seed=int(data["seed"]),
-                final_loss=float(data["final_loss"]),
-                final_data_loss=float(data["final_data_loss"]),
-                converged=bool(data["converged"]),
-                iterations=int(data["iterations"]),
+                seed=integer("seed", data["seed"]),
+                final_loss=checked("final_loss", data["final_loss"], ()),
+                final_data_loss=checked("final_data_loss", data["final_data_loss"], ()),
+                converged=data["converged"],
+                iterations=integer("iterations", data["iterations"]),
             )
         except KeyError as missing:
             raise SchemaError(f"model JSON missing key {missing}") from None

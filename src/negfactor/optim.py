@@ -6,26 +6,29 @@ constants: alpha receives gradients only through the acceptability
 channel, so the optimizer cannot shrink the weighted loss by discounting
 hard cells.
 
-`_objective` is the one objective, evaluated by `total_loss` and
+`Objective` is the one objective, evaluated by `total_loss` and
 minimized by `_minimize`, the one optimizer driver, for `fit` (over the
 factor logits) and for `normalization.normalize` (one free nu per cell).
-Its nu comes from `factorization.link_values`, whose backward pass gives
-the factor-logit gradient, and its link and divergence from `response`.
-Each piece returns the gradient of what it reads, keyed by parameter
-name; only `ParameterPack` lays the names out in a flat vector.
+A fit builds it once; each evaluation then does only the work that
+depends on the point. Its nu comes from `factorization.CellLink`, whose
+backward pass gives the factor-logit gradient, and its link and
+divergence from `response`. Each piece writes the gradient of what it
+reads into that parameter's view of one gradient vector; only
+`ParameterPack` knows the flat layout behind the views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import ResponseTable, clamp_responses
 from .errors import ConsistencyError, CoverageError, DimensionError, FitError
-from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
-                            require_integers)
+from .factorization import (FACTOR_SLOTS, CellLink, FactorParams, FactorProbs, Hyperparams,
+                            factor_shapes, link_values, require_integers)
 from .model import FittedModel
 from .response import (PREDICTION_CLAMP, AcceptabilityCells, EffectsParams, channel_losses, expit,
                        logit)
@@ -74,11 +77,11 @@ class ParameterPack:
     """Flat-vector layout of every optimized parameter of ``table``: the
     only code that builds or reads the optimizer's flat vector.
 
-    The latent block holds the factor logits of ``hyper`` (``fit``) or,
-    when ``hyper`` is None, one free nu per cell (``normalize``). Frozen
-    boundary factor arrays are simply absent from the layout, so they can
-    never receive updates. The slots of every ``EffectsParams`` field and
-    of alpha follow the latent block.
+    The latent block comes first and holds the factor logits of ``hyper``
+    (``fit``) or, when ``hyper`` is None, one free nu per cell
+    (``normalize``). Frozen boundary factor arrays are simply absent from
+    the layout, so they can never receive updates. The slots of every
+    ``EffectsParams`` field and of alpha follow the latent block.
     """
 
     def __init__(self, hyper: Hyperparams | None, table: ResponseTable):
@@ -90,6 +93,7 @@ class ParameterPack:
         else:
             shapes = factor_shapes(hyper, table.n_verbs, table.n_frames)
             layout = [(slot, shape) for slot, shape in shapes.items() if math.prod(shape)]
+        self.latent = slice(0, sum(math.prod(shape) for _, shape in layout))
         layout += [(name, np.shape(value))
                    for name, value in vars(EffectsParams.zeros(table.n_participants)).items()]
         layout.append(("alpha", (table.n_cells,)))
@@ -98,15 +102,11 @@ class ParameterPack:
                         for (name, shape), end in zip(layout, ends)}
         self.size = ends[-1]
 
-    def flat(self, named: dict) -> np.ndarray:
-        """The flat vector of each slot's value (a parameter or its
-        gradient) in ``named``, keyed by slot name."""
-        return np.concatenate([np.ravel(named[name]) for name in self._slices])
-
     def pack(self, latent: FactorParams | np.ndarray, effects: EffectsParams,
              alpha: np.ndarray) -> np.ndarray:
         named = {"nu": latent} if self.hyper is None else latent.arrays()
-        return self.flat({**named, **vars(effects), "alpha": alpha})
+        named.update(vars(effects), alpha=alpha)
+        return np.concatenate([np.ravel(named[name]) for name in self._slices])
 
     def unpack(self, x: np.ndarray) -> tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray]:
         named = {name: x[sl].reshape(shape).copy() if shape else float(x[sl][0])
@@ -120,6 +120,13 @@ class ParameterPack:
         alpha = named.pop("alpha")
         return latent, EffectsParams(**named), alpha
 
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each slot of ``vector``, laid out like the flat point (the point,
+        its gradient, or the factor probabilities of its latent block), as
+        a view in the slot's shape, keyed by slot name; a scalar slot is a
+        0-d view."""
+        return {name: vector[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
+
     def name_at(self, flat_index: int) -> str:
         for name, (sl, _) in self._slices.items():
             if sl.start <= flat_index < sl.stop:
@@ -127,98 +134,143 @@ class ParameterPack:
         return f"component {flat_index}"
 
 
-def channel_backward(values: np.ndarray, table: ResponseTable, responses: np.ndarray,
-                     effects: EffectsParams, suffix: str, weights: np.ndarray | None = None,
-                     mask: np.ndarray | None = None):
+class _Channel(NamedTuple):
+    """A response channel's constants: its responses r, their complement
+    1 - r, the suffix of its link parameters' names ("" or "_acc") and
+    the record mask of its data term (None for every record)."""
+
+    responses: np.ndarray
+    complement: np.ndarray
+    suffix: str
+    mask: np.ndarray | None
+
+
+def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel,
+                     params: dict, grads: dict, weights: np.ndarray | None = None):
     """Loss of one response channel with per-cell latents ``values``.
 
-    The channel's link parameters are the ``EffectsParams`` fields beta0,
-    sigma0, beta and sigma, each name followed by ``suffix`` ("" or
-    "_acc"). Returns (loss, d loss / d values per cell, the gradient of
-    each link parameter keyed by field name). ``weights`` are per-record
-    constants (the blocked alpha' weights); ``mask`` restricts the data
-    term.
+    The channel's link parameters are the entries beta0, sigma0, beta and
+    sigma of ``params``, each name followed by the channel's suffix. Writes
+    their gradients into the same entries of ``grads`` and returns (loss,
+    d loss / d values per cell). ``weights`` are per-record constants (the
+    blocked alpha' weights). `Objective` calls it under its np.errstate.
     """
-    beta0, sigma0, beta, sigma = (getattr(effects, name + suffix)
+    responses, complement, suffix, mask = channel
+    beta0, sigma0, beta, sigma = (params[name + suffix]
                                   for name in ("beta0", "sigma0", "beta", "sigma"))
     cell_idx, part_idx = table.cell_idx, table.part_idx
     n_participants = beta.shape[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals_rec = values[cell_idx]
-        each, pred, scale = channel_losses(vals_rec, part_idx, responses,
-                                           beta0, sigma0, beta, sigma)
-        if weights is not None:
-            each = weights * each
-        loss = float(np.sum(each[mask])) if mask is not None else float(np.sum(each))
-        inside = (pred >= PREDICTION_CLAMP) & (pred <= 1.0 - PREDICTION_CLAMP)
-        g_z = np.where(inside, pred - responses, 0.0)
-        if weights is not None:
-            g_z = weights * g_z
-        if mask is not None:
-            g_z = np.where(mask, g_z, 0.0)
-        g_scaled = g_z * scale
-        g_spread = g_scaled * vals_rec
-        grads = {
-            "beta0" + suffix: np.sum(g_z),
-            "beta" + suffix: np.bincount(part_idx, weights=g_z, minlength=n_participants),
-            "sigma0" + suffix: np.sum(g_spread),
-            "sigma" + suffix: np.bincount(part_idx, weights=g_spread, minlength=n_participants),
-        }
-        g_values = np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
-    return loss, g_values, grads
+    vals_rec = values[cell_idx]
+    each, pred, scale = channel_losses(vals_rec, part_idx, responses, complement,
+                                       beta0, sigma0, beta, sigma)
+    if weights is not None:
+        each *= weights
+    loss = float(np.sum(each[mask])) if mask is not None else float(np.sum(each))
+    inside = (pred >= PREDICTION_CLAMP) & (pred <= 1.0 - PREDICTION_CLAMP)
+    g_z = np.subtract(pred, responses, out=pred)
+    np.copyto(g_z, 0.0, where=~inside)
+    if weights is not None:
+        g_z *= weights
+    if mask is not None:
+        np.copyto(g_z, 0.0, where=~mask)
+    g_scaled = scale
+    g_scaled *= g_z
+    g_spread = vals_rec
+    g_spread *= g_scaled
+    grads["beta0" + suffix][...] = np.sum(g_z)
+    grads["beta" + suffix][:] = np.bincount(part_idx, weights=g_z, minlength=n_participants)
+    grads["sigma0" + suffix][...] = np.sum(g_spread)
+    grads["sigma" + suffix][:] = np.bincount(part_idx, weights=g_spread,
+                                             minlength=n_participants)
+    return loss, np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
 
 
-def prior_backward(effects: EffectsParams, grads: dict) -> float:
+def prior_backward(params: dict, grads: dict) -> float:
     """Gaussian negative log prior over random effects, up to constants.
 
     Each group contributes sum(x^2) / (2 v) plus the normalizer
     (n/2) log v, with v the group's optimized variance. Adds the gradient
-    of each random effect into its entry of ``grads``, sets that of each
+    of each random effect into its entry of ``grads``, writes that of each
     log-variance, and returns the penalty. Uses numpy float semantics so
     that degenerate log-variances produce inf/nan values (caught by the
-    optimizer's finiteness checks) instead of range errors.
+    optimizer's finiteness checks) instead of range errors; `Objective`
+    calls it under its np.errstate, which silences their warnings.
     """
     penalty = 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for name in ("beta", "sigma", "beta_acc", "sigma_acc"):
-            values, log_var = getattr(effects, name), getattr(effects, "log_var_" + name)
-            variance = np.exp(np.float64(log_var))
-            sum_sq = np.float64(np.sum(values * values))
-            n = values.shape[0]
-            penalty += float(sum_sq / (2.0 * variance) + 0.5 * n * log_var)
-            grads[name] = grads[name] + values / variance
-            grads["log_var_" + name] = -sum_sq / (2.0 * variance) + 0.5 * n
+    for name in ("beta", "sigma", "beta_acc", "sigma_acc"):
+        values, log_var = params[name], params["log_var_" + name]
+        variance = np.exp(np.float64(log_var))
+        sum_sq = np.float64(np.sum(values * values))
+        n = values.shape[0]
+        penalty += float(sum_sq / (2.0 * variance) + 0.5 * n * log_var)
+        grads[name] += values / variance
+        grads["log_var_" + name][...] = -sum_sq / (2.0 * variance) + 0.5 * n
     return penalty
 
 
-def _objective(latent: FactorParams | np.ndarray, effects: EffectsParams, alpha: np.ndarray,
-               table: ResponseTable, nr_mask: np.ndarray | None):
-    """The objective and its gradient keyed by slot name, at factor
-    logits or, for ``normalize``, one free nu per cell (``latent``)."""
-    if isinstance(latent, np.ndarray):
-        nu, latent_backward = latent, lambda g_nu: {"nu": g_nu}
-    else:
-        nu, latent_backward = link_values(latent, table.cells)
-    nr_loss, g_nu, grads = channel_backward(nu, table, table.negraising, effects, "",
-                                            weights=expit(alpha)[table.cell_idx], mask=nr_mask)
-    acc_loss, g_alpha, acc_grads = channel_backward(alpha, table, table.acceptability,
-                                                    effects, "_acc")
-    grads.update(acc_grads, alpha=g_alpha, **latent_backward(g_nu))
-    penalty = prior_backward(effects, grads)
-    return nr_loss + acc_loss + penalty, grads
+class Objective:
+    """The one objective: weighted neg-raising and acceptability
+    divergences plus the prior, over the flat vector of ``pack`` on
+    ``table``, with the neg-raising term restricted to ``nr_mask``.
 
+    Called at a flat point x, it returns the loss and its gradient. What
+    does not depend on x is built once: 1 - r of each channel, the cell
+    link's constants, and the gradient vector, which every call overwrites
+    in full. A call reads the parameters as views of x, and its nu comes
+    from the free nu of the latent block (``hyper`` None) or from the
+    factor logits, through one sigmoid over the whole block and the
+    `CellLink`.
+    """
 
-def _forward_backward(x: np.ndarray, pack: ParameterPack, table: ResponseTable,
-                      nr_mask: np.ndarray | None):
-    """Objective value and flat gradient at the flat point x."""
-    loss, grads = _objective(*pack.unpack(x), table, nr_mask)
-    return loss, pack.flat(grads)
+    def __init__(self, pack: ParameterPack, table: ResponseTable, nr_mask: np.ndarray | None):
+        self.pack = pack
+        self.table = table
+        self.channels = (
+            _Channel(table.negraising, 1.0 - table.negraising, "", nr_mask),
+            _Channel(table.acceptability, 1.0 - table.acceptability, "_acc", None),
+        )
+        self.gradient = np.empty(pack.size)
+        self._grads = pack.views(self.gradient)
+        self._x, self._params = None, None
+        self.link = None
+        if pack.hyper is not None:
+            self.link = CellLink(pack.hyper, table.n_verbs, table.n_frames, table.cells)
+            # the sigmoid of the latent block, laid out like x for its slot views
+            self._probabilities = np.empty(pack.size)
+            views = pack.views(self._probabilities)
+            self._probs = FactorProbs.widened(
+                factor_shapes(pack.hyper, table.n_verbs, table.n_frames),
+                {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
+
+    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        if x is not self._x:
+            # Adam updates one x in place, so the views of the last x stay valid
+            self._x, self._params = x, self.pack.views(x)
+        params, grads, table = self._params, self._grads, self.table
+        nr, acc = self.channels
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if self.link is None:
+                nu = params["nu"]
+            else:
+                latent = self.pack.latent
+                expit(x[latent], out=self._probabilities[latent])
+                nu, backward = self.link.values(self._probs)
+            weights = expit(params["alpha"])[table.cell_idx]
+            nr_loss, g_nu = channel_backward(nu, table, nr, params, grads, weights=weights)
+            acc_loss, g_alpha = channel_backward(params["alpha"], table, acc, params, grads)
+            grads["alpha"][:] = g_alpha
+            if self.link is None:
+                grads["nu"][:] = g_nu
+            else:
+                backward(g_nu, grads)
+            penalty = prior_backward(params, grads)
+        return nr_loss + acc_loss + penalty, self.gradient
 
 
 def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects: EffectsParams,
                cells: AcceptabilityCells, *, nr_mask: np.ndarray | None = None) -> float:
-    """The objective that `fit` and `normalization.normalize` minimize:
-    weighted neg-raising and acceptability divergences plus the prior.
+    """The objective that `fit` and `normalization.normalize` minimize,
+    `Objective`, at the given parameters.
 
     ``factors`` holds the factor logits or one free nu per cell;
     ``nr_mask``, one boolean per record, restricts the neg-raising term.
@@ -231,8 +283,9 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
     if got != want:
         raise ConsistencyError(f"(latent, participant, alpha) sizes {got} do not match the "
                                f"table's {want}")
-    return _objective(factors, effects, cells.alpha, table,
-                      _record_mask(nr_mask, table, "nr_mask"))[0]
+    pack = ParameterPack(None if free else factors.hyper, table)
+    objective = Objective(pack, table, _record_mask(nr_mask, table, "nr_mask"))
+    return objective(pack.pack(factors, effects, cells.alpha))[0]
 
 
 def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
@@ -241,11 +294,15 @@ def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
     Convergence: relative loss change below convergence_tol across
     consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times in
     a row. Returns (x, trajectory, converged, update_steps); the last
-    trajectory entry is the loss at the returned x.
+    trajectory entry is the loss at the returned x. The moments and x are
+    updated in place, and ``grad`` is read before the next call of ``fun``,
+    which may overwrite it.
     """
     x = np.array(x0, dtype=float, copy=True)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
+    step = np.empty_like(x)
+    denominator = np.empty_like(x)
     trajectory: list[float] = []
     streak = 0
     converged = False
@@ -271,12 +328,22 @@ def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
             converged = streak >= config.patience
             if converged:
                 break
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (grad * grad)
+        # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # x -= lr m_hat / (sqrt(v_hat) + eps), in place
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        np.multiply(grad, grad, out=step)
+        step *= 1.0 - ADAM_BETA2
+        v += step
         steps = it + 1
-        m_hat = m / (1.0 - ADAM_BETA1 ** steps)
-        v_hat = v / (1.0 - ADAM_BETA2 ** steps)
-        x -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        np.divide(m, 1.0 - ADAM_BETA1 ** steps, out=step)
+        step *= config.learning_rate
+        np.divide(v, 1.0 - ADAM_BETA2 ** steps, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += ADAM_EPSILON
+        step /= denominator
+        x -= step
     return x, trajectory, converged, steps
 
 
@@ -291,11 +358,10 @@ def _minimize(table: ResponseTable, pack: ParameterPack, starts, config: FitConf
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
     nr_mask = _record_mask(nr_mask, table, "nr_mask")
+    objective = Objective(pack, table, nr_mask)
     best = None
     for start in starts:
-        outcome = adam_minimize(pack.pack(*start),
-                                lambda x: _forward_backward(x, pack, table, nr_mask),
-                                config, pack.name_at)
+        outcome = adam_minimize(pack.pack(*start), objective, config, pack.name_at)
         if best is None or outcome[1][-1] < best[1][-1]:
             best = outcome
     x, trajectory, converged, steps = best
@@ -394,7 +460,7 @@ def _scored_records(model: FittedModel, table: ResponseTable,
             f"model does not cover cell {(table.verbs[v], table.frames[f], int(j), int(k))}"
         )
 
-    nu, _ = link_values(model.factors, cells)
+    nu = link_values(model.factors, cells)
     seen = part_map >= 0
     beta = np.where(seen, model.effects.beta[part_map], 0.0)
     sigma = np.where(seen, model.effects.sigma[part_map], 0.0)
@@ -402,7 +468,7 @@ def _scored_records(model: FittedModel, table: ResponseTable,
     record_mask = _record_mask(record_mask, table, "record_mask")
     if record_mask is not None:
         cell_idx, part_idx, responses = (a[record_mask] for a in (cell_idx, part_idx, responses))
-    each, _, _ = channel_losses(nu[cell_idx], part_idx, responses,
+    each, _, _ = channel_losses(nu[cell_idx], part_idx, responses, 1.0 - responses,
                                 model.effects.beta0, model.effects.sigma0, beta, sigma)
     return expit(model.alpha[rows])[cell_idx] * each, cell_idx
 

@@ -24,14 +24,15 @@ PREDICTION_CLAMP = 1e-15
 
 
 @np.errstate(over="ignore")
-def expit(x):
+def expit(x, out=None):
     """The sigmoid 1 / (1 + exp(-x)), bit for bit; a scalar gives an np.float64.
 
-    It fills one new array in place. Below x = -709, exp(-x) overflows and
-    the result is 0, without a warning.
+    It fills ``out`` in place (a new array if None), which may be ``x``
+    itself. Below x = -709, exp(-x) overflows and the result is 0, without
+    a warning.
     """
     x = np.asarray(x, dtype=float)
-    out = np.negative(x, out=np.empty_like(x))
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
@@ -92,23 +93,44 @@ class AcceptabilityCells:
 
 
 def _link(values, participant, beta0, sigma0, beta, sigma):
-    """logit^-1(exp(sigma0 + sigma_l) v + beta0 + beta_l), and the scale exp(sigma0 + sigma_l)."""
+    """logit^-1(exp(sigma0 + sigma_l) v + beta0 + beta_l), and the scale exp(sigma0 + sigma_l).
+
+    ``values`` and ``participant`` are arrays of one entry per record.
+    """
     scale = np.exp(sigma0 + sigma)[participant]
-    return expit(scale * values + beta0 + beta[participant]), scale
+    z = scale * values
+    z += beta0
+    z += beta[participant]
+    return expit(z, out=z), scale
 
 
-def _divergence(r, r_hat):
-    return r * np.log(r / r_hat) + (1.0 - r) * np.log((1.0 - r) / (1.0 - r_hat))
+def _divergence(r, complement, r_hat):
+    """D(r || r_hat) = r log(r / r_hat) + (1 - r) log((1 - r) / (1 - r_hat))
+    of Bernoulli distributions, where ``complement`` is 1 - r.
+
+    Each term is computed in one buffer of its own; a scalar gives an
+    np.float64.
+    """
+    shape = np.broadcast_shapes(np.shape(r), np.shape(r_hat))
+    each = np.divide(r, r_hat, out=np.empty(shape))
+    np.log(each, out=each)
+    each *= r
+    other = np.subtract(1.0, r_hat, out=np.empty(shape))
+    np.divide(complement, other, out=other)
+    np.log(other, out=other)
+    other *= complement
+    each += other
+    return each[()]
 
 
-def channel_losses(values, participant, responses, beta0, sigma0, beta, sigma):
+def channel_losses(values, participant, responses, complement, beta0, sigma0, beta, sigma):
     """Per-record D(r || r_hat) of one response channel.
 
-    ``values`` holds each record's latent (nu or alpha) and r_hat is the
-    link prediction clamped to [PREDICTION_CLAMP, 1 - PREDICTION_CLAMP].
-    Also returns the unclamped prediction and the scale, which the
-    gradient needs.
+    ``values`` holds each record's latent (nu or alpha), ``complement`` is
+    1 - ``responses``, and r_hat is the link prediction clamped to
+    [PREDICTION_CLAMP, 1 - PREDICTION_CLAMP]. Also returns the unclamped
+    prediction and the scale, which the gradient needs.
     """
     pred, scale = _link(values, participant, beta0, sigma0, beta, sigma)
     pred_c = np.clip(pred, PREDICTION_CLAMP, 1.0 - PREDICTION_CLAMP)
-    return _divergence(responses, pred_c), pred, scale
+    return _divergence(responses, complement, pred_c), pred, scale

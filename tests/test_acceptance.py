@@ -209,9 +209,9 @@ def test_criterion_5_loss_identities():
     def check():
         rng = np.random.default_rng(5)
         r = rng.uniform(1e-6, 1.0 - 1e-6, size=10_000)
-        same = _divergence(r, r)
+        same = _divergence(r, 1.0 - r, r)
         assert np.all(same == 0.0), "the divergence D(r || r) must be exactly zero"
-        pairs = _divergence(r, rng.uniform(1e-6, 1.0 - 1e-6, size=10_000))
+        pairs = _divergence(r, 1.0 - r, rng.uniform(1e-6, 1.0 - 1e-6, size=10_000))
         assert np.all(pairs >= 0.0), "the divergence must be nonnegative"
 
         table = random_table(rng, n_verbs=4, n_frames=3, n_participants=3,

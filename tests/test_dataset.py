@@ -447,7 +447,7 @@ class TestGenerateSynthetic:
                            noise_scale=0.0, n_lexical=n_lexical, n_structural=n_structural,
                            seed=8)
         table, resolved = generate_synthetic(spec)
-        nu, _ = link_values(resolved.true_factors.as_factor_params(), table.cells)
+        nu = link_values(resolved.true_factors.as_factor_params(), table.cells)
         assert_array_equal(table.negraising, clamp_responses(expit(nu))[table.cell_idx])
 
     def test_effect_draws_deterministic_and_zero_at_zero_sd(self):

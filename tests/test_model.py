@@ -188,3 +188,23 @@ class TestEntriesAreNumbers:
         data["effects"]["beta"] = [True, False, True, False]
         with pytest.raises(SchemaError, match="effects.beta must be 4 numbers"):
             FittedModel.from_dict(data)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("seed",), 7.9, "seed must be an integer"),
+        (("iterations",), True, "iterations must be an integer"),
+        (("hyper", "n_lexical"), 2.7, "hyper.n_lexical must be an integer"),
+        (("hyper", "n_structural"), "1", "hyper.n_structural must be an integer"),
+        (("final_loss",), "1e3", "final_loss must be a number"),
+        (("final_data_loss",), False, "final_data_loss must be a number"),
+        (("converged",), "no", "converged must be true or false"),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+    def test_scalar_fields_are_not_converted(self, path, value, message):
+        # each of these used to load through int(), float() or bool()
+        data = saved_model_data()
+        *parents, key = path
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(SchemaError, match=message):
+            FittedModel.from_dict(data)

@@ -3,6 +3,7 @@ and evaluation."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,24 +11,26 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
-from negfactor import response
+from negfactor import optim, response
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import CoverageError, DimensionError, FitError
-from negfactor.factorization import FactorParams, Hyperparams, _scatter, link_values
+from negfactor.factorization import (FactorParams, Hyperparams, _scatter, _scatter_bins,
+                                     link_values)
 from negfactor.model import FittedModel
+from negfactor.normalization import normalize
 from negfactor.optim import (
     CONVERGENCE_WINDOW,
     FitConfig,
+    Objective,
     ParameterPack,
-    _forward_backward,
-    _objective,
     _scored_records,
     adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,
+    total_loss,
 )
-from negfactor.response import EffectsParams
+from negfactor.response import AcceptabilityCells, EffectsParams
 
 from conftest import (
     bernoulli_kl_reference,
@@ -95,7 +98,7 @@ def random_instance(seed):
     if rng.random() < 0.5:
         nr_mask = rng.random(table.n_records) < 0.8
     if hyper is not None:
-        nu, _ = link_values(latent, table.cells)
+        nu = link_values(latent, table.cells)
         if np.any(np.abs(nu) > logit(1.0 - 1e-5)):
             return None
     return table, latent, effects, alpha, nr_mask
@@ -109,14 +112,20 @@ def packed(instance):
     return pack, pack.pack(latent, effects, alpha)
 
 
+def named_gradient(latent, effects, alpha, table, nr_mask):
+    """The objective's loss and a copy of its gradient, keyed by slot name."""
+    pack, x = packed((table, latent, effects, alpha, nr_mask))
+    loss, gradient = Objective(pack, table, nr_mask)(x)
+    return loss, pack.views(gradient.copy())
+
+
 def fd_relative_error(instance, h=1e-5):
     """Worst relative gap between the analytic gradient and central
     differences of the total loss, with the per-record weights frozen the
     way the gradient treats them."""
     table, latent, effects, alpha, nr_mask = instance
     pack, x0 = packed(instance)
-    _, grads = _objective(latent, effects, alpha, table, nr_mask)
-    analytic = pack.flat(grads)
+    analytic = Objective(pack, table, nr_mask)(x0)[1].copy()
 
     def loss_at(x):
         return reference_objective(table, *pack.unpack(x), weight_alpha=alpha, nr_mask=nr_mask)
@@ -147,8 +156,8 @@ class TestGradientAgainstFiniteDifferences:
         rng = np.random.default_rng(0)
         table = random_table(rng, n_verbs=2, n_frames=2, n_participants=2)
         factors = random_factor_params(rng, Hyperparams(0, 2), 2, 2)
-        _, grads = _objective(factors, random_effects(rng, 2), np.zeros(table.n_cells),
-                              table, None)
+        _, grads = named_gradient(factors, random_effects(rng, 2), np.zeros(table.n_cells),
+                                  table, None)
         assert "psi" not in grads
         assert "phi" not in grads
         assert grads["lambda"].shape == (2, 2)
@@ -162,7 +171,7 @@ class TestGradientAgainstFiniteDifferences:
                              ratings_per_cell=1)
         factors = random_factor_params(rng, Hyperparams(1, 1), 2, 1)
         alpha = logit(table.acceptability[np.argsort(table.cell_idx)])
-        _, grads = _objective(factors, EffectsParams.zeros(1), alpha, table, None)
+        _, grads = named_gradient(factors, EffectsParams.zeros(1), alpha, table, None)
         # each record is its own cell and alpha reproduces the responses
         # exactly, so the acceptability channel is at its optimum
         assert_allclose(grads["alpha"], np.zeros_like(alpha), atol=1e-12)
@@ -171,19 +180,27 @@ class TestGradientAgainstFiniteDifferences:
         Hyperparams(i, t) for i in range(5) for t in range(5) if (i, t) != (0, 0)
     ], ids=layout_id)
     def test_gradient_names_are_the_layout_slots(self, hyper):
-        # the flat gradient is written by name, and flat() ignores a name
-        # outside the layout, so a stray or missing name must show here
+        # the gradient is written by slot into one vector that every call
+        # reuses, so a slot a call skips would keep a stale value: poisoned
+        # with nan, the vector must come back whole and unchanged
         rng = np.random.default_rng(5)
         table = random_table(rng, n_verbs=3, n_frames=2, n_participants=2)
         if hyper is None:
             latent = rng.normal(size=table.n_cells)
         else:
             latent = random_factor_params(rng, hyper, 3, 2, scale=0.7)
-        _, grads = _objective(latent, random_effects(rng, 2), np.zeros(table.n_cells),
-                              table, None)
         pack = ParameterPack(hyper, table)
+        objective = Objective(pack, table, None)
+        x = pack.pack(latent, random_effects(rng, 2), np.zeros(table.n_cells))
+        _, gradient = objective(x)
+        first = gradient.copy()
+        gradient[:] = np.nan
+        _, again = objective(x.copy())
+        assert again is gradient
+        assert np.all(np.isfinite(first))
+        assert_array_equal(again, first)
         slots = {pack.name_at(i).split("[")[0] for i in range(pack.size)}
-        assert set(grads) == slots
+        assert set(pack.views(gradient)) == slots
 
     @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 3), Hyperparams(0, 2),
                                        Hyperparams(3, 0)], ids=layout_id)
@@ -212,16 +229,20 @@ class TestGradientAgainstFiniteDifferences:
         assert_array_equal(got_alpha, alpha)
 
     def test_flat_gradient_is_the_named_gradient(self):
+        # the slot views tile the flat gradient in layout order, and the
+        # objective a fit runs is the one total_loss evaluates
         for seed in (3, 7, 19):
             instance = random_instance(seed)
             if instance is None:
                 continue
             table, latent, effects, alpha, nr_mask = instance
             pack, x0 = packed(instance)
-            loss, g = _forward_backward(x0, pack, table, nr_mask)
-            expected_loss, grads = _objective(latent, effects, alpha, table, nr_mask)
-            assert loss == expected_loss
-            assert_array_equal(g, pack.flat(grads))
+            loss, g = Objective(pack, table, nr_mask)(x0)
+            assert loss == total_loss(table, latent, effects, AcceptabilityCells(alpha),
+                                      nr_mask=nr_mask)
+            views = pack.views(g)
+            assert all(np.shares_memory(view, g) for view in views.values())
+            assert_array_equal(np.concatenate([np.ravel(v) for v in views.values()]), g)
 
     def test_gradient_scatter_is_bit_identical_to_add_at(self):
         # the factor gradients are summed per verb, frame or (subject,
@@ -233,7 +254,7 @@ class TestGradientAgainstFiniteDifferences:
             values = rng.normal(size=(index.size, k)) * 10.0 ** rng.integers(-8, 8, size=(1, k))
             expected = np.zeros((n, k))
             np.add.at(expected, index, values)
-            assert_array_equal(_scatter(index, values, n), expected)
+            assert_array_equal(_scatter(_scatter_bins(index, k), values, n), expected)
 
 
 class TestLossConsistency:
@@ -244,7 +265,7 @@ class TestLossConsistency:
                 continue
             table, latent, effects, alpha, nr_mask = instance
             pack, x0 = packed(instance)
-            loss, _ = _forward_backward(x0, pack, table, nr_mask)
+            loss, _ = Objective(pack, table, nr_mask)(x0)
             reference = reference_objective(table, latent, effects, alpha, nr_mask=nr_mask)
             assert_allclose(loss, reference, rtol=1e-12)
 
@@ -328,6 +349,48 @@ class TestAdamMinimize:
         # windows end at 100 (loss changed), 200, 300 (first and second
         # quiet checks): convergence declared at iteration 300
         assert len(trajectory) == 3 * CONVERGENCE_WINDOW + 1
+
+
+class TestPinnedRuns:
+    """Seeded 200-iteration runs reproduce, bit for bit, the final loss and
+    the loss trajectory recorded from the objective as it was before it was
+    built once per fit (with per-evaluation unpacking). A change to the
+    order of the floating-point operations in the objective or in Adam
+    moves the last bits, which these catch."""
+
+    SPEC = PlantedSpec(n_verbs=6, n_frames=3, n_participants=8, ratings_per_cell=4, seed=3)
+    CONFIG = FitConfig(max_iterations=200, n_restarts=2, convergence_tol=0.0, seed=4)
+
+    @staticmethod
+    def digest(trajectory):
+        return hashlib.sha256(np.asarray(trajectory, dtype=float).tobytes()).hexdigest()[:16]
+
+    def test_fit_unmasked(self):
+        table, _ = generate_synthetic(self.SPEC)
+        trajectory = fit(table, Hyperparams(1, 1), self.CONFIG).trajectory
+        assert repr(trajectory[-1]) == "-24.350178416484926"
+        assert self.digest(trajectory) == "1a2f8f0768bce566"
+
+    def test_fit_masked(self):
+        table, _ = generate_synthetic(self.SPEC)
+        mask = np.random.default_rng(5).random(table.n_records) < 0.8
+        trajectory = fit(table, Hyperparams(2, 3), self.CONFIG, nr_mask=mask).trajectory
+        assert repr(trajectory[-1]) == "-25.34784201709133"
+        assert self.digest(trajectory) == "9d020556826bb5a3"
+
+    def test_normalize(self, monkeypatch):
+        table, _ = generate_synthetic(self.SPEC)
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(adam_minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optim, "adam_minimize", recording)
+        normalize(table, FitConfig(max_iterations=200, convergence_tol=0.0))
+        trajectory = runs[0][1]
+        assert repr(trajectory[-1]) == "-25.228106027040784"
+        assert self.digest(trajectory) == "0f0e27228fb69637"
 
 
 class TestFit:

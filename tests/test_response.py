@@ -46,24 +46,30 @@ def single_record_table(negraising, acceptability):
     )
 
 
+def predict(latent, participant, beta0, sigma0, beta, sigma):
+    """The link's unclamped prediction; the link takes one array entry per
+    record, so a scalar latent goes in as one record and comes out a scalar."""
+    _, pred, _ = channel_losses(np.atleast_1d(np.asarray(latent, dtype=float)),
+                                np.atleast_1d(participant), 0.5, 0.5, beta0, sigma0, beta, sigma)
+    return pred if np.ndim(latent) else pred[0]
+
+
 def predict_negraising(nu, effects, participant):
     """Expected neg-raising response: the link's unclamped prediction."""
-    _, pred, _ = channel_losses(np.asarray(nu, dtype=float), np.asarray(participant), 0.5,
-                                effects.beta0, effects.sigma0, effects.beta, effects.sigma)
-    return pred
+    return predict(nu, participant, effects.beta0, effects.sigma0, effects.beta, effects.sigma)
 
 
 def predict_acceptability(alpha, effects, participant):
     """Expected acceptability response, with the primed link parameters."""
-    _, pred, _ = channel_losses(np.asarray(alpha, dtype=float), np.asarray(participant), 0.5,
-                                effects.beta0_acc, effects.sigma0_acc,
-                                effects.beta_acc, effects.sigma_acc)
-    return pred
+    return predict(alpha, participant, effects.beta0_acc, effects.sigma0_acc,
+                   effects.beta_acc, effects.sigma_acc)
 
 
 def prior_penalty(effects):
     """The prior term of the objective, as `optim.prior_backward` returns it."""
-    return prior_backward(effects, dict.fromkeys(vars(effects), 0.0))
+    params = {name: np.asarray(value, dtype=float) for name, value in vars(effects).items()}
+    return prior_backward(params, {name: np.zeros(np.shape(value))
+                                   for name, value in params.items()})
 
 
 class TestSigmoidAndLogit:
@@ -162,10 +168,10 @@ class TestKlLoss:
 
     def test_exact_zero_at_equality(self):
         for r in (0.3, 0.5, 1e-4, 1 - 1e-4):
-            assert _divergence(r, r) == 0.0
+            assert _divergence(r, 1.0 - r, r) == 0.0
 
     def test_frozen_value(self):
-        value = _divergence(0.5, 0.25)
+        value = _divergence(0.5, 0.5, 0.25)
         assert_allclose(value, 0.14384103622589042, rtol=0, atol=1e-15)
         assert_allclose(value, bernoulli_kl_reference(0.5, 0.25), rtol=0, atol=1e-15)
 
@@ -173,7 +179,7 @@ class TestKlLoss:
         rng = np.random.default_rng(808)
         r = rng.uniform(1e-4, 1 - 1e-4, size=10_000)
         r_hat = rng.uniform(1e-4, 1 - 1e-4, size=10_000)
-        values = _divergence(r, r_hat)
+        values = _divergence(r, 1.0 - r, r_hat)
         assert np.all(values >= 0.0)
         spot = rng.integers(0, 10_000, size=50)
         for i in spot:
@@ -182,7 +188,7 @@ class TestKlLoss:
     def test_convex_in_rhat(self):
         grid = np.linspace(0.01, 0.99, 197)
         for r in (0.2, 0.5, 0.85):
-            values = _divergence(np.full_like(grid, r), grid)
+            values = _divergence(np.full_like(grid, r), np.full_like(grid, 1.0 - r), grid)
             second = np.diff(values, 2)
             assert np.all(second > -1e-12)
 
@@ -192,7 +198,7 @@ class TestKlLoss:
             r = rng.uniform(0.05, 0.95)
             far = rng.uniform(0.01, 0.99)
             mid = far + 0.5 * (r - far)
-            assert _divergence(r, mid) <= _divergence(r, far) + 1e-15
+            assert _divergence(r, 1.0 - r, mid) <= _divergence(r, 1.0 - r, far) + 1e-15
 
 
 class TestPriorPenalty:
