@@ -44,7 +44,6 @@ from .normalization import NormalizedScores, normalize
 from .optim import (
     FitConfig,
     FitResult,
-    adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,

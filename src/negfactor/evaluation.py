@@ -10,10 +10,11 @@ pinned to the training set (fold -1) and never held out.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from multiprocessing import get_context
 
@@ -22,7 +23,7 @@ import numpy as np
 from .dataset import JsonArtifact, ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .optim import FitConfig, _scored_records, fit
+from .optim import FitConfig, _scored_records, fit_group
 
 REPORT_FORMAT = "negfactor-cv-report"
 REPORT_VERSION = 2
@@ -269,27 +270,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_fold(table: ResponseTable, assignment: FoldAssignment, config: FitConfig,
-              task: tuple[Hyperparams, int]):
-    """Held-out loss and held-out cell losses of one fold of one class.
+def _fit_folds(table: ResponseTable, assignment: FoldAssignment, config: FitConfig,
+               task: tuple[Hyperparams, tuple[int, ...]]):
+    """Held-out loss and held-out cell losses of some folds of one class,
+    whose fits run as one `fit_group`.
 
-    Returns (fold loss, losses of the fold's cells in cell order), or the
-    ``FitError`` text when the fit fails.
+    Returns, per fold, (fold loss, losses of the fold's cells in cell
+    order), or the ``FitError`` text when the fold's fit fails.
     """
-    hyper, fold = task
-    held_cells = assignment.fold_of == fold
-    held_mask = held_cells[table.cell_idx]
-    if not held_mask.any():
-        return 0.0, np.empty(0)
-    fold_entropy = (config.seed, hyper.n_lexical, hyper.n_structural, fold)
-    fit_seed = int(np.random.SeedSequence(fold_entropy).generate_state(1)[0])
-    try:
-        outcome = fit(table, hyper, replace(config, seed=fit_seed), nr_mask=~held_mask)
-    except FitError as err:
-        return str(err)
-    losses, cell_idx = _scored_records(outcome.model, table, held_mask)
-    per_cell = np.bincount(cell_idx, weights=losses, minlength=table.n_cells)
-    return float(np.sum(losses)), per_cell[held_cells]
+    hyper, folds = task
+    outcomes, held, seeds, nr_masks = {}, {}, [], []
+    for fold in folds:
+        held_cells = assignment.fold_of == fold
+        held_mask = held_cells[table.cell_idx]
+        if not held_mask.any():
+            outcomes[fold] = 0.0, np.empty(0)
+            continue
+        fold_entropy = (config.seed, hyper.n_lexical, hyper.n_structural, fold)
+        seeds.append(int(np.random.SeedSequence(fold_entropy).generate_state(1)[0]))
+        nr_masks.append(~held_mask)
+        held[fold] = held_cells, held_mask
+    fitted = fit_group(table, hyper, config, seeds, nr_masks) if seeds else []
+    for (fold, (held_cells, held_mask)), outcome in zip(held.items(), fitted):
+        if isinstance(outcome, FitError):
+            outcomes[fold] = str(outcome)
+            continue
+        losses, cell_idx = _scored_records(outcome.model, table, held_mask)
+        per_cell = np.bincount(cell_idx, weights=losses, minlength=table.n_cells)
+        outcomes[fold] = float(np.sum(losses)), per_cell[held_cells]
+    return [outcomes[fold] for fold in folds]
 
 
 def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
@@ -310,11 +319,16 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     reports copies of the same fold and cell losses, and a point other than
     the representative names it in ``equivalent_to``.
 
-    The (class, fold) fits run in a pool of worker processes, one per
-    usable CPU (restrict them with ``taskset``). Every fit's seed derives
-    from (config.seed, class, fold), so the report is byte-identical to a
-    run on one CPU, which fits in this process. The table goes with each
-    task. Workers start by ``spawn``, which imports the main module again:
+    Each task fits one class's folds, or a group of them, as the lanes of
+    one `optim.fit_group`: their restarts share the acceptability half of
+    every evaluation. A class's folds split into as many groups as it
+    takes to give every usable CPU a task, at most one per fold. The
+    tasks run in a pool of worker processes, one per usable CPU (restrict
+    them with ``taskset``). Every fit's seed derives from (config.seed,
+    class, fold), and a fit gives the same bits whatever lanes it shares,
+    so the report is byte-identical to a run on one CPU, which fits in
+    this process. The table goes with each task. Workers start by
+    ``spawn``, which imports the main module again:
     a script that calls this must do so under ``if __name__ == "__main__":``,
     else it fails at once with ``BrokenProcessPool``.
     """
@@ -327,25 +341,29 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     assignment.validate(table)
 
     classes = list(dict.fromkeys(hyper.representative() for hyper in points))
-    tasks = [(rep, fold) for rep in classes for fold in range(n_folds)]
-    fit_fold = partial(_fit_fold, table, assignment, config)
-    workers = min(_usable_cpus(), len(tasks))
+    cpus = _usable_cpus()
+    groups = min(n_folds, math.ceil(cpus / len(classes)))
+    tasks = [(rep, tuple(folds.tolist())) for rep in classes
+             for folds in np.array_split(np.arange(n_folds), groups)]
+    fit_folds = partial(_fit_folds, table, assignment, config)
+    workers = min(cpus, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            outcomes = list(pool.map(fit_fold, tasks))
+            outcomes = list(pool.map(fit_folds, tasks))
     else:
-        outcomes = list(map(fit_fold, tasks))
+        outcomes = list(map(fit_folds, tasks))
 
     by_class = {rep: ([], np.full(table.n_cells, np.nan)) for rep in classes}
-    for (rep, fold), outcome in zip(tasks, outcomes):
+    for (rep, folds), task_outcomes in zip(tasks, outcomes):
         fold_losses, cell_losses = by_class[rep]
-        if isinstance(outcome, str):
-            warnings.warn(f"fit failed at {rep.as_tuple()} fold {fold}: {outcome}",
-                          stacklevel=2)
-            fold_losses.append(None)
-        else:
-            fold_losses.append(outcome[0])
-            cell_losses[assignment.fold_of == fold] = outcome[1]
+        for fold, outcome in zip(folds, task_outcomes):
+            if isinstance(outcome, str):
+                warnings.warn(f"fit failed at {rep.as_tuple()} fold {fold}: {outcome}",
+                              stacklevel=2)
+                fold_losses.append(None)
+            else:
+                fold_losses.append(outcome[0])
+                cell_losses[assignment.fold_of == fold] = outcome[1]
 
     results = []
     for hyper in points:

@@ -62,8 +62,11 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
     start = (logit(clamp_responses(table.cell_mean(table.negraising))),
              EffectsParams.zeros(table.n_participants),
              logit(clamp_responses(table.cell_mean(table.acceptability))))
-    (nu, effects, alpha), _, converged, steps = _minimize(
-        table, ParameterPack(None, table), [start], config, None)
+    pack = ParameterPack(None, table)
+    lane, = _minimize(table, pack, [start], config, [None])
+    if lane.error is not None:
+        raise lane.error
+    nu, effects, alpha = pack.unpack(lane.x)
     scaled = np.exp(effects.sigma0) * nu
     if inside_link:
         score = expit(scaled + effects.beta0)
@@ -77,6 +80,6 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
         alpha=alpha,
         score=score,
         effects=effects,
-        converged=converged,
-        iterations=steps,
+        converged=lane.converged,
+        iterations=lane.steps,
     )

@@ -8,13 +8,19 @@ hard cells.
 
 `Objective` is the one objective, evaluated by `total_loss` and
 minimized by `_minimize`, the one optimizer driver, for `fit` (over the
-factor logits) and for `normalization.normalize` (one free nu per cell).
-A fit builds it once; each evaluation then does only the work that
-depends on the point. Its nu comes from `factorization.CellLink`, whose
-backward pass gives the factor-logit gradient, and its link and
-divergence from `response`. Each piece writes the gradient of what it
-reads into that parameter's view of one gradient vector; only
-`ParameterPack` knows the flat layout behind the views.
+factor logits), for `cross_validate`'s fold fits and for
+`normalization.normalize` (one free nu per cell). The driver advances
+several start points, its lanes, in lockstep. Because alpha is blocked,
+the acceptability half of the objective reads nothing of the neg-raising
+half, and Adam updates each coordinate on its own: lanes that start from
+one acceptability block follow one trajectory in it, so each iteration
+evaluates that half once for every lane. What does not depend on the
+point is built once per table. Its nu comes from
+`factorization.CellLink`, whose backward pass gives the factor-logit
+gradient, and its link and divergence from `response`. Each piece writes
+the gradient of what it reads into that parameter's view of a lane's
+gradient vector; only `ParameterPack` knows the flat layout behind the
+views.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 INIT_SCALE = 0.5
+# the slots that the acceptability half of the objective reads and writes
+ACCEPTABILITY_SLOTS = ("beta0_acc", "sigma0_acc", "beta_acc", "sigma_acc", "log_var_beta_acc",
+                       "log_var_sigma_acc", "alpha")
 
 
 @dataclass(frozen=True)
@@ -65,12 +74,24 @@ class FitConfig:
             raise ValueError("convergence_tol and seed must be >= 0")
 
 
+class Restart(NamedTuple):
+    """How one restart of a fit ended."""
+
+    final_loss: float
+    steps: int
+    converged: bool
+
+
 @dataclass
 class FitResult:
+    """The kept restart's model, trajectory, update steps and convergence,
+    and the outcome of every restart in seed order."""
+
     model: FittedModel
     trajectory: list[float]
     iterations_run: int
     converged: bool
+    restarts: list[Restart]
 
 
 class ParameterPack:
@@ -185,53 +206,106 @@ def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel
     return loss, np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
 
 
-def prior_backward(params: dict, grads: dict) -> float:
-    """Gaussian negative log prior over random effects, up to constants.
+def prior_backward(params: dict, grads: dict, groups: tuple[str, ...]) -> list[float]:
+    """Gaussian negative log prior over the random-effect ``groups``, up
+    to constants.
 
     Each group contributes sum(x^2) / (2 v) plus the normalizer
     (n/2) log v, with v the group's optimized variance. Adds the gradient
     of each random effect into its entry of ``grads``, writes that of each
-    log-variance, and returns the penalty. Uses numpy float semantics so
-    that degenerate log-variances produce inf/nan values (caught by the
-    optimizer's finiteness checks) instead of range errors; `Objective`
-    calls it under its np.errstate, which silences their warnings.
+    log-variance, and returns each group's penalty in order. Uses numpy
+    float semantics so that degenerate log-variances produce inf/nan
+    values (caught by the optimizer's finiteness checks) instead of range
+    errors; `Objective` calls it under its np.errstate, which silences
+    their warnings.
     """
-    penalty = 0.0
-    for name in ("beta", "sigma", "beta_acc", "sigma_acc"):
+    penalties = []
+    for name in groups:
         values, log_var = params[name], params["log_var_" + name]
         variance = np.exp(np.float64(log_var))
         sum_sq = np.float64(np.sum(values * values))
         n = values.shape[0]
-        penalty += float(sum_sq / (2.0 * variance) + 0.5 * n * log_var)
+        penalties.append(float(sum_sq / (2.0 * variance) + 0.5 * n * log_var))
         grads[name] += values / variance
         grads["log_var_" + name][...] = -sum_sq / (2.0 * variance) + 0.5 * n
-    return penalty
+    return penalties
+
+
+class _Lane:
+    """One start point that `_adam` advances: its point x, updated in
+    place, the gradient at x, Adam's moments, the losses so far, and how
+    the run ended (``converged``, ``steps`` and ``error``, the FitError
+    that stopped it). With a ``pack``, ``params`` and ``grads`` are the
+    slot views of x and of the gradient; ``nr_mask`` restricts the lane's
+    neg-raising term.
+    """
+
+    def __init__(self, x0: np.ndarray, pack: ParameterPack | None = None,
+                 nr_mask: np.ndarray | None = None):
+        self.x = np.array(x0, dtype=float, copy=True)
+        self.gradient = np.empty_like(self.x)
+        self.nr_mask = nr_mask
+        if pack is not None:
+            self.params, self.grads = pack.views(self.x), pack.views(self.gradient)
+        self.m = np.zeros_like(self.x)
+        self.v = np.zeros_like(self.x)
+        self.trajectory: list[float] = []
+        self.streak = 0
+        self.converged = False
+        self.steps = 0
+        self.error: FitError | None = None
+
+    def record(self, it: int, loss: float, config: FitConfig, name_at) -> bool:
+        """Record the loss at iteration ``it``; False if the lane stops
+        there: at the iteration cap, converged, or failed with a non-finite
+        loss or gradient."""
+        if not np.isfinite(loss):
+            tail = ", ".join(f"{value:.6g}" for value in self.trajectory[-8:])
+            when = "after the final step" if it == config.max_iterations else f"at iteration {it}"
+            self.error = FitError(f"loss became non-finite {when}; recent losses [{tail}]")
+            return False
+        self.trajectory.append(float(loss))
+        if it == config.max_iterations:
+            return False
+        if not np.all(np.isfinite(self.gradient)):
+            bad = int(np.argmin(np.isfinite(self.gradient)))
+            where = name_at(bad) if name_at else f"component {bad}"
+            self.error = FitError(f"non-finite gradient for {where} at iteration {it}")
+            return False
+        if it > 0 and it % CONVERGENCE_WINDOW == 0:
+            previous = self.trajectory[it - CONVERGENCE_WINDOW]
+            relative = abs(self.trajectory[it] - previous) / max(abs(previous), 1e-12)
+            self.streak = self.streak + 1 if relative < config.convergence_tol else 0
+            self.converged = self.streak >= config.patience
+        return not self.converged
 
 
 class Objective:
     """The one objective: weighted neg-raising and acceptability
     divergences plus the prior, over the flat vector of ``pack`` on
-    ``table``, with the neg-raising term restricted to ``nr_mask``.
+    ``table``, in two halves.
 
-    Called at a flat point x, it returns the loss and its gradient. What
-    does not depend on x is built once: 1 - r of each channel, the cell
-    link's constants, and the gradient vector, which every call overwrites
-    in full. A call reads the parameters as views of x, and its nu comes
-    from the free nu of the latent block (``hyper`` None) or from the
-    factor logits, through one sigmoid over the whole block and the
-    `CellLink`.
+    The acceptability half is that channel, the prior on its effects, and
+    the neg-raising weights expit(alpha); it reads only the
+    ACCEPTABILITY_SLOTS. The neg-raising half reads the other slots and
+    the weights: its nu comes from the free nu of the latent block
+    (``hyper`` None) or from the factor logits, through one sigmoid over
+    the whole block and the `CellLink`.
+
+    Called on lanes that share their acceptability slots, it evaluates
+    the acceptability half once, at the first lane, copies that half's
+    gradient into the other lanes, and runs each lane's neg-raising half
+    under its own ``nr_mask``. It writes each lane's gradient in full and
+    returns the lanes' losses. What does not depend on the point is built
+    once and shared by the lanes: 1 - r of each channel and the cell
+    link's constants.
     """
 
-    def __init__(self, pack: ParameterPack, table: ResponseTable, nr_mask: np.ndarray | None):
+    def __init__(self, pack: ParameterPack, table: ResponseTable):
         self.pack = pack
         self.table = table
-        self.channels = (
-            _Channel(table.negraising, 1.0 - table.negraising, "", nr_mask),
-            _Channel(table.acceptability, 1.0 - table.acceptability, "_acc", None),
-        )
-        self.gradient = np.empty(pack.size)
-        self._grads = pack.views(self.gradient)
-        self._x, self._params = None, None
+        self.negraising = _Channel(table.negraising, 1.0 - table.negraising, "", None)
+        self.acceptability = _Channel(table.acceptability, 1.0 - table.acceptability, "_acc", None)
         self.link = None
         if pack.hyper is not None:
             self.link = CellLink(pack.hyper, table.n_verbs, table.n_frames, table.cells)
@@ -242,35 +316,52 @@ class Objective:
                 factor_shapes(pack.hyper, table.n_verbs, table.n_frames),
                 {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
 
-    def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if x is not self._x:
-            # Adam updates one x in place, so the views of the last x stay valid
-            self._x, self._params = x, self.pack.views(x)
-        params, grads, table = self._params, self._grads, self.table
-        nr, acc = self.channels
+    def __call__(self, lanes: list[_Lane]) -> list[float]:
+        first = lanes[0]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.link is None:
-                nu = params["nu"]
-            else:
-                latent = self.pack.latent
-                expit(x[latent], out=self._probabilities[latent])
-                nu, backward = self.link.values(self._probs)
-            weights = expit(params["alpha"])[table.cell_idx]
-            nr_loss, g_nu = channel_backward(nu, table, nr, params, grads, weights=weights)
-            acc_loss, g_alpha = channel_backward(params["alpha"], table, acc, params, grads)
-            grads["alpha"][:] = g_alpha
-            if self.link is None:
-                grads["nu"][:] = g_nu
-            else:
-                backward(g_nu, grads)
-            penalty = prior_backward(params, grads)
-        return nr_loss + acc_loss + penalty, self.gradient
+            shared = self._acceptability_half(first.params, first.grads)
+            losses = []
+            for lane in lanes:
+                if lane is not first:
+                    for name in ACCEPTABILITY_SLOTS:
+                        lane.grads[name][...] = first.grads[name]
+                losses.append(self._negraising_half(lane, *shared))
+        return losses
+
+    def _acceptability_half(self, params: dict, grads: dict):
+        """The acceptability loss and prior penalties, and the neg-raising
+        weights; writes the gradient of every acceptability slot."""
+        alpha = params["alpha"]
+        acc_loss, g_alpha = channel_backward(alpha, self.table, self.acceptability, params, grads)
+        grads["alpha"][:] = g_alpha
+        penalties = prior_backward(params, grads, ("beta_acc", "sigma_acc"))
+        return acc_loss, penalties, expit(alpha)[self.table.cell_idx]
+
+    def _negraising_half(self, lane: _Lane, acc_loss: float, acc_penalties: list[float],
+                         weights: np.ndarray) -> float:
+        """The lane's total loss; writes the gradient of every other slot."""
+        params, grads = lane.params, lane.grads
+        if self.link is None:
+            nu = params["nu"]
+        else:
+            latent = self.pack.latent
+            expit(lane.x[latent], out=self._probabilities[latent])
+            nu, backward = self.link.values(self._probs)
+        nr_loss, g_nu = channel_backward(nu, self.table, self.negraising._replace(mask=lane.nr_mask),
+                                         params, grads, weights=weights)
+        if self.link is None:
+            grads["nu"][:] = g_nu
+        else:
+            backward(g_nu, grads)
+        penalties = prior_backward(params, grads, ("beta", "sigma"))
+        # the penalties summed in the order beta, sigma, beta_acc, sigma_acc
+        return nr_loss + acc_loss + sum(penalties + acc_penalties)
 
 
 def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects: EffectsParams,
                cells: AcceptabilityCells, *, nr_mask: np.ndarray | None = None) -> float:
     """The objective that `fit` and `normalization.normalize` minimize,
-    `Objective`, at the given parameters.
+    `Objective`, at the given parameters, as one lane.
 
     ``factors`` holds the factor logits or one free nu per cell;
     ``nr_mask``, one boolean per record, restricts the neg-raising term.
@@ -284,88 +375,131 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
         raise ConsistencyError(f"(latent, participant, alpha) sizes {got} do not match the "
                                f"table's {want}")
     pack = ParameterPack(None if free else factors.hyper, table)
-    objective = Objective(pack, table, _record_mask(nr_mask, table, "nr_mask"))
-    return objective(pack.pack(factors, effects, cells.alpha))[0]
+    lane = _Lane(pack.pack(factors, effects, cells.alpha), pack,
+                 _record_mask(nr_mask, table, "nr_mask"))
+    return Objective(pack, table)([lane])[0]
 
 
-def adam_minimize(x0: np.ndarray, fun, config: FitConfig, name_at=None):
-    """Minimize fun(x) -> (loss, grad) with Adam and windowed convergence.
+def _adam(objective, lanes: list[_Lane], config: FitConfig, name_at=None) -> list[_Lane]:
+    """Minimize by Adam from each lane's start, the lanes in lockstep.
 
-    Convergence: relative loss change below convergence_tol across
-    consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times in
-    a row. Returns (x, trajectory, converged, update_steps); the last
-    trajectory entry is the loss at the returned x. The moments and x are
-    updated in place, and ``grad`` is read before the next call of ``fun``,
-    which may overwrite it.
+    At each iteration ``objective(live)`` writes the gradient at each live
+    lane's x into the lane and returns their losses; then each live lane
+    records its loss (`_Lane.record`) and, unless it stops, takes one Adam
+    step. Convergence: relative loss change below convergence_tol across
+    consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times
+    in a row. A lane's last trajectory entry is the loss at its final x.
+    Returns ``lanes``.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
-    step = np.empty_like(x)
-    denominator = np.empty_like(x)
-    trajectory: list[float] = []
-    streak = 0
-    converged = False
-    steps = 0
+    step = np.empty_like(lanes[0].x)
+    denominator = np.empty_like(step)
+    live = list(lanes)
     # the pass after the last update only records the loss at the returned x
     for it in range(config.max_iterations + 1):
-        loss, grad = fun(x)
-        if not np.isfinite(loss):
-            tail = ", ".join(f"{value:.6g}" for value in trajectory[-8:])
-            when = "after the final step" if it == config.max_iterations else f"at iteration {it}"
-            raise FitError(f"loss became non-finite {when}; recent losses [{tail}]")
-        trajectory.append(float(loss))
-        if it == config.max_iterations:
+        losses = objective(live)
+        live = [lane for lane, loss in zip(live, losses)
+                if lane.record(it, loss, config, name_at)]
+        if not live:
             break
-        if not np.all(np.isfinite(grad)):
-            bad = int(np.argmin(np.isfinite(grad)))
-            where = name_at(bad) if name_at else f"component {bad}"
-            raise FitError(f"non-finite gradient for {where} at iteration {it}")
-        if it > 0 and it % CONVERGENCE_WINDOW == 0:
-            previous = trajectory[it - CONVERGENCE_WINDOW]
-            relative = abs(trajectory[it] - previous) / max(abs(previous), 1e-12)
-            streak = streak + 1 if relative < config.convergence_tol else 0
-            converged = streak >= config.patience
-            if converged:
-                break
-        # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-        # x -= lr m_hat / (sqrt(v_hat) + eps), in place
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        np.multiply(grad, grad, out=step)
-        step *= 1.0 - ADAM_BETA2
-        v += step
-        steps = it + 1
-        np.divide(m, 1.0 - ADAM_BETA1 ** steps, out=step)
-        step *= config.learning_rate
-        np.divide(v, 1.0 - ADAM_BETA2 ** steps, out=denominator)
-        np.sqrt(denominator, out=denominator)
-        denominator += ADAM_EPSILON
-        step /= denominator
-        x -= step
-    return x, trajectory, converged, steps
+        for lane in live:
+            # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+            # x -= lr m_hat / (sqrt(v_hat) + eps), in place
+            m, v, grad = lane.m, lane.v, lane.gradient
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            np.multiply(grad, grad, out=step)
+            step *= 1.0 - ADAM_BETA2
+            v += step
+            lane.steps = steps = it + 1
+            np.divide(m, 1.0 - ADAM_BETA1 ** steps, out=step)
+            step *= config.learning_rate
+            np.divide(v, 1.0 - ADAM_BETA2 ** steps, out=denominator)
+            np.sqrt(denominator, out=denominator)
+            denominator += ADAM_EPSILON
+            step /= denominator
+            lane.x -= step
+    return lanes
 
 
 def _minimize(table: ResponseTable, pack: ParameterPack, starts, config: FitConfig,
-              nr_mask: np.ndarray | None):
+              nr_masks) -> list[_Lane]:
     """Run Adam on the objective from each (latent, effects, alpha) of
-    ``starts`` and keep the lowest final loss, the earliest on a tie.
+    ``starts``, with the neg-raising term of each restricted to its entry
+    of ``nr_masks``, as lanes in lockstep that share one `Objective`.
 
-    Returns the kept parameters as (latent, effects, alpha), its
-    trajectory, whether it converged and its update steps.
+    Every start must hold the same acceptability slots, bit for bit, or
+    ConsistencyError is raised. Returns the lanes in the order of
+    ``starts``; each lane's x, trajectory, convergence, steps and error
+    are those it gives alone.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
-    nr_mask = _record_mask(nr_mask, table, "nr_mask")
-    objective = Objective(pack, table, nr_mask)
-    best = None
-    for start in starts:
-        outcome = adam_minimize(pack.pack(*start), objective, config, pack.name_at)
-        if best is None or outcome[1][-1] < best[1][-1]:
-            best = outcome
-    x, trajectory, converged, steps = best
-    return pack.unpack(x), trajectory, converged, steps
+    lanes = [_Lane(pack.pack(*start), pack, _record_mask(nr_mask, table, "nr_mask"))
+             for start, nr_mask in zip(starts, nr_masks, strict=True)]
+    first = lanes[0]
+    for lane in lanes[1:]:
+        if any(lane.params[name].tobytes() != first.params[name].tobytes()
+               for name in ACCEPTABILITY_SLOTS):
+            raise ConsistencyError("lanes must start from the same acceptability slots")
+    return _adam(Objective(pack, table), lanes, config, pack.name_at)
+
+
+def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds,
+              nr_masks) -> list[FitResult | FitError]:
+    """`fit` of ``table`` once per seed of ``seeds``, each with its entry
+    of ``nr_masks``, as one `_minimize` whose lanes are every fit's
+    restarts.
+
+    Returns per fit its FitResult, or the FitError that `fit` would raise:
+    that of its lowest-numbered failing restart. Each result is bit for
+    bit what `fit` gives with that seed and mask alone.
+    """
+    alpha0 = logit(clamp_responses(table.cell_mean(table.acceptability)))
+    effects0 = EffectsParams.zeros(table.n_participants)
+    starts, masks = [], []
+    for seed, nr_mask in zip(seeds, nr_masks, strict=True):
+        for child in np.random.SeedSequence(seed).spawn(config.n_restarts):
+            starts.append((FactorParams.random(hyper, table.n_verbs, table.n_frames,
+                                               np.random.default_rng(child), INIT_SCALE),
+                           effects0, alpha0))
+            masks.append(nr_mask)
+    pack = ParameterPack(hyper, table)
+    lanes = _minimize(table, pack, starts, config, masks)
+    results = []
+    for k, (seed, nr_mask) in enumerate(zip(seeds, nr_masks)):
+        restarts = lanes[k * config.n_restarts:(k + 1) * config.n_restarts]
+        failed = [lane.error for lane in restarts if lane.error is not None]
+        if failed:
+            results.append(failed[0])
+            continue
+        # the lowest final loss, the earliest on a tie
+        best = min(restarts, key=lambda lane: lane.trajectory[-1])
+        factors, effects, alpha = pack.unpack(best.x)
+        model = FittedModel(
+            hyper=hyper,
+            verbs=table.verbs,
+            frames=table.frames,
+            participants=table.participants,
+            cells=table.cells.copy(),
+            factors=factors,
+            effects=effects,
+            alpha=alpha,
+            seed=seed,
+            final_loss=float(best.trajectory[-1]),
+            final_data_loss=0.0,
+            converged=best.converged,
+            iterations=best.steps,
+        )
+        # scored the way a saved model is scored, so evaluate() on the training
+        # table reproduces it exactly
+        model.final_data_loss = float(np.sum(_scored_records(model, table, nr_mask)[0]))
+        results.append(FitResult(
+            model=model, trajectory=best.trajectory, iterations_run=best.steps,
+            converged=best.converged,
+            restarts=[Restart(lane.trajectory[-1], lane.steps, lane.converged)
+                      for lane in restarts]))
+    return results
 
 
 def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = None,
@@ -380,38 +514,19 @@ def fit(table: ResponseTable, hyper: Hyperparams, config: FitConfig | None = Non
         nr_mask: boolean record mask restricting the neg-raising data term,
             used by cross-validation to hold sentences out.
 
-    Returns the best restart by final training loss. Deterministic for a
-    fixed seed: restart initializations come from spawned child streams of
-    config.seed and ties keep the earliest restart.
+    The restarts run as lanes of one `_minimize` (see `fit_group`).
+    Returns the best restart by final training loss, with every restart's
+    outcome in ``restarts``; raises the FitError of the lowest-numbered
+    failing restart. Deterministic for a fixed seed: restart
+    initializations come from spawned child streams of config.seed and
+    ties keep the earliest restart.
     """
     if config is None:
         config = FitConfig()
-    alpha0 = logit(clamp_responses(table.cell_mean(table.acceptability)))
-    effects0 = EffectsParams.zeros(table.n_participants)
-    starts = ((FactorParams.random(hyper, table.n_verbs, table.n_frames,
-                                   np.random.default_rng(child), INIT_SCALE), effects0, alpha0)
-              for child in np.random.SeedSequence(config.seed).spawn(config.n_restarts))
-    (factors, effects, alpha), trajectory, converged, steps = _minimize(
-        table, ParameterPack(hyper, table), starts, config, nr_mask)
-    model = FittedModel(
-        hyper=hyper,
-        verbs=table.verbs,
-        frames=table.frames,
-        participants=table.participants,
-        cells=table.cells.copy(),
-        factors=factors,
-        effects=effects,
-        alpha=alpha,
-        seed=config.seed,
-        final_loss=float(trajectory[-1]),
-        final_data_loss=0.0,
-        converged=converged,
-        iterations=steps,
-    )
-    # scored the way a saved model is scored, so evaluate() on the training
-    # table reproduces it exactly
-    model.final_data_loss = float(np.sum(_scored_records(model, table, nr_mask)[0]))
-    return FitResult(model=model, trajectory=trajectory, iterations_run=steps, converged=converged)
+    outcome, = fit_group(table, hyper, config, [config.seed], [nr_mask])
+    if isinstance(outcome, FitError):
+        raise outcome
+    return outcome
 
 
 def _record_mask(mask: np.ndarray | None, table: ResponseTable, name: str) -> np.ndarray | None:

@@ -177,15 +177,16 @@ class TestCrossValidate:
 
     def test_equivalent_points_share_one_fit_per_fold(self, monkeypatch):
         calls = []
-        real_fit = negfactor.evaluation.fit
+        real_minimize = negfactor.optim._minimize
 
-        def counting_fit(table, hyper, *args, **kwargs):
-            calls.append(hyper.as_tuple())
-            return real_fit(table, hyper, *args, **kwargs)
+        def counting_minimize(table, pack, starts, *args, **kwargs):
+            # one fitted lane per start: a fold's fit has one per restart
+            calls.extend([pack.hyper.as_tuple()] * len(starts))
+            return real_minimize(table, pack, starts, *args, **kwargs)
 
         # calls in pool workers would not reach this list: fit in-process
         monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(negfactor.evaluation, "fit", counting_fit)
+        monkeypatch.setattr(negfactor.optim, "_minimize", counting_minimize)
         table = dense_table(n_verbs=5, n_frames=2)
         report = cross_validate(table, [(0, 1), (1, 1)], QUICK)
         assert calls == [(1, 1)] * 5

@@ -11,9 +11,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
-from negfactor import optim, response
+from negfactor import normalization, optim, response
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
-from negfactor.errors import CoverageError, DimensionError, FitError
+from negfactor.errors import ConsistencyError, CoverageError, DimensionError, FitError
 from negfactor.factorization import (FactorParams, Hyperparams, _scatter, _scatter_bins,
                                      link_values)
 from negfactor.model import FittedModel
@@ -24,7 +24,6 @@ from negfactor.optim import (
     Objective,
     ParameterPack,
     _scored_records,
-    adam_minimize,
     evaluate,
     evaluate_per_cell,
     fit,
@@ -112,11 +111,17 @@ def packed(instance):
     return pack, pack.pack(latent, effects, alpha)
 
 
+def evaluated(pack, table, nr_mask, x):
+    """The objective's loss at x, as one lane, and the lane with its gradient."""
+    lane = optim._Lane(x, pack, nr_mask)
+    return Objective(pack, table)([lane])[0], lane
+
+
 def named_gradient(latent, effects, alpha, table, nr_mask):
     """The objective's loss and a copy of its gradient, keyed by slot name."""
     pack, x = packed((table, latent, effects, alpha, nr_mask))
-    loss, gradient = Objective(pack, table, nr_mask)(x)
-    return loss, pack.views(gradient.copy())
+    loss, lane = evaluated(pack, table, nr_mask, x)
+    return loss, pack.views(lane.gradient.copy())
 
 
 def fd_relative_error(instance, h=1e-5):
@@ -125,7 +130,7 @@ def fd_relative_error(instance, h=1e-5):
     way the gradient treats them."""
     table, latent, effects, alpha, nr_mask = instance
     pack, x0 = packed(instance)
-    analytic = Objective(pack, table, nr_mask)(x0)[1].copy()
+    analytic = evaluated(pack, table, nr_mask, x0)[1].gradient
 
     def loss_at(x):
         return reference_objective(table, *pack.unpack(x), weight_alpha=alpha, nr_mask=nr_mask)
@@ -190,12 +195,15 @@ class TestGradientAgainstFiniteDifferences:
         else:
             latent = random_factor_params(rng, hyper, 3, 2, scale=0.7)
         pack = ParameterPack(hyper, table)
-        objective = Objective(pack, table, None)
-        x = pack.pack(latent, random_effects(rng, 2), np.zeros(table.n_cells))
-        _, gradient = objective(x)
+        objective = Objective(pack, table)
+        lane = optim._Lane(pack.pack(latent, random_effects(rng, 2), np.zeros(table.n_cells)),
+                           pack)
+        gradient = lane.gradient
+        objective([lane])
         first = gradient.copy()
         gradient[:] = np.nan
-        _, again = objective(x.copy())
+        objective([lane])
+        again = lane.gradient
         assert again is gradient
         assert np.all(np.isfinite(first))
         assert_array_equal(again, first)
@@ -237,7 +245,8 @@ class TestGradientAgainstFiniteDifferences:
                 continue
             table, latent, effects, alpha, nr_mask = instance
             pack, x0 = packed(instance)
-            loss, g = Objective(pack, table, nr_mask)(x0)
+            loss, lane = evaluated(pack, table, nr_mask, x0)
+            g = lane.gradient
             assert loss == total_loss(table, latent, effects, AcceptabilityCells(alpha),
                                       nr_mask=nr_mask)
             views = pack.views(g)
@@ -265,9 +274,25 @@ class TestLossConsistency:
                 continue
             table, latent, effects, alpha, nr_mask = instance
             pack, x0 = packed(instance)
-            loss, _ = Objective(pack, table, nr_mask)(x0)
+            loss, _ = evaluated(pack, table, nr_mask, x0)
             reference = reference_objective(table, latent, effects, alpha, nr_mask=nr_mask)
             assert_allclose(loss, reference, rtol=1e-12)
+
+
+def adam_minimize(x0, fun, config, name_at=None):
+    """`optim._adam` on one lane of fun(x) -> (loss, grad): (x, trajectory,
+    converged, steps), or the lane's FitError raised."""
+    def objective(lanes):
+        losses = []
+        for lane in lanes:
+            loss, lane.gradient[...] = fun(lane.x)
+            losses.append(loss)
+        return losses
+
+    lane, = optim._adam(objective, [optim._Lane(x0)], config, name_at)
+    if lane.error is not None:
+        raise lane.error
+    return lane.x, lane.trajectory, lane.converged, lane.steps
 
 
 class TestAdamMinimize:
@@ -351,6 +376,134 @@ class TestAdamMinimize:
         assert len(trajectory) == 3 * CONVERGENCE_WINDOW + 1
 
 
+class TestLockstepLanes:
+    """`_minimize` advances its lanes in lockstep and evaluates the
+    acceptability half once per iteration; every lane must still give
+    exactly what it gives alone."""
+
+    SPEC = PlantedSpec(n_verbs=5, n_frames=3, n_participants=6, ratings_per_cell=3, seed=2)
+    HYPER = Hyperparams(2, 1)
+    # lanes 0 and 2 converge after 500 steps and lane 1 after 600, so the
+    # acceptability half moves from lane 0 to lane 1 for the last 100
+    STAGGERED = FitConfig(max_iterations=700, convergence_tol=0.275, patience=1)
+
+    def problem(self):
+        """The table, its layout, and three starts: two seeds and two masks."""
+        table, _ = generate_synthetic(self.SPEC)
+        pack = ParameterPack(self.HYPER, table)
+        alpha0 = response.logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4))
+        effects0 = EffectsParams.zeros(table.n_participants)
+        mask = np.random.default_rng(7).random(table.n_records) < 0.8
+        starts = [(FactorParams.random(self.HYPER, table.n_verbs, table.n_frames,
+                                       np.random.default_rng(seed), 0.5), effects0, alpha0)
+                  for seed in (1, 0, 0)]
+        return table, pack, starts, [mask, None, mask]
+
+    @staticmethod
+    def outcome(lane):
+        return lane.x.tobytes(), lane.trajectory, lane.converged, lane.steps, str(lane.error)
+
+    @pytest.mark.parametrize("config", [FitConfig(max_iterations=250, convergence_tol=0.0),
+                                        STAGGERED], ids=["to-cap", "staggered"])
+    def test_each_lane_is_bit_identical_to_running_alone(self, config):
+        table, pack, starts, masks = self.problem()
+        lanes = optim._minimize(table, pack, starts, config, masks)
+        for lane, start, mask in zip(lanes, starts, masks):
+            alone, = optim._minimize(table, pack, [start], config, [mask])
+            assert self.outcome(lane) == self.outcome(alone)
+            assert lane.error is None
+        if config is self.STAGGERED:
+            assert [(lane.steps, lane.converged) for lane in lanes] == [
+                (500, True), (600, True), (500, True)]
+        # lanes that took the same steps hold one acceptability block
+        first = lanes[0]
+        for lane in lanes:
+            if lane.steps == first.steps:
+                for name in optim.ACCEPTABILITY_SLOTS:
+                    assert lane.params[name].tobytes() == first.params[name].tobytes()
+
+    def test_different_acceptability_starts_are_rejected(self):
+        table, pack, starts, masks = self.problem()
+        factors, effects, alpha = starts[2]
+        nudged = alpha.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        starts[2] = (factors, effects, nudged)
+        with pytest.raises(ConsistencyError, match="acceptability"):
+            optim._minimize(table, pack, starts, FitConfig(max_iterations=5), masks)
+
+    def test_failing_lane_stops_alone(self):
+        table, pack, starts, masks = self.problem()
+        config = FitConfig(max_iterations=150, convergence_tol=0.0)
+        healthy = [self.outcome(lane)
+                   for lane in optim._minimize(table, pack, starts[1:], config, masks[1:])]
+        # the first lane, which evaluates the shared half, fails at once
+        factors = starts[0][0]
+        factors.lambda_logits[0, 0] = np.nan
+        lanes = optim._minimize(table, pack, starts, config, masks)
+        alone, = optim._minimize(table, pack, starts[:1], config, masks[:1])
+        assert str(lanes[0].error) == str(alone.error) == (
+            "loss became non-finite at iteration 0; recent losses []")
+        assert lanes[0].trajectory == [] and lanes[0].steps == 0
+        assert [self.outcome(lane) for lane in lanes[1:]] == healthy
+
+    def test_fit_raises_the_error_of_the_lowest_failing_restart(self, monkeypatch):
+        table, _ = generate_synthetic(self.SPEC)
+        real_random, real_minimize = FactorParams.random, optim._minimize
+        drawn, runs = [], []
+
+        def poisoned(*args, **kwargs):
+            # restarts 1 and 3 of four start from a non-finite logit
+            factors = real_random(*args, **kwargs)
+            if len(drawn) in (1, 3):
+                factors.lambda_logits[0, 0] = np.nan
+            drawn.append(factors)
+            return factors
+
+        def recording(*args, **kwargs):
+            runs.append(real_minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optim.FactorParams, "random", poisoned)
+        monkeypatch.setattr(optim, "_minimize", recording)
+        with pytest.raises(FitError) as raised:
+            fit(table, self.HYPER, FitConfig(max_iterations=20, n_restarts=4))
+        lanes, = runs
+        assert [lane.error is None for lane in lanes] == [True, False, True, False]
+        assert raised.value is lanes[1].error
+
+
+class TestRestartOutcomes:
+    def test_kept_restart_is_the_lowest_final_loss(self):
+        table, _ = generate_synthetic(TestLockstepLanes.SPEC)
+        result = fit(table, Hyperparams(1, 2),
+                     FitConfig(max_iterations=120, n_restarts=3, seed=6))
+        losses = [restart.final_loss for restart in result.restarts]
+        assert len(set(losses)) == 3
+        kept = result.restarts[losses.index(min(losses))]
+        assert kept.final_loss == result.model.final_loss == result.trajectory[-1]
+        assert (kept.steps, kept.converged) == (result.iterations_run, result.converged)
+        assert all(restart.steps == 120 for restart in result.restarts)
+
+    def test_tied_restarts_keep_the_earliest(self, monkeypatch):
+        table, _ = generate_synthetic(TestLockstepLanes.SPEC)
+        real_random, real_minimize = FactorParams.random, optim._minimize
+        runs = []
+
+        def same_draw(hyper, n_verbs, n_frames, rng, scale):
+            return real_random(hyper, n_verbs, n_frames, np.random.default_rng(0), scale)
+
+        def recording(*args, **kwargs):
+            runs.append(real_minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(optim.FactorParams, "random", same_draw)
+        monkeypatch.setattr(optim, "_minimize", recording)
+        result = fit(table, Hyperparams(1, 1), FitConfig(max_iterations=30, n_restarts=3))
+        lanes, = runs
+        assert len({restart.final_loss for restart in result.restarts}) == 1
+        assert result.trajectory is lanes[0].trajectory
+
+
 class TestPinnedRuns:
     """Seeded 200-iteration runs reproduce, bit for bit, the final loss and
     the loss trajectory recorded from the objective as it was before it was
@@ -383,12 +536,13 @@ class TestPinnedRuns:
         runs = []
 
         def recording(*args, **kwargs):
-            runs.append(adam_minimize(*args, **kwargs))
+            runs.append(optim._minimize(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(optim, "adam_minimize", recording)
+        monkeypatch.setattr(normalization, "_minimize", recording)
         normalize(table, FitConfig(max_iterations=200, convergence_tol=0.0))
-        trajectory = runs[0][1]
+        (lane,), = runs
+        trajectory = lane.trajectory
         assert repr(trajectory[-1]) == "-25.228106027040784"
         assert self.digest(trajectory) == "0f0e27228fb69637"
 

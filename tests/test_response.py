@@ -68,8 +68,8 @@ def predict_acceptability(alpha, effects, participant):
 def prior_penalty(effects):
     """The prior term of the objective, as `optim.prior_backward` returns it."""
     params = {name: np.asarray(value, dtype=float) for name, value in vars(effects).items()}
-    return prior_backward(params, {name: np.zeros(np.shape(value))
-                                   for name, value in params.items()})
+    grads = {name: np.zeros(np.shape(value)) for name, value in params.items()}
+    return sum(prior_backward(params, grads, ("beta", "sigma", "beta_acc", "sigma_acc")))
 
 
 class TestSigmoidAndLogit:
