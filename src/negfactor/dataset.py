@@ -193,8 +193,9 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
 
     Raises:
         SchemaError: a required column is missing from the header.
-        RowError: a row has an unparseable or out-of-range response, or an
-            unknown frame/subject/tense label (only when on_error="fail").
+        RowError: a row has an unparseable or out-of-range response, a
+            missing or empty verb or participant, or an unknown
+            frame/subject/tense label (only when on_error="fail").
     """
     if on_error not in ("fail", "drop"):
         raise ValueError(f'on_error must be "fail" or "drop", got {on_error!r}')
@@ -234,6 +235,8 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
                 continue
             line = reader.line_num  # where the record ends, past blank lines and quoted newlines
             try:
+                if not verb or not participant:
+                    raise RowError(line, f"missing {'participant' if verb else 'verb'}")
                 if frame not in frame_ids:
                     raise RowError(line, f"unknown frame label {frame!r}")
                 if subject not in subject_ids:

@@ -59,14 +59,12 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
     """
     if config is None:
         config = FitConfig()
-    start = (logit(clamp_responses(table.cell_mean(table.negraising))),
-             EffectsParams.zeros(table.n_participants),
-             logit(clamp_responses(table.cell_mean(table.acceptability))))
+    nu0 = logit(clamp_responses(table.cell_mean(table.negraising)))
     pack = ParameterPack(None, table)
-    lane, = _minimize(table, pack, [start], config, [None])
+    lane, = _minimize(table, pack, [nu0], config, [None])
     if lane.error is not None:
         raise lane.error
-    nu, effects, alpha = pack.unpack(lane.x)
+    nu, effects, alpha = pack.unpack(lane.x, lane.shared)
     scaled = np.exp(effects.sigma0) * nu
     if inside_link:
         score = expit(scaled + effects.beta0)

@@ -10,15 +10,13 @@ hard cells.
 minimized by `_minimize`, the one optimizer driver, for `fit` (over the
 factor logits), for `cross_validate`'s fold fits and for
 `normalization.normalize` (one free nu per cell). The driver advances
-several start points, its lanes, in lockstep. Because alpha is blocked,
-the acceptability half of the objective reads nothing of the neg-raising
-half, and Adam updates each coordinate on its own: lanes that start from
-one acceptability block follow one trajectory in it, so each iteration
-evaluates that half once for every lane. What does not depend on the
+several start points, its lanes, in lockstep; as alpha is blocked and
+Adam updates each coordinate on its own, it holds the acceptability
+block once and each lane only its own. What does not depend on the
 point is built once per table. Its nu comes from
 `factorization.CellLink`, whose backward pass gives the factor-logit
 gradient, and its link and divergence from `response`. Each piece writes
-the gradient of what it reads into that parameter's view of a lane's
+the gradient of what it reads into that parameter's view of its block's
 gradient vector; only `ParameterPack` knows the flat layout behind the
 views.
 """
@@ -46,7 +44,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 INIT_SCALE = 0.5
-# the slots that the acceptability half of the objective reads and writes
+# the slots of the acceptability block, which the lanes of a `_minimize` call share
 ACCEPTABILITY_SLOTS = ("beta0_acc", "sigma0_acc", "beta_acc", "sigma_acc", "log_var_beta_acc",
                        "log_var_sigma_acc", "alpha")
 
@@ -95,20 +93,22 @@ class FitResult:
 
 
 class ParameterPack:
-    """Flat-vector layout of every optimized parameter of ``table``: the
-    only code that builds or reads the optimizer's flat vector.
+    """Flat-vector layout of one block of the optimized parameters of
+    ``table``: the only code that builds or reads the optimizer's flat
+    vectors.
 
-    The latent block comes first and holds the factor logits of ``hyper``
+    A lane's block holds the latent block, the factor logits of ``hyper``
     (``fit``) or, when ``hyper`` is None, one free nu per cell
-    (``normalize``). Frozen boundary factor arrays are simply absent from
-    the layout, so they can never receive updates. The slots of every
-    ``EffectsParams`` field and of alpha follow the latent block.
+    (``normalize``), then the neg-raising effects; frozen boundary factor
+    arrays are absent, so they can never receive updates. Its ``shared``
+    pack, built with ``shared=True``, holds the ACCEPTABILITY_SLOTS.
     """
 
-    def __init__(self, hyper: Hyperparams | None, table: ResponseTable):
+    def __init__(self, hyper: Hyperparams | None, table: ResponseTable, shared: bool = False):
         self.hyper = hyper
         self.n_verbs = table.n_verbs
         self.n_frames = table.n_frames
+        self.shared = None if shared else ParameterPack(None, table, shared=True)
         if hyper is None:
             layout = [("nu", (table.n_cells,))]
         else:
@@ -118,20 +118,25 @@ class ParameterPack:
         layout += [(name, np.shape(value))
                    for name, value in vars(EffectsParams.zeros(table.n_participants)).items()]
         layout.append(("alpha", (table.n_cells,)))
+        layout = [(name, shape) for name, shape in layout if (name in ACCEPTABILITY_SLOTS) == shared]
         ends = np.cumsum([math.prod(shape) for _, shape in layout]).tolist()
         self._slices = {name: (slice(end - math.prod(shape), end), shape)
                         for (name, shape), end in zip(layout, ends)}
         self.size = ends[-1]
 
-    def pack(self, latent: FactorParams | np.ndarray, effects: EffectsParams,
-             alpha: np.ndarray) -> np.ndarray:
+    def pack(self, latent: FactorParams | np.ndarray | None, effects: EffectsParams,
+             alpha: np.ndarray | None) -> np.ndarray:
+        """The block's slots of (latent, effects, alpha), flat."""
         named = {"nu": latent} if self.hyper is None else latent.arrays()
         named.update(vars(effects), alpha=alpha)
         return np.concatenate([np.ravel(named[name]) for name in self._slices])
 
-    def unpack(self, x: np.ndarray) -> tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray]:
-        named = {name: x[sl].reshape(shape).copy() if shape else float(x[sl][0])
-                 for name, (sl, shape) in self._slices.items()}
+    def unpack(self, x: np.ndarray, shared_x: np.ndarray
+               ) -> tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray]:
+        """(latent, effects, alpha) from a lane's block ``x`` and the
+        acceptability block ``shared_x``."""
+        named = {name: view.copy() if view.ndim else float(view)
+                 for name, view in (self.views(x) | self.shared.views(shared_x)).items()}
         if self.hyper is None:
             latent = named.pop("nu")
         else:
@@ -142,9 +147,9 @@ class ParameterPack:
         return latent, EffectsParams(**named), alpha
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Each slot of ``vector``, laid out like the flat point (the point,
-        its gradient, or the factor probabilities of its latent block), as
-        a view in the slot's shape, keyed by slot name; a scalar slot is a
+        """Each slot of ``vector``, laid out like the block (its point, its
+        gradient, or the factor probabilities of its latent block), as a
+        view in the slot's shape, keyed by slot name; a scalar slot is a
         0-d view."""
         return {name: vector[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
 
@@ -152,7 +157,6 @@ class ParameterPack:
         for name, (sl, _) in self._slices.items():
             if sl.start <= flat_index < sl.stop:
                 return f"{name}[{flat_index - sl.start}]"
-        return f"component {flat_index}"
 
 
 class _Channel(NamedTuple):
@@ -232,33 +236,39 @@ def prior_backward(params: dict, grads: dict, groups: tuple[str, ...]) -> list[f
 
 
 class _Lane:
-    """One start point that `_adam` advances: its point x, updated in
-    place, the gradient at x, Adam's moments, the losses so far, and how
-    the run ended (``converged``, ``steps`` and ``error``, the FitError
-    that stopped it). With a ``pack``, ``params`` and ``grads`` are the
-    slot views of x and of the gradient; ``nr_mask`` restricts the lane's
-    neg-raising term.
+    """One block that `_adam` steps, a lane's own or the shared
+    acceptability block: its point x, updated in place, the gradient at x,
+    Adam's moments and buffers, and the slot views of x and of the
+    gradient. A lane also keeps its ``nr_mask``, its losses so far, how the
+    run ended (``converged``, ``steps`` and ``error``, the FitError that
+    stopped it) and ``shared``, the shared x where it stopped.
     """
 
-    def __init__(self, x0: np.ndarray, pack: ParameterPack | None = None,
-                 nr_mask: np.ndarray | None = None):
+    def __init__(self, pack: ParameterPack, x0: np.ndarray, nr_mask: np.ndarray | None):
+        self.name_at = pack.name_at
         self.x = np.array(x0, dtype=float, copy=True)
         self.gradient = np.empty_like(self.x)
+        self.params, self.grads = pack.views(self.x), pack.views(self.gradient)
         self.nr_mask = nr_mask
-        if pack is not None:
-            self.params, self.grads = pack.views(self.x), pack.views(self.gradient)
         self.m = np.zeros_like(self.x)
         self.v = np.zeros_like(self.x)
+        self.scratch = np.empty_like(self.x), np.empty_like(self.x)
         self.trajectory: list[float] = []
         self.streak = 0
         self.converged = False
         self.steps = 0
         self.error: FitError | None = None
+        self.shared: np.ndarray | None = None
 
-    def record(self, it: int, loss: float, config: FitConfig, name_at) -> bool:
+    def non_finite(self) -> str | None:
+        """The name of the first non-finite gradient entry, if any."""
+        finite = np.isfinite(self.gradient)
+        return None if np.all(finite) else self.name_at(int(np.argmin(finite)))
+
+    def record(self, it: int, loss: float, config: FitConfig, shared_bad: str | None) -> bool:
         """Record the loss at iteration ``it``; False if the lane stops
         there: at the iteration cap, converged, or failed with a non-finite
-        loss or gradient."""
+        loss or gradient entry, its own named before ``shared_bad``."""
         if not np.isfinite(loss):
             tail = ", ".join(f"{value:.6g}" for value in self.trajectory[-8:])
             when = "after the final step" if it == config.max_iterations else f"at iteration {it}"
@@ -267,10 +277,9 @@ class _Lane:
         self.trajectory.append(float(loss))
         if it == config.max_iterations:
             return False
-        if not np.all(np.isfinite(self.gradient)):
-            bad = int(np.argmin(np.isfinite(self.gradient)))
-            where = name_at(bad) if name_at else f"component {bad}"
-            self.error = FitError(f"non-finite gradient for {where} at iteration {it}")
+        bad = self.non_finite() or shared_bad
+        if bad is not None:
+            self.error = FitError(f"non-finite gradient for {bad} at iteration {it}")
             return False
         if it > 0 and it % CONVERGENCE_WINDOW == 0:
             previous = self.trajectory[it - CONVERGENCE_WINDOW]
@@ -282,23 +291,21 @@ class _Lane:
 
 class Objective:
     """The one objective: weighted neg-raising and acceptability
-    divergences plus the prior, over the flat vector of ``pack`` on
-    ``table``, in two halves.
+    divergences plus the prior, over the blocks of ``pack`` on ``table``,
+    in two halves.
 
     The acceptability half is that channel, the prior on its effects, and
-    the neg-raising weights expit(alpha); it reads only the
-    ACCEPTABILITY_SLOTS. The neg-raising half reads the other slots and
-    the weights: its nu comes from the free nu of the latent block
-    (``hyper`` None) or from the factor logits, through one sigmoid over
-    the whole block and the `CellLink`.
+    the neg-raising weights expit(alpha); it reads only the acceptability
+    block. The neg-raising half reads a lane's own block and the weights:
+    its nu comes from the free nu of the latent block (``hyper`` None) or
+    from the factor logits, through one sigmoid over the whole block and
+    the `CellLink`.
 
-    Called on lanes that share their acceptability slots, it evaluates
-    the acceptability half once, at the first lane, copies that half's
-    gradient into the other lanes, and runs each lane's neg-raising half
-    under its own ``nr_mask``. It writes each lane's gradient in full and
+    Called on the acceptability block and the lanes that share it, it
+    evaluates that half once and each lane's neg-raising half under the
+    lane's own ``nr_mask``, writes every block's gradient in full, and
     returns the lanes' losses. What does not depend on the point is built
-    once and shared by the lanes: 1 - r of each channel and the cell
-    link's constants.
+    once: 1 - r of each channel and the cell link's constants.
     """
 
     def __init__(self, pack: ParameterPack, table: ResponseTable):
@@ -316,21 +323,14 @@ class Objective:
                 factor_shapes(pack.hyper, table.n_verbs, table.n_frames),
                 {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
 
-    def __call__(self, lanes: list[_Lane]) -> list[float]:
-        first = lanes[0]
+    def __call__(self, shared: _Lane, lanes: list[_Lane]) -> list[float]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            shared = self._acceptability_half(first.params, first.grads)
-            losses = []
-            for lane in lanes:
-                if lane is not first:
-                    for name in ACCEPTABILITY_SLOTS:
-                        lane.grads[name][...] = first.grads[name]
-                losses.append(self._negraising_half(lane, *shared))
-        return losses
+            halves = self._acceptability_half(shared.params, shared.grads)
+            return [self._negraising_half(lane, *halves) for lane in lanes]
 
     def _acceptability_half(self, params: dict, grads: dict):
         """The acceptability loss and prior penalties, and the neg-raising
-        weights; writes the gradient of every acceptability slot."""
+        weights; writes the acceptability block's gradient."""
         alpha = params["alpha"]
         acc_loss, g_alpha = channel_backward(alpha, self.table, self.acceptability, params, grads)
         grads["alpha"][:] = g_alpha
@@ -339,7 +339,7 @@ class Objective:
 
     def _negraising_half(self, lane: _Lane, acc_loss: float, acc_penalties: list[float],
                          weights: np.ndarray) -> float:
-        """The lane's total loss; writes the gradient of every other slot."""
+        """The lane's total loss; writes the gradient of its own block."""
         params, grads = lane.params, lane.grads
         if self.link is None:
             nu = params["nu"]
@@ -375,74 +375,75 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
         raise ConsistencyError(f"(latent, participant, alpha) sizes {got} do not match the "
                                f"table's {want}")
     pack = ParameterPack(None if free else factors.hyper, table)
-    lane = _Lane(pack.pack(factors, effects, cells.alpha), pack,
-                 _record_mask(nr_mask, table, "nr_mask"))
-    return Objective(pack, table)([lane])[0]
+    shared = _Lane(pack.shared, pack.shared.pack(None, effects, cells.alpha), None)
+    lane = _Lane(pack, pack.pack(factors, effects, None), _record_mask(nr_mask, table, "nr_mask"))
+    return Objective(pack, table)(shared, [lane])[0]
 
 
-def _adam(objective, lanes: list[_Lane], config: FitConfig, name_at=None) -> list[_Lane]:
-    """Minimize by Adam from each lane's start, the lanes in lockstep.
+def _adam(objective, shared: _Lane, lanes: list[_Lane], config: FitConfig) -> list[_Lane]:
+    """Minimize by Adam from the lanes' starts and the acceptability block
+    ``shared``, the lanes in lockstep.
 
-    At each iteration ``objective(live)`` writes the gradient at each live
-    lane's x into the lane and returns their losses; then each live lane
-    records its loss (`_Lane.record`) and, unless it stops, takes one Adam
-    step. Convergence: relative loss change below convergence_tol across
+    At each iteration ``objective(shared, live)`` writes every block's
+    gradient and returns the live lanes' losses; each live lane records its
+    loss (`_Lane.record`), and a lane that stops keeps a copy of the shared
+    x. Then the shared block and each live lane take one Adam step.
+    Convergence: relative loss change below convergence_tol across
     consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times
     in a row. A lane's last trajectory entry is the loss at its final x.
     Returns ``lanes``.
     """
-    step = np.empty_like(lanes[0].x)
-    denominator = np.empty_like(step)
     live = list(lanes)
     # the pass after the last update only records the loss at the returned x
     for it in range(config.max_iterations + 1):
-        losses = objective(live)
-        live = [lane for lane, loss in zip(live, losses)
-                if lane.record(it, loss, config, name_at)]
+        losses = objective(shared, live)
+        shared_bad = shared.non_finite()
+        for lane, loss in zip(live, losses):
+            if not lane.record(it, loss, config, shared_bad):
+                lane.shared = shared.x.copy()
+        live = [lane for lane in live if lane.shared is None]
         if not live:
             break
-        for lane in live:
+        for block in [shared, *live]:
             # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
             # x -= lr m_hat / (sqrt(v_hat) + eps), in place
-            m, v, grad = lane.m, lane.v, lane.gradient
+            m, v, grad, (step, denominator) = block.m, block.v, block.gradient, block.scratch
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * grad
             v *= ADAM_BETA2
             np.multiply(grad, grad, out=step)
             step *= 1.0 - ADAM_BETA2
             v += step
-            lane.steps = steps = it + 1
+            block.steps = steps = it + 1
             np.divide(m, 1.0 - ADAM_BETA1 ** steps, out=step)
             step *= config.learning_rate
             np.divide(v, 1.0 - ADAM_BETA2 ** steps, out=denominator)
             np.sqrt(denominator, out=denominator)
             denominator += ADAM_EPSILON
             step /= denominator
-            lane.x -= step
+            block.x -= step
     return lanes
 
 
-def _minimize(table: ResponseTable, pack: ParameterPack, starts, config: FitConfig,
+def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitConfig,
               nr_masks) -> list[_Lane]:
-    """Run Adam on the objective from each (latent, effects, alpha) of
-    ``starts``, with the neg-raising term of each restricted to its entry
-    of ``nr_masks``, as lanes in lockstep that share one `Objective`.
+    """Run Adam from each latent start of ``latents``, its neg-raising
+    term restricted to its entry of ``nr_masks``, as lanes in lockstep that
+    share one `Objective` and one acceptability block.
 
-    Every start must hold the same acceptability slots, bit for bit, or
-    ConsistencyError is raised. Returns the lanes in the order of
-    ``starts``; each lane's x, trajectory, convergence, steps and error
-    are those it gives alone.
+    Effects start at zero and alpha at the logit of each cell's clamped
+    mean acceptability. Returns the lanes in the order of ``latents``; each
+    lane's blocks, trajectory, convergence, steps and error are those it
+    gives alone.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
-    lanes = [_Lane(pack.pack(*start), pack, _record_mask(nr_mask, table, "nr_mask"))
-             for start, nr_mask in zip(starts, nr_masks, strict=True)]
-    first = lanes[0]
-    for lane in lanes[1:]:
-        if any(lane.params[name].tobytes() != first.params[name].tobytes()
-               for name in ACCEPTABILITY_SLOTS):
-            raise ConsistencyError("lanes must start from the same acceptability slots")
-    return _adam(Objective(pack, table), lanes, config, pack.name_at)
+    effects = EffectsParams.zeros(table.n_participants)
+    alpha = logit(clamp_responses(table.cell_mean(table.acceptability)))
+    shared = _Lane(pack.shared, pack.shared.pack(None, effects, alpha), None)
+    lanes = [_Lane(pack, pack.pack(latent, effects, None), _record_mask(nr_mask, table, "nr_mask"))
+             for latent, nr_mask in zip(latents, nr_masks, strict=True)]
+    return _adam(Objective(pack, table), shared, lanes, config)
 
 
 def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds,
@@ -455,17 +456,14 @@ def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds
     that of its lowest-numbered failing restart. Each result is bit for
     bit what `fit` gives with that seed and mask alone.
     """
-    alpha0 = logit(clamp_responses(table.cell_mean(table.acceptability)))
-    effects0 = EffectsParams.zeros(table.n_participants)
-    starts, masks = [], []
+    latents, masks = [], []
     for seed, nr_mask in zip(seeds, nr_masks, strict=True):
         for child in np.random.SeedSequence(seed).spawn(config.n_restarts):
-            starts.append((FactorParams.random(hyper, table.n_verbs, table.n_frames,
-                                               np.random.default_rng(child), INIT_SCALE),
-                           effects0, alpha0))
+            latents.append(FactorParams.random(hyper, table.n_verbs, table.n_frames,
+                                               np.random.default_rng(child), INIT_SCALE))
             masks.append(nr_mask)
     pack = ParameterPack(hyper, table)
-    lanes = _minimize(table, pack, starts, config, masks)
+    lanes = _minimize(table, pack, latents, config, masks)
     results = []
     for k, (seed, nr_mask) in enumerate(zip(seeds, nr_masks)):
         restarts = lanes[k * config.n_restarts:(k + 1) * config.n_restarts]
@@ -475,7 +473,7 @@ def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds
             continue
         # the lowest final loss, the earliest on a tie
         best = min(restarts, key=lambda lane: lane.trajectory[-1])
-        factors, effects, alpha = pack.unpack(best.x)
+        factors, effects, alpha = pack.unpack(best.x, best.shared)
         model = FittedModel(
             hyper=hyper,
             verbs=table.verbs,

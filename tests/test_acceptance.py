@@ -135,6 +135,7 @@ RECOVERY_CONFIG = FitConfig(learning_rate=0.02, max_iterations=8_000,
 RECOVERY_FOLD_SEED = 1
 
 
+@pytest.mark.slow
 def test_criterion_3_synthetic_recovery():
     def check():
         table, resolved = generate_synthetic(RECOVERY_SPEC)
@@ -187,6 +188,7 @@ CAPACITY_CONFIG = FitConfig(max_iterations=10_000, n_restarts=5,
                             convergence_tol=1e-7, patience=2, seed=0)
 
 
+@pytest.mark.slow
 def test_criterion_4_capacity_monotonicity():
     def check():
         table, _ = generate_synthetic(CAPACITY_SPEC)

@@ -182,6 +182,23 @@ class TestLoadCsv:
         with pytest.warns(UserWarning, match="dropped 1"):
             assert load_csv(path, on_error="drop").verbs == ("think",)
 
+    @pytest.mark.parametrize("column", ["verb", "participant"])
+    def test_missing_or_empty_label_is_a_row_error_naming_its_line(self, tmp_path, column):
+        # with the column last in the header, a record one field short lacks
+        # it; write_csv would write either kind as an empty label
+        values = {"verb": "think", "frame": f'"{FRAME_LABELS[0]}"', "subject": "first",
+                  "tense": "past", "participant": "p1", "negraising": "0.9", "acceptability": "0.8"}
+        names = [name for name in values if name != column] + [column]
+        good = ",".join(values[name] for name in names)
+        short = good.rsplit(",", 1)[0]
+        for kind, bad in (("missing", short), ("empty", short + ",")):
+            path = write_lines(tmp_path / f"{kind}.csv", [",".join(names), good, bad])
+            with pytest.raises(RowError, match=f"line 3: missing {column}"):
+                load_csv(path)
+            with pytest.warns(UserWarning, match="dropped 1"):
+                table = load_csv(path, on_error="drop")
+            assert (table.verbs, table.participants, table.n_records) == (("think",), ("p1",), 1)
+
     def test_extra_trailing_field_is_ignored(self, tmp_path):
         row = f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8'
         plain = load_csv(write_lines(tmp_path / "plain.csv", [HEADER, row]))

@@ -13,7 +13,7 @@ from scipy.special import expit, logit
 
 from negfactor import normalization, optim, response
 from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
-from negfactor.errors import ConsistencyError, CoverageError, DimensionError, FitError
+from negfactor.errors import CoverageError, DimensionError, FitError
 from negfactor.factorization import (FactorParams, Hyperparams, _scatter, _scatter_bins,
                                      link_values)
 from negfactor.model import FittedModel
@@ -104,36 +104,41 @@ def random_instance(seed):
 
 
 def packed(instance):
-    """The instance's parameter layout and its flat point."""
+    """The instance's parameter layout and its point: the lane's block and
+    the acceptability block, each flat."""
     table, latent, effects, alpha, _ = instance
     hyper = latent.hyper if isinstance(latent, FactorParams) else None
     pack = ParameterPack(hyper, table)
-    return pack, pack.pack(latent, effects, alpha)
+    return pack, pack.pack(latent, effects, alpha), pack.shared.pack(latent, effects, alpha)
 
 
-def evaluated(pack, table, nr_mask, x):
-    """The objective's loss at x, as one lane, and the lane with its gradient."""
-    lane = optim._Lane(x, pack, nr_mask)
-    return Objective(pack, table)([lane])[0], lane
+def evaluated(pack, table, nr_mask, x, shared_x):
+    """The objective's loss at (x, shared_x), as one lane, and the lane and
+    the acceptability block with their gradients."""
+    lane, shared = optim._Lane(pack, x, nr_mask), optim._Lane(pack.shared, shared_x, None)
+    return Objective(pack, table)(shared, [lane])[0], lane, shared
 
 
 def named_gradient(latent, effects, alpha, table, nr_mask):
     """The objective's loss and a copy of its gradient, keyed by slot name."""
-    pack, x = packed((table, latent, effects, alpha, nr_mask))
-    loss, lane = evaluated(pack, table, nr_mask, x)
-    return loss, pack.views(lane.gradient.copy())
+    pack, x, shared_x = packed((table, latent, effects, alpha, nr_mask))
+    loss, lane, shared = evaluated(pack, table, nr_mask, x, shared_x)
+    return loss, pack.views(lane.gradient.copy()) | pack.shared.views(shared.gradient.copy())
 
 
 def fd_relative_error(instance, h=1e-5):
     """Worst relative gap between the analytic gradient and central
     differences of the total loss, with the per-record weights frozen the
-    way the gradient treats them."""
+    way the gradient treats them, over both blocks."""
     table, latent, effects, alpha, nr_mask = instance
-    pack, x0 = packed(instance)
-    analytic = evaluated(pack, table, nr_mask, x0)[1].gradient
+    pack, x, shared_x = packed(instance)
+    _, lane, shared = evaluated(pack, table, nr_mask, x, shared_x)
+    analytic = np.concatenate([lane.gradient, shared.gradient])
+    x0 = np.concatenate([x, shared_x])
 
-    def loss_at(x):
-        return reference_objective(table, *pack.unpack(x), weight_alpha=alpha, nr_mask=nr_mask)
+    def loss_at(point):
+        return reference_objective(table, *pack.unpack(point[:pack.size], point[pack.size:]),
+                                   weight_alpha=alpha, nr_mask=nr_mask)
 
     numeric = finite_difference_gradient(loss_at, x0, h=h)
     rel = np.abs(analytic - numeric) / np.maximum(
@@ -185,9 +190,9 @@ class TestGradientAgainstFiniteDifferences:
         Hyperparams(i, t) for i in range(5) for t in range(5) if (i, t) != (0, 0)
     ], ids=layout_id)
     def test_gradient_names_are_the_layout_slots(self, hyper):
-        # the gradient is written by slot into one vector that every call
-        # reuses, so a slot a call skips would keep a stale value: poisoned
-        # with nan, the vector must come back whole and unchanged
+        # each block's gradient is written by slot into one vector that every
+        # call reuses, so a slot a call skips would keep a stale value:
+        # poisoned with nan, each vector must come back whole and unchanged
         rng = np.random.default_rng(5)
         table = random_table(rng, n_verbs=3, n_frames=2, n_participants=2)
         if hyper is None:
@@ -196,19 +201,23 @@ class TestGradientAgainstFiniteDifferences:
             latent = random_factor_params(rng, hyper, 3, 2, scale=0.7)
         pack = ParameterPack(hyper, table)
         objective = Objective(pack, table)
-        lane = optim._Lane(pack.pack(latent, random_effects(rng, 2), np.zeros(table.n_cells)),
-                           pack)
-        gradient = lane.gradient
-        objective([lane])
-        first = gradient.copy()
-        gradient[:] = np.nan
-        objective([lane])
-        again = lane.gradient
-        assert again is gradient
-        assert np.all(np.isfinite(first))
-        assert_array_equal(again, first)
-        slots = {pack.name_at(i).split("[")[0] for i in range(pack.size)}
-        assert set(pack.views(gradient)) == slots
+        effects, alpha = random_effects(rng, 2), np.zeros(table.n_cells)
+        lane = optim._Lane(pack, pack.pack(latent, effects, alpha), None)
+        shared = optim._Lane(pack.shared, pack.shared.pack(latent, effects, alpha), None)
+        for block, block_pack in ((lane, pack), (shared, pack.shared)):
+            gradient = block.gradient
+            objective(shared, [lane])
+            first = gradient.copy()
+            gradient[:] = np.nan
+            objective(shared, [lane])
+            again = block.gradient
+            assert again is gradient
+            assert np.all(np.isfinite(first))
+            assert_array_equal(again, first)
+            slots = {block_pack.name_at(i).split("[")[0] for i in range(block_pack.size)}
+            assert set(block_pack.views(gradient)) == slots
+        assert set(pack.shared.views(shared.gradient)) == set(optim.ACCEPTABILITY_SLOTS)
+        assert not set(pack.views(lane.gradient)) & set(optim.ACCEPTABILITY_SLOTS)
 
     @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 3), Hyperparams(0, 2),
                                        Hyperparams(3, 0)], ids=layout_id)
@@ -222,9 +231,10 @@ class TestGradientAgainstFiniteDifferences:
         effects = random_effects(rng, 3)
         alpha = rng.normal(size=table.n_cells)
         pack = ParameterPack(hyper, table)
-        x = pack.pack(latent, effects, alpha)
+        x, shared_x = pack.pack(latent, effects, alpha), pack.shared.pack(latent, effects, alpha)
         assert x.shape == (pack.size,)
-        got_latent, got_effects, got_alpha = pack.unpack(x)
+        assert shared_x.shape == (pack.shared.size,)
+        got_latent, got_effects, got_alpha = pack.unpack(x, shared_x)
         if hyper is None:
             assert_array_equal(got_latent, latent)
         else:
@@ -244,14 +254,14 @@ class TestGradientAgainstFiniteDifferences:
             if instance is None:
                 continue
             table, latent, effects, alpha, nr_mask = instance
-            pack, x0 = packed(instance)
-            loss, lane = evaluated(pack, table, nr_mask, x0)
-            g = lane.gradient
+            pack, x, shared_x = packed(instance)
+            loss, lane, shared = evaluated(pack, table, nr_mask, x, shared_x)
             assert loss == total_loss(table, latent, effects, AcceptabilityCells(alpha),
                                       nr_mask=nr_mask)
-            views = pack.views(g)
-            assert all(np.shares_memory(view, g) for view in views.values())
-            assert_array_equal(np.concatenate([np.ravel(v) for v in views.values()]), g)
+            for g, block_pack in ((lane.gradient, pack), (shared.gradient, pack.shared)):
+                views = block_pack.views(g)
+                assert all(np.shares_memory(view, g) for view in views.values())
+                assert_array_equal(np.concatenate([np.ravel(v) for v in views.values()]), g)
 
     def test_gradient_scatter_is_bit_identical_to_add_at(self):
         # the factor gradients are summed per verb, frame or (subject,
@@ -273,23 +283,37 @@ class TestLossConsistency:
             if instance is None:
                 continue
             table, latent, effects, alpha, nr_mask = instance
-            pack, x0 = packed(instance)
-            loss, _ = evaluated(pack, table, nr_mask, x0)
+            pack, x, shared_x = packed(instance)
+            loss, _, _ = evaluated(pack, table, nr_mask, x, shared_x)
             reference = reference_objective(table, latent, effects, alpha, nr_mask=nr_mask)
             assert_allclose(loss, reference, rtol=1e-12)
 
 
-def adam_minimize(x0, fun, config, name_at=None):
-    """`optim._adam` on one lane of fun(x) -> (loss, grad): (x, trajectory,
-    converged, steps), or the lane's FitError raised."""
-    def objective(lanes):
+class BetaPack:
+    """A layout of one slot, "beta", standing in for `ParameterPack`."""
+
+    @staticmethod
+    def views(vector):
+        return {"beta": vector}
+
+    @staticmethod
+    def name_at(flat_index):
+        return f"beta[{flat_index}]"
+
+
+def adam_minimize(x0, fun, config):
+    """`optim._adam` on one lane of fun(x) -> (loss, grad), with an empty
+    acceptability block: (x, trajectory, converged, steps), or the lane's
+    FitError raised."""
+    def objective(shared, lanes):
         losses = []
         for lane in lanes:
             loss, lane.gradient[...] = fun(lane.x)
             losses.append(loss)
         return losses
 
-    lane, = optim._adam(objective, [optim._Lane(x0)], config, name_at)
+    shared = optim._Lane(BetaPack, np.zeros(0), None)
+    lane, = optim._adam(objective, shared, [optim._Lane(BetaPack, x0, None)], config)
     if lane.error is not None:
         raise lane.error
     return lane.x, lane.trajectory, lane.converged, lane.steps
@@ -352,8 +376,7 @@ class TestAdamMinimize:
             return 1.0, grad
 
         with pytest.raises(FitError, match="beta"):
-            adam_minimize(np.zeros(2), objective, FitConfig(max_iterations=10),
-                          name_at=lambda i: f"beta[{i}]")
+            adam_minimize(np.zeros(2), objective, FitConfig(max_iterations=10))
 
     def test_convergence_waits_for_patience(self):
         # loss drops only at specific checkpoints: one quiet window is not
@@ -377,31 +400,30 @@ class TestAdamMinimize:
 
 
 class TestLockstepLanes:
-    """`_minimize` advances its lanes in lockstep and evaluates the
-    acceptability half once per iteration; every lane must still give
-    exactly what it gives alone."""
+    """`_minimize` advances its lanes in lockstep around one acceptability
+    block, evaluated and stepped once per iteration; every lane must still
+    give exactly what it gives alone."""
 
     SPEC = PlantedSpec(n_verbs=5, n_frames=3, n_participants=6, ratings_per_cell=3, seed=2)
     HYPER = Hyperparams(2, 1)
     # lanes 0 and 2 converge after 500 steps and lane 1 after 600, so the
-    # acceptability half moves from lane 0 to lane 1 for the last 100
+    # acceptability block steps on for lane 1 alone for the last 100
     STAGGERED = FitConfig(max_iterations=700, convergence_tol=0.275, patience=1)
 
     def problem(self):
-        """The table, its layout, and three starts: two seeds and two masks."""
+        """The table, its layout, and three latent starts: two seeds and two masks."""
         table, _ = generate_synthetic(self.SPEC)
         pack = ParameterPack(self.HYPER, table)
-        alpha0 = response.logit(np.clip(table.cell_mean(table.acceptability), 1e-4, 1 - 1e-4))
-        effects0 = EffectsParams.zeros(table.n_participants)
         mask = np.random.default_rng(7).random(table.n_records) < 0.8
-        starts = [(FactorParams.random(self.HYPER, table.n_verbs, table.n_frames,
-                                       np.random.default_rng(seed), 0.5), effects0, alpha0)
+        starts = [FactorParams.random(self.HYPER, table.n_verbs, table.n_frames,
+                                      np.random.default_rng(seed), 0.5)
                   for seed in (1, 0, 0)]
         return table, pack, starts, [mask, None, mask]
 
     @staticmethod
     def outcome(lane):
-        return lane.x.tobytes(), lane.trajectory, lane.converged, lane.steps, str(lane.error)
+        return (lane.x.tobytes(), lane.shared.tobytes(), lane.trajectory, lane.converged,
+                lane.steps, str(lane.error))
 
     @pytest.mark.parametrize("config", [FitConfig(max_iterations=250, convergence_tol=0.0),
                                         STAGGERED], ids=["to-cap", "staggered"])
@@ -415,36 +437,47 @@ class TestLockstepLanes:
         if config is self.STAGGERED:
             assert [(lane.steps, lane.converged) for lane in lanes] == [
                 (500, True), (600, True), (500, True)]
-        # lanes that took the same steps hold one acceptability block
+        # lanes that took the same steps keep one acceptability block, and
+        # each keeps it as it stood where the lane stopped
         first = lanes[0]
         for lane in lanes:
-            if lane.steps == first.steps:
-                for name in optim.ACCEPTABILITY_SLOTS:
-                    assert lane.params[name].tobytes() == first.params[name].tobytes()
-
-    def test_different_acceptability_starts_are_rejected(self):
-        table, pack, starts, masks = self.problem()
-        factors, effects, alpha = starts[2]
-        nudged = alpha.copy()
-        nudged[3] = np.nextafter(nudged[3], np.inf)
-        starts[2] = (factors, effects, nudged)
-        with pytest.raises(ConsistencyError, match="acceptability"):
-            optim._minimize(table, pack, starts, FitConfig(max_iterations=5), masks)
+            assert (lane.shared.tobytes() == first.shared.tobytes()) == (lane.steps == first.steps)
 
     def test_failing_lane_stops_alone(self):
         table, pack, starts, masks = self.problem()
         config = FitConfig(max_iterations=150, convergence_tol=0.0)
         healthy = [self.outcome(lane)
                    for lane in optim._minimize(table, pack, starts[1:], config, masks[1:])]
-        # the first lane, which evaluates the shared half, fails at once
-        factors = starts[0][0]
-        factors.lambda_logits[0, 0] = np.nan
+        # the first lane fails at once
+        starts[0].lambda_logits[0, 0] = np.nan
         lanes = optim._minimize(table, pack, starts, config, masks)
         alone, = optim._minimize(table, pack, starts[:1], config, masks[:1])
         assert str(lanes[0].error) == str(alone.error) == (
             "loss became non-finite at iteration 0; recent losses []")
         assert lanes[0].trajectory == [] and lanes[0].steps == 0
         assert [self.outcome(lane) for lane in lanes[1:]] == healthy
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "loss became non-finite at iteration 0; recent losses []"),
+        (np.inf, "non-finite gradient for sigma0_acc[0] at iteration 0"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_alpha_stops_every_lane_at_once(self, monkeypatch, bad, message):
+        # alpha lives in the one acceptability block: a non-finite entry
+        # there stops every lane at the iteration it shows, with one message
+        table, pack, starts, masks = self.problem()
+        real_logit = optim.logit
+
+        def poisoned(p):
+            alpha = real_logit(p)
+            alpha[3] = bad
+            return alpha
+
+        monkeypatch.setattr(optim, "logit", poisoned)
+        lanes = optim._minimize(table, pack, starts, FitConfig(max_iterations=50), masks)
+        assert [str(lane.error) for lane in lanes] == [message] * 3
+        for lane in lanes:
+            assert lane.steps == 0
+            assert not np.isfinite(pack.shared.views(lane.shared)["alpha"][3])
 
     def test_fit_raises_the_error_of_the_lowest_failing_restart(self, monkeypatch):
         table, _ = generate_synthetic(self.SPEC)
