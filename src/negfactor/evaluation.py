@@ -23,11 +23,11 @@ import numpy as np
 from .dataset import JsonArtifact, ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
+from .model import json_cells, json_checked, json_integer, json_numbers
 from .optim import FitConfig, _scored_records, fit_group
 
 REPORT_FORMAT = "negfactor-cv-report"
 REPORT_VERSION = 2
-SWAP_CAP = 10_000
 BOOT_CHUNK = 512
 
 
@@ -69,11 +69,11 @@ class FoldAssignment:
 def assign_folds(table: ResponseTable, n_folds: int = 5, seed: int = 0) -> FoldAssignment:
     """Pseudorandom constrained fold assignment of cells.
 
-    Starts uniform at random, then repairs constraint violations by moving
-    a random cell of each violated (verb, frame) pair to a different random
-    fold (at most SWAP_CAP moves). Pairs that remain violated, which is
-    only possible when a pair has a single cell, get that cell pinned to
-    fold -1 with a warning.
+    Starts uniform at random, then repairs each violated (verb, frame) pair
+    of two or more cells by moving a random cell of it to a different
+    random fold, which makes the pair span two folds. Pairs that remain
+    violated, those of a single cell, get that cell pinned to fold -1 with
+    a warning.
     """
     if n_folds < 2:
         raise ValueError("n_folds must be at least 2")
@@ -82,20 +82,15 @@ def assign_folds(table: ResponseTable, n_folds: int = 5, seed: int = 0) -> FoldA
     pair_ids = table.cell_pair_ids()
     n_pairs = table.n_verbs * table.n_frames
 
-    swaps = 0
-    while swaps < SWAP_CAP:
-        violated = _violated_pairs(pair_ids, fold_of, n_pairs)
-        fixable = [p for p in violated if np.sum(pair_ids == p) > 1]
-        if not fixable:
-            break
-        for pair in fixable:
-            members = np.flatnonzero(pair_ids == pair)
-            cell = int(rng.choice(members))
-            shift = int(rng.integers(1, n_folds))
-            fold_of[cell] = (fold_of[cell] + shift) % n_folds
-            swaps += 1
-            if swaps >= SWAP_CAP:
-                break
+    violated = _violated_pairs(pair_ids, fold_of, n_pairs)
+    sizes = np.bincount(pair_ids, minlength=n_pairs)
+    # each pair's cells in cell order, and where they start
+    members = np.argsort(pair_ids, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for pair in violated[sizes[violated] > 1]:
+        cell = int(rng.choice(members[starts[pair]:starts[pair] + sizes[pair]]))
+        shift = int(rng.integers(1, n_folds))
+        fold_of[cell] = (fold_of[cell] + shift) % n_folds
 
     stuck = _violated_pairs(pair_ids, fold_of, n_pairs)
     if stuck.size:
@@ -141,16 +136,32 @@ class GridPointResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> GridPointResult:
-        cells = np.array(
-            [np.nan if x is None else float(x) for x in data["cell_losses"]]
-        )
+        # ``equivalent_to`` is absent from version-1 reports
         equivalent_to = data.get("equivalent_to")
         return cls(
-            hyper=Hyperparams(int(data["n_lexical"]), int(data["n_structural"])),
-            fold_losses=[None if x is None else float(x) for x in data["fold_losses"]],
-            cell_losses=cells,
-            equivalent_to=None if equivalent_to is None else tuple(int(x) for x in equivalent_to),
+            hyper=Hyperparams(json_integer("n_lexical", data["n_lexical"]),
+                              json_integer("n_structural", data["n_structural"])),
+            fold_losses=[None if math.isnan(loss) else loss
+                         for loss in _losses("fold_losses", data["fold_losses"]).tolist()],
+            cell_losses=_losses("cell_losses", data["cell_losses"]),
+            equivalent_to=None if equivalent_to is None else _pair("equivalent_to", equivalent_to),
         )
+
+
+def _losses(name: str, value) -> np.ndarray:
+    """A JSON list of losses, each a number or null (NaN); else SchemaError."""
+    losses = json_numbers(value, null=True)
+    if losses is None or losses.ndim != 1:
+        raise SchemaError(f"{name} must be a list of numbers or nulls")
+    return losses
+
+
+def _pair(name: str, value) -> tuple[int, int]:
+    """A JSON grid point, two integers; else SchemaError."""
+    pair = json_numbers(value, int)
+    if pair is None or pair.shape != (2,):
+        raise SchemaError(f"{name} must be two integers")
+    return tuple(pair.tolist())
 
 
 @dataclass
@@ -180,7 +191,14 @@ class ComparisonRecord(JsonArtifact):
         # version-1 reports; a missing required field raises KeyError
         values = {f.name: data[f.name] for f in fields(cls)
                   if f.name in data or f.default is MISSING}
-        return cls(**{**values, "a": tuple(values["a"]), "b": tuple(values["b"])})
+        for name in ("observed", "lower", "upper"):
+            json_checked(name, values[name], ())
+        for name in ("n_boot", "seed"):
+            json_integer(name, values[name])
+        if not all(isinstance(values[name], bool) for name in ("reliable", "equivalent")
+                   if name in values):
+            raise SchemaError("reliable and equivalent must be true or false")
+        return cls(**{**values, "a": _pair("a", values["a"]), "b": _pair("b", values["b"])})
 
 
 @dataclass
@@ -237,18 +255,30 @@ class EvalReport(JsonArtifact):
         try:
             if data["format"] != REPORT_FORMAT:
                 raise SchemaError(f"not a cross-validation report: {data['format']!r}")
-            assignment = FoldAssignment(
-                fold_of=np.array(data["fold_of"], dtype=np.int64),
-                n_folds=int(data["n_folds"]),
-                seed=int(data["fold_seed"]),
-            )
+            if json_integer("version", data["version"]) > REPORT_VERSION:
+                raise SchemaError(f"report version {data['version']} is newer than this "
+                                  f"package's {REPORT_VERSION}")
+            verbs, frames = tuple(data["verbs"]), tuple(data["frames"])
+            cells = json_cells(data["cells"], verbs, frames)
+            n_folds = json_integer("n_folds", data["n_folds"])
+            fold_of = json_numbers(data["fold_of"], np.int64)
+            if (fold_of is None or fold_of.shape != (len(cells),)
+                    or not np.all((fold_of >= -1) & (fold_of < n_folds))):
+                raise SchemaError(f"fold_of must be {len(cells)} fold indices from -1 to "
+                                  f"{n_folds - 1}, one per cell")
+            results = [GridPointResult.from_dict(g) for g in data["grid"]]
+            for result in results:
+                if result.cell_losses.shape != (len(cells),) or len(result.fold_losses) != n_folds:
+                    raise SchemaError(f"grid point {result.hyper.as_tuple()} must have one cell "
+                                      f"loss per cell and one fold loss per fold")
             return cls(
-                verbs=tuple(data["verbs"]),
-                frames=tuple(data["frames"]),
-                cells=np.array(data["cells"], dtype=np.int64),
-                assignment=assignment,
-                results=[GridPointResult.from_dict(g) for g in data["grid"]],
-                config_seed=int(data["config_seed"]),
+                verbs=verbs,
+                frames=frames,
+                cells=cells,
+                assignment=FoldAssignment(fold_of=fold_of, n_folds=n_folds,
+                                          seed=json_integer("fold_seed", data["fold_seed"])),
+                results=results,
+                config_seed=json_integer("config_seed", data["config_seed"]),
                 comparisons=[ComparisonRecord.from_dict(c) for c in data.get("comparisons", [])],
             )
         except KeyError as err:
@@ -320,8 +350,8 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     the representative names it in ``equivalent_to``.
 
     Each task fits one class's folds, or a group of them, as the lanes of
-    one `optim.fit_group`: their restarts share the acceptability half of
-    every evaluation. A class's folds split into as many groups as it
+    one `optim.fit_group`, one Adam state whose acceptability block their
+    restarts share. A class's folds split into as many groups as it
     takes to give every usable CPU a task, at most one per fold. The
     tasks run in a pool of worker processes, one per usable CPU (restrict
     them with ``taskset``). Every fit's seed derives from (config.seed,

@@ -20,6 +20,50 @@ MODEL_FORMAT = "negfactor-model"
 MODEL_VERSION = 1
 
 
+def json_numbers(value, kind=float, null: bool = False) -> np.ndarray | None:
+    """``value`` (nested lists, or one entry) as an array of ``kind``, or
+    None if an entry is not a number of that kind (an int is a float too,
+    and a bool or a string is neither) or does not fit in it; with
+    ``null``, a null entry is NaN."""
+    entries = np.asarray(value, dtype=object)
+    if null:
+        entries[np.equal(entries, None)] = np.nan
+    allowed = (int, float) if kind is float else int
+    if any(t is bool or not issubclass(t, allowed) for t in set(map(type, entries.flat))):
+        return None
+    try:
+        return entries.astype(kind)
+    except OverflowError:
+        return None
+
+
+def json_checked(name: str, value, shape: tuple, null: bool = False):
+    """A number for shape (), else nested lists of ``shape`` numbers (or
+    nulls, as NaN, with ``null``) as an array; else SchemaError."""
+    array = json_numbers(value, null=null)
+    if array is None or array.shape != shape:
+        what = " numbers or nulls" if null else " numbers"
+        raise SchemaError(f"{name} must be "
+                          + (" x ".join(map(str, shape)) + what if shape else "a number"))
+    return array if shape else float(value)
+
+
+def json_cells(value, verbs: tuple, frames: tuple) -> np.ndarray:
+    """Rows of four cell indices inside the vocabulary; else SchemaError."""
+    cells = json_numbers(value, int)
+    bounds = (len(verbs), len(frames), 2, 2)
+    if cells is None or cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
+        raise SchemaError(f"cells must be rows of four indices below {bounds}")
+    return cells
+
+
+def json_integer(name: str, value) -> int:
+    """A JSON integer (not a bool), of any size; else SchemaError."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer")
+    return value
+
+
 @dataclass
 class FittedModel(JsonArtifact):
     """Everything needed to score new records and reproduce a fit."""
@@ -69,50 +113,20 @@ class FittedModel(JsonArtifact):
             frames = tuple(data["frames"])
             participants = tuple(data["participants"])
 
-            def numbers(value, kind=float):
-                """``value`` (nested lists, or one entry) as an array of ``kind``, or
-                None if an entry is not a number of that kind (an int is a float
-                too, and a bool or a string is neither) or does not fit in it."""
-                entries = np.asarray(value, dtype=object)
-                allowed = (int, float) if kind is float else int
-                if any(t is bool or not issubclass(t, allowed) for t in set(map(type, entries.flat))):
-                    return None
-                try:
-                    return entries.astype(kind)
-                except OverflowError:
-                    return None
-
-            def checked(name, value, shape):
-                """A number for shape (), else nested lists of ``shape`` numbers as an array."""
-                array = numbers(value)
-                if array is None or array.shape != shape:
-                    raise SchemaError(f"{name} must be "
-                                      + (" x ".join(map(str, shape)) + " numbers" if shape else "a number"))
-                return array if shape else float(value)
-
-            def integer(name, value):
-                """A JSON integer (not a bool), of any size."""
-                if type(value) is not int:
-                    raise SchemaError(f"{name} must be an integer")
-                return value
-
-            hyper = Hyperparams(n_lexical=integer("hyper.n_lexical", data["hyper"]["n_lexical"]),
-                                n_structural=integer("hyper.n_structural",
-                                                     data["hyper"]["n_structural"]))
+            hyper = Hyperparams(
+                n_lexical=json_integer("hyper.n_lexical", data["hyper"]["n_lexical"]),
+                n_structural=json_integer("hyper.n_structural", data["hyper"]["n_structural"]))
             if not isinstance(data["converged"], bool):
                 raise SchemaError("converged must be true or false")
-            cells = numbers(data["cells"], int)
-            bounds = (len(verbs), len(frames), 2, 2)
-            if cells is None or cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
-                raise SchemaError(f"cells must be rows of four indices below {bounds}")
+            cells = json_cells(data["cells"], verbs, frames)
             shapes = factor_shapes(hyper, len(verbs), len(frames))
             factors = FactorParams(hyper, len(verbs), len(frames), **{
                 field: None if (value := data["factors"][slot]) is None
-                else checked(f"factors.{slot}", value, shapes[slot])
+                else json_checked(f"factors.{slot}", value, shapes[slot])
                 for slot, field in FACTOR_SLOTS.items()
             })
             effects = EffectsParams(**{
-                name: checked(f"effects.{name}", data["effects"][name], np.shape(zero))
+                name: json_checked(f"effects.{name}", data["effects"][name], np.shape(zero))
                 for name, zero in vars(EffectsParams.zeros(len(participants))).items()
             })
             return cls(
@@ -123,12 +137,12 @@ class FittedModel(JsonArtifact):
                 cells=cells,
                 factors=factors,
                 effects=effects,
-                alpha=checked("alpha", data["alpha"], (len(cells),)),
-                seed=integer("seed", data["seed"]),
-                final_loss=checked("final_loss", data["final_loss"], ()),
-                final_data_loss=checked("final_data_loss", data["final_data_loss"], ()),
+                alpha=json_checked("alpha", data["alpha"], (len(cells),)),
+                seed=json_integer("seed", data["seed"]),
+                final_loss=json_checked("final_loss", data["final_loss"], ()),
+                final_data_loss=json_checked("final_data_loss", data["final_data_loss"], ()),
                 converged=data["converged"],
-                iterations=integer("iterations", data["iterations"]),
+                iterations=json_integer("iterations", data["iterations"]),
             )
         except KeyError as missing:
             raise SchemaError(f"model JSON missing key {missing}") from None

@@ -60,11 +60,10 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
     if config is None:
         config = FitConfig()
     nu0 = logit(clamp_responses(table.cell_mean(table.negraising)))
-    pack = ParameterPack(None, table)
-    lane, = _minimize(table, pack, [nu0], config, [None])
+    lane, = _minimize(table, ParameterPack(None, table), [nu0], config, [None])
     if lane.error is not None:
         raise lane.error
-    nu, effects, alpha = pack.unpack(lane.x, lane.shared)
+    nu, effects, alpha = lane.result
     scaled = np.exp(effects.sigma0) * nu
     if inside_link:
         score = expit(scaled + effects.beta0)

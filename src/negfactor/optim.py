@@ -9,16 +9,13 @@ hard cells.
 `Objective` is the one objective, evaluated by `total_loss` and
 minimized by `_minimize`, the one optimizer driver, for `fit` (over the
 factor logits), for `cross_validate`'s fold fits and for
-`normalization.normalize` (one free nu per cell). The driver advances
-several start points, its lanes, in lockstep; as alpha is blocked and
-Adam updates each coordinate on its own, it holds the acceptability
-block once and each lane only its own. What does not depend on the
-point is built once per table. Its nu comes from
-`factorization.CellLink`, whose backward pass gives the factor-logit
-gradient, and its link and divergence from `response`. Each piece writes
-the gradient of what it reads into that parameter's view of its block's
-gradient vector; only `ParameterPack` knows the flat layout behind the
-views.
+`normalization.normalize` (one free nu per cell). The driver runs
+several start points, its lanes, in lockstep as one Adam state over one
+vector: the acceptability block once (alpha is blocked, and Adam updates
+each coordinate on its own), then each lane's block. Its nu comes from
+`factorization.CellLink`, its link and divergence from `response`. Each
+piece writes the gradient of what it reads into its parameter's view of
+the gradient vector; only `ParameterPack` knows the layout of a block.
 """
 
 from __future__ import annotations
@@ -153,7 +150,12 @@ class ParameterPack:
         0-d view."""
         return {name: vector[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
 
-    def name_at(self, flat_index: int) -> str:
+    def first_non_finite(self, finite: np.ndarray) -> str | None:
+        """The slot entry at the first False of ``finite``, laid out like
+        the block, if any."""
+        if finite.all():
+            return None
+        flat_index = int(np.argmin(finite))
         for name, (sl, _) in self._slices.items():
             if sl.start <= flat_index < sl.stop:
                 return f"{name}[{flat_index - sl.start}]"
@@ -236,39 +238,30 @@ def prior_backward(params: dict, grads: dict, groups: tuple[str, ...]) -> list[f
 
 
 class _Lane:
-    """One block that `_adam` steps, a lane's own or the shared
-    acceptability block: its point x, updated in place, the gradient at x,
-    Adam's moments and buffers, and the slot views of x and of the
-    gradient. A lane also keeps its ``nr_mask``, its losses so far, how the
-    run ended (``converged``, ``steps`` and ``error``, the FitError that
-    stopped it) and ``shared``, the shared x where it stopped.
-    """
+    """One start point of a `_minimize` call: its ``block`` of the
+    vectors ``x`` and ``gradient`` with the slot views of each and the view
+    of its latent block in ``x``, its ``nr_mask`` and losses so far, how it
+    ended (``converged``, ``steps`` and ``error``, the FitError that
+    stopped it) and ``result``, its (latent, effects, alpha) there."""
 
-    def __init__(self, pack: ParameterPack, x0: np.ndarray, nr_mask: np.ndarray | None):
-        self.name_at = pack.name_at
-        self.x = np.array(x0, dtype=float, copy=True)
-        self.gradient = np.empty_like(self.x)
-        self.params, self.grads = pack.views(self.x), pack.views(self.gradient)
+    def __init__(self, pack: ParameterPack, x: np.ndarray, gradient: np.ndarray, block: slice,
+                 nr_mask: np.ndarray | None):
+        self.block = block
+        self.params, self.grads = pack.views(x[block]), pack.views(gradient[block])
+        self.latent = x[block][pack.latent]
         self.nr_mask = nr_mask
-        self.m = np.zeros_like(self.x)
-        self.v = np.zeros_like(self.x)
-        self.scratch = np.empty_like(self.x), np.empty_like(self.x)
         self.trajectory: list[float] = []
         self.streak = 0
         self.converged = False
         self.steps = 0
         self.error: FitError | None = None
-        self.shared: np.ndarray | None = None
+        self.result: tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray] | None = None
 
-    def non_finite(self) -> str | None:
-        """The name of the first non-finite gradient entry, if any."""
-        finite = np.isfinite(self.gradient)
-        return None if np.all(finite) else self.name_at(int(np.argmin(finite)))
-
-    def record(self, it: int, loss: float, config: FitConfig, shared_bad: str | None) -> bool:
+    def record(self, it: int, loss: float, config: FitConfig, bad: str | None) -> bool:
         """Record the loss at iteration ``it``; False if the lane stops
         there: at the iteration cap, converged, or failed with a non-finite
-        loss or gradient entry, its own named before ``shared_bad``."""
+        loss or with ``bad``, the name of the first non-finite gradient
+        entry it reads."""
         if not np.isfinite(loss):
             tail = ", ".join(f"{value:.6g}" for value in self.trajectory[-8:])
             when = "after the final step" if it == config.max_iterations else f"at iteration {it}"
@@ -277,7 +270,6 @@ class _Lane:
         self.trajectory.append(float(loss))
         if it == config.max_iterations:
             return False
-        bad = self.non_finite() or shared_bad
         if bad is not None:
             self.error = FitError(f"non-finite gradient for {bad} at iteration {it}")
             return False
@@ -301,11 +293,12 @@ class Objective:
     from the factor logits, through one sigmoid over the whole block and
     the `CellLink`.
 
-    Called on the acceptability block and the lanes that share it, it
-    evaluates that half once and each lane's neg-raising half under the
-    lane's own ``nr_mask``, writes every block's gradient in full, and
-    returns the lanes' losses. What does not depend on the point is built
-    once: 1 - r of each channel and the cell link's constants.
+    Called on the slot views of the acceptability block's point and
+    gradient and on the lanes that share it, it evaluates that half once
+    and each lane's neg-raising half under the lane's own ``nr_mask``,
+    writes every block's gradient in full, and returns the lanes' losses.
+    What does not depend on the point is built once: 1 - r of each channel
+    and the cell link's constants.
     """
 
     def __init__(self, pack: ParameterPack, table: ResponseTable):
@@ -323,9 +316,9 @@ class Objective:
                 factor_shapes(pack.hyper, table.n_verbs, table.n_frames),
                 {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
 
-    def __call__(self, shared: _Lane, lanes: list[_Lane]) -> list[float]:
+    def __call__(self, params: dict, grads: dict, lanes: list[_Lane]) -> list[float]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            halves = self._acceptability_half(shared.params, shared.grads)
+            halves = self._acceptability_half(params, grads)
             return [self._negraising_half(lane, *halves) for lane in lanes]
 
     def _acceptability_half(self, params: dict, grads: dict):
@@ -345,7 +338,7 @@ class Objective:
             nu = params["nu"]
         else:
             latent = self.pack.latent
-            expit(lane.x[latent], out=self._probabilities[latent])
+            expit(lane.latent, out=self._probabilities[latent])
             nu, backward = self.link.values(self._probs)
         nr_loss, g_nu = channel_backward(nu, self.table, self.negraising._replace(mask=lane.nr_mask),
                                          params, grads, weights=weights)
@@ -375,75 +368,82 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
         raise ConsistencyError(f"(latent, participant, alpha) sizes {got} do not match the "
                                f"table's {want}")
     pack = ParameterPack(None if free else factors.hyper, table)
-    shared = _Lane(pack.shared, pack.shared.pack(None, effects, cells.alpha), None)
-    lane = _Lane(pack, pack.pack(factors, effects, None), _record_mask(nr_mask, table, "nr_mask"))
-    return Objective(pack, table)(shared, [lane])[0]
+    _, _, acceptability, lanes = _start(table, pack, [factors], effects, cells.alpha, [nr_mask])
+    return Objective(pack, table)(*acceptability, lanes)[0]
 
 
-def _adam(objective, shared: _Lane, lanes: list[_Lane], config: FitConfig) -> list[_Lane]:
-    """Minimize by Adam from the lanes' starts and the acceptability block
-    ``shared``, the lanes in lockstep.
-
-    At each iteration ``objective(shared, live)`` writes every block's
-    gradient and returns the live lanes' losses; each live lane records its
-    loss (`_Lane.record`), and a lane that stops keeps a copy of the shared
-    x. Then the shared block and each live lane take one Adam step.
-    Convergence: relative loss change below convergence_tol across
-    consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times
-    in a row. A lane's last trajectory entry is the loss at its final x.
-    Returns ``lanes``.
-    """
-    live = list(lanes)
-    # the pass after the last update only records the loss at the returned x
-    for it in range(config.max_iterations + 1):
-        losses = objective(shared, live)
-        shared_bad = shared.non_finite()
-        for lane, loss in zip(live, losses):
-            if not lane.record(it, loss, config, shared_bad):
-                lane.shared = shared.x.copy()
-        live = [lane for lane in live if lane.shared is None]
-        if not live:
-            break
-        for block in [shared, *live]:
-            # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-            # x -= lr m_hat / (sqrt(v_hat) + eps), in place
-            m, v, grad, (step, denominator) = block.m, block.v, block.gradient, block.scratch
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            np.multiply(grad, grad, out=step)
-            step *= 1.0 - ADAM_BETA2
-            v += step
-            block.steps = steps = it + 1
-            np.divide(m, 1.0 - ADAM_BETA1 ** steps, out=step)
-            step *= config.learning_rate
-            np.divide(v, 1.0 - ADAM_BETA2 ** steps, out=denominator)
-            np.sqrt(denominator, out=denominator)
-            denominator += ADAM_EPSILON
-            step /= denominator
-            block.x -= step
-    return lanes
+def _start(table: ResponseTable, pack: ParameterPack, latents, effects: EffectsParams,
+           alpha: np.ndarray, nr_masks):
+    """The point vector at ``effects``, ``alpha`` and each latent of
+    ``latents`` (the acceptability block, then one block per latent), a
+    gradient vector laid out like it, the slot views of their acceptability
+    blocks, and one lane per latent with its entry of ``nr_masks``."""
+    acc = pack.shared
+    x = np.concatenate([acc.pack(None, effects, alpha),
+                        *(pack.pack(latent, effects, None) for latent in latents)], dtype=float)
+    gradient = np.zeros_like(x)
+    lanes = [_Lane(pack, x, gradient, slice(start, start + pack.size),
+                   _record_mask(nr_mask, table, "nr_mask"))
+             for start, nr_mask in zip(range(acc.size, x.size, pack.size), nr_masks, strict=True)]
+    return x, gradient, (acc.views(x[:acc.size]), acc.views(gradient[:acc.size])), lanes
 
 
 def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitConfig,
               nr_masks) -> list[_Lane]:
-    """Run Adam from each latent start of ``latents``, its neg-raising
-    term restricted to its entry of ``nr_masks``, as lanes in lockstep that
-    share one `Objective` and one acceptability block.
+    """Minimize `Objective` by Adam from each start of ``latents``, its
+    neg-raising term restricted to its entry of ``nr_masks``, as lanes in
+    lockstep that share one acceptability block; effects start at zero and
+    alpha at the logit of each cell's clamped mean acceptability.
 
-    Effects start at zero and alpha at the logit of each cell's clamped
-    mean acceptability. Returns the lanes in the order of ``latents``; each
-    lane's blocks, trajectory, convergence, steps and error are those it
-    gives alone.
+    One vector holds every block, so one Adam update steps them all. Each
+    live lane records its loss (`_Lane.record`); a non-finite entry of the
+    acceptability gradient stops every live lane. Convergence: relative
+    loss change below convergence_tol across consecutive
+    CONVERGENCE_WINDOW-iteration windows, ``patience`` times in a row. A
+    lane that stops keeps its ``result``, the point whose loss is its last
+    trajectory entry; its gradient and first moment are zeroed, so Adam
+    steps its block by exactly 0.0. Returns the lanes in the order of
+    ``latents``, each as it runs alone.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
     effects = EffectsParams.zeros(table.n_participants)
     alpha = logit(clamp_responses(table.cell_mean(table.acceptability)))
-    shared = _Lane(pack.shared, pack.shared.pack(None, effects, alpha), None)
-    lanes = [_Lane(pack, pack.pack(latent, effects, None), _record_mask(nr_mask, table, "nr_mask"))
-             for latent, nr_mask in zip(latents, nr_masks, strict=True)]
-    return _adam(Objective(pack, table), shared, lanes, config)
+    x, gradient, acceptability, lanes = _start(table, pack, latents, effects, alpha, nr_masks)
+    objective = Objective(pack, table)
+    acc = pack.shared
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    step, denominator = np.empty_like(x), np.empty_like(x)
+    live = list(lanes)
+    # the pass after the last update only records the loss at the returned point
+    for it in range(config.max_iterations + 1):
+        losses = objective(*acceptability, live)
+        finite = np.isfinite(gradient)
+        acc_bad = acc.first_non_finite(finite[:acc.size])
+        for lane, loss in zip(live, losses):
+            bad = pack.first_non_finite(finite[lane.block]) or acc_bad
+            if not lane.record(it, loss, config, bad):
+                lane.steps, lane.result = it, pack.unpack(x[lane.block], x[:acc.size])
+                gradient[lane.block] = m[lane.block] = 0.0
+        live = [lane for lane in live if lane.result is None]
+        if not live:
+            break
+        # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # x -= lr m_hat / (sqrt(v_hat) + eps), in place
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * gradient
+        v *= ADAM_BETA2
+        np.multiply(gradient, gradient, out=step)
+        step *= 1.0 - ADAM_BETA2
+        v += step
+        np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=step)
+        step *= config.learning_rate
+        np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += ADAM_EPSILON
+        step /= denominator
+        x -= step
+    return lanes
 
 
 def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds,
@@ -473,7 +473,7 @@ def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds
             continue
         # the lowest final loss, the earliest on a tie
         best = min(restarts, key=lambda lane: lane.trajectory[-1])
-        factors, effects, alpha = pack.unpack(best.x, best.shared)
+        factors, effects, alpha = best.result
         model = FittedModel(
             hyper=hyper,
             verbs=table.verbs,

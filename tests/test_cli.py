@@ -262,6 +262,18 @@ class TestCvAndCompare:
         assert result.output.startswith(f"Error: bad report {workspace / 'data.csv'}: ")
         assert len(result.output.splitlines()) == 1
 
+    def test_malformed_report_is_a_bad_report(self, runner, tmp_path):
+        # a report edited to compare five of its cells is refused, not compared
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        data["grid"][0]["cell_losses"] = data["grid"][0]["cell_losses"][:5]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["compare", "--report", str(path), "--a", "1,0",
+                                      "--b", "1,1"])
+        assert result.exit_code == 1
+        assert result.output == (f"Error: bad report {path}: grid point (0, 1) must have one "
+                                 "cell loss per cell and one fold loss per fold\n")
+
     def test_out_of_range_point(self, runner, workspace):
         result = runner.invoke(main, [
             "compare", "--report", str(workspace / "data.csv"),

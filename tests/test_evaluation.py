@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import negfactor.evaluation
 from negfactor.dataset import FRAME_LABELS, PlantedSpec, ResponseTable, generate_synthetic
-from negfactor.errors import ConsistencyError, DimensionError, PairingError
+from negfactor.errors import ConsistencyError, DimensionError, PairingError, SchemaError
 from negfactor.evaluation import (
     ComparisonRecord,
     EvalReport,
@@ -96,6 +96,24 @@ class TestAssignFolds:
         for fold in range(5):
             held = assignment.fold_of[table.cell_idx] == fold
             assert not held[table.cell_idx == pinned_cell[0]].any()
+
+    def test_every_pair_of_two_cells_is_repaired(self):
+        # 24,000 two-cell pairs over two folds: about half start in one
+        # fold, and every one of them can be repaired, so nothing is pinned
+        n_verbs = 24_000
+        cell = np.arange(2 * n_verbs)
+        zeros = np.zeros_like(cell)
+        table = ResponseTable.build(
+            verbs=tuple(f"v{i}" for i in range(n_verbs)), frames=FRAME_LABELS[:1],
+            participants=("p1",), verb_idx=cell // 2, frame_idx=zeros, subj_idx=cell % 2,
+            tense_idx=zeros, part_idx=zeros, negraising=np.full(cell.size, 0.5),
+            acceptability=np.full(cell.size, 0.9),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assignment = assign_folds(table, n_folds=2, seed=0)
+        assert not np.any(assignment.fold_of < 0)
+        assignment.validate(table)
 
     def test_validate_rejects_broken_assignment(self):
         table = dense_table(n_verbs=4)
@@ -228,6 +246,42 @@ class TestCrossValidate:
         report = EvalReport.load(path)
         assert [c.equivalent for c in report.comparisons] == [False, True]
         assert report.to_json() + "\n" == path.read_text(encoding="utf-8")
+
+    MALFORMED = [
+        (("grid", 0, "n_lexical"), 1.9, "n_lexical must be an integer"),
+        (("grid", 1, "fold_losses", 2), "7", "fold_losses must be a list of numbers or nulls"),
+        (("grid", 1, "cell_losses", 0), True, "cell_losses must be a list of numbers or nulls"),
+        (("grid", 2, "cell_losses"), [0.5] * 5, r"grid point \(1, 1\) must have one cell loss"),
+        (("grid", 0, "fold_losses"), [0.5], r"grid point \(0, 1\) must have one cell loss"),
+        (("fold_of",), [0] * 5, "fold_of must be 24 fold indices from -1 to 2"),
+        (("fold_of", 3), 1.0, "fold_of must be 24 fold indices"),
+        (("fold_of", 0), 3, "fold_of must be 24 fold indices"),
+        (("n_folds",), "3", "n_folds must be an integer"),
+        (("fold_seed",), 0.5, "fold_seed must be an integer"),
+        (("config_seed",), None, "config_seed must be an integer"),
+        (("cells", 0), [0, 0, 0], "cells must be rows of four indices"),
+        (("cells", 1), [3, 0, 0, 0], r"cells must be rows of four indices below \(3, 2, 2, 2\)"),
+        (("version",), 99, "report version 99 is newer than this package's 2"),
+        (("version",), "2", "version must be an integer"),
+        (("grid", 0, "equivalent_to"), [1, 1, 1], "equivalent_to must be two integers"),
+        (("comparisons", 0, "n_boot"), 200.0, "n_boot must be an integer"),
+        (("comparisons", 0, "seed"), "1", "seed must be an integer"),
+        (("comparisons", 0, "observed"), "0.1", "observed must be a number"),
+        (("comparisons", 1, "reliable"), 0, "reliable and equivalent must be true or false"),
+        (("comparisons", 1, "a"), [0, "1"], "a must be two integers"),
+    ]
+
+    @pytest.mark.parametrize("path, value, message", MALFORMED,
+                             ids=[".".join(map(str, path)) for path, _, _ in MALFORMED])
+    def test_malformed_report_is_a_schema_error(self, path, value, message):
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        *parents, last = path
+        entry = data
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        with pytest.raises(SchemaError, match=message):
+            EvalReport.from_dict(data)
 
     @pytest.mark.parametrize("config, n_failed", [
         (QUICK, 0), (FitConfig(learning_rate=1e4, max_iterations=20, n_restarts=1), 15),

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
 from negfactor import normalization, optim, response
-from negfactor.dataset import PlantedSpec, ResponseTable, generate_synthetic
+from negfactor.dataset import FRAME_LABELS, PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import CoverageError, DimensionError, FitError
 from negfactor.factorization import (FactorParams, Hyperparams, _scatter, _scatter_bins,
                                      link_values)
@@ -113,17 +113,20 @@ def packed(instance):
 
 
 def evaluated(pack, table, nr_mask, x, shared_x):
-    """The objective's loss at (x, shared_x), as one lane, and the lane and
-    the acceptability block with their gradients."""
-    lane, shared = optim._Lane(pack, x, nr_mask), optim._Lane(pack.shared, shared_x, None)
-    return Objective(pack, table)(shared, [lane])[0], lane, shared
+    """The objective's loss at (x, shared_x), as one lane, and the gradient
+    of the lane's block and of the acceptability block."""
+    latent, effects, alpha = pack.unpack(x, shared_x)
+    _, gradient, acceptability, lanes = optim._start(table, pack, [latent], effects, alpha,
+                                                     [nr_mask])
+    loss, = Objective(pack, table)(*acceptability, lanes)
+    return loss, gradient[lanes[0].block], gradient[:pack.shared.size]
 
 
 def named_gradient(latent, effects, alpha, table, nr_mask):
     """The objective's loss and a copy of its gradient, keyed by slot name."""
     pack, x, shared_x = packed((table, latent, effects, alpha, nr_mask))
-    loss, lane, shared = evaluated(pack, table, nr_mask, x, shared_x)
-    return loss, pack.views(lane.gradient.copy()) | pack.shared.views(shared.gradient.copy())
+    loss, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x)
+    return loss, pack.views(gradient.copy()) | pack.shared.views(shared_gradient.copy())
 
 
 def fd_relative_error(instance, h=1e-5):
@@ -132,8 +135,8 @@ def fd_relative_error(instance, h=1e-5):
     way the gradient treats them, over both blocks."""
     table, latent, effects, alpha, nr_mask = instance
     pack, x, shared_x = packed(instance)
-    _, lane, shared = evaluated(pack, table, nr_mask, x, shared_x)
-    analytic = np.concatenate([lane.gradient, shared.gradient])
+    _, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x)
+    analytic = np.concatenate([gradient, shared_gradient])
     x0 = np.concatenate([x, shared_x])
 
     def loss_at(point):
@@ -202,22 +205,25 @@ class TestGradientAgainstFiniteDifferences:
         pack = ParameterPack(hyper, table)
         objective = Objective(pack, table)
         effects, alpha = random_effects(rng, 2), np.zeros(table.n_cells)
-        lane = optim._Lane(pack, pack.pack(latent, effects, alpha), None)
-        shared = optim._Lane(pack.shared, pack.shared.pack(latent, effects, alpha), None)
-        for block, block_pack in ((lane, pack), (shared, pack.shared)):
-            gradient = block.gradient
-            objective(shared, [lane])
+        _, vector, acceptability, lanes = optim._start(table, pack, [latent], effects, alpha,
+                                                       [None])
+        lane, = lanes
+        for block, block_pack in ((lane.block, pack), (slice(0, pack.shared.size), pack.shared)):
+            gradient = vector[block]
+            objective(*acceptability, lanes)
             first = gradient.copy()
             gradient[:] = np.nan
-            objective(shared, [lane])
-            again = block.gradient
-            assert again is gradient
+            objective(*acceptability, lanes)
+            again = vector[block]
+            assert np.shares_memory(again, gradient)
             assert np.all(np.isfinite(first))
             assert_array_equal(again, first)
-            slots = {block_pack.name_at(i).split("[")[0] for i in range(block_pack.size)}
+            slots = {block_pack.first_non_finite(np.arange(block_pack.size) != i).split("[")[0]
+                     for i in range(block_pack.size)}
             assert set(block_pack.views(gradient)) == slots
-        assert set(pack.shared.views(shared.gradient)) == set(optim.ACCEPTABILITY_SLOTS)
-        assert not set(pack.views(lane.gradient)) & set(optim.ACCEPTABILITY_SLOTS)
+        assert all(np.shares_memory(view, vector) for view in lane.grads.values())
+        assert set(acceptability[1]) == set(optim.ACCEPTABILITY_SLOTS)
+        assert not set(lane.grads) & set(optim.ACCEPTABILITY_SLOTS)
 
     @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 3), Hyperparams(0, 2),
                                        Hyperparams(3, 0)], ids=layout_id)
@@ -255,10 +261,10 @@ class TestGradientAgainstFiniteDifferences:
                 continue
             table, latent, effects, alpha, nr_mask = instance
             pack, x, shared_x = packed(instance)
-            loss, lane, shared = evaluated(pack, table, nr_mask, x, shared_x)
+            loss, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x)
             assert loss == total_loss(table, latent, effects, AcceptabilityCells(alpha),
                                       nr_mask=nr_mask)
-            for g, block_pack in ((lane.gradient, pack), (shared.gradient, pack.shared)):
+            for g, block_pack in ((gradient, pack), (shared_gradient, pack.shared)):
                 views = block_pack.views(g)
                 assert all(np.shares_memory(view, g) for view in views.values())
                 assert_array_equal(np.concatenate([np.ravel(v) for v in views.values()]), g)
@@ -289,114 +295,139 @@ class TestLossConsistency:
             assert_allclose(loss, reference, rtol=1e-12)
 
 
-class BetaPack:
-    """A layout of one slot, "beta", standing in for `ParameterPack`."""
-
-    @staticmethod
-    def views(vector):
-        return {"beta": vector}
-
-    @staticmethod
-    def name_at(flat_index):
-        return f"beta[{flat_index}]"
+def cells_table(n_cells):
+    """A one-participant table with one record in each of ``n_cells`` cells
+    of one verb and frame."""
+    subject, tense = np.divmod(np.arange(n_cells), 2)
+    return ResponseTable.build(
+        verbs=("v",), frames=FRAME_LABELS[:1], participants=("p",),
+        verb_idx=[0] * n_cells, frame_idx=[0] * n_cells, subj_idx=subject, tense_idx=tense,
+        part_idx=[0] * n_cells, negraising=[0.5] * n_cells, acceptability=[0.9] * n_cells)
 
 
-def adam_minimize(x0, fun, config):
-    """`optim._adam` on one lane of fun(x) -> (loss, grad), with an empty
-    acceptability block: (x, trajectory, converged, steps), or the lane's
-    FitError raised."""
-    def objective(shared, lanes):
+def quadratic_objective(target):
+    """An `Objective.__call__` whose lane loss is sum((nu - target)^2) over
+    the lane's free nu, flat in every other slot."""
+    def call(self, params, grads, lanes):
+        for grad in grads.values():
+            grad[...] = 0.0
         losses = []
         for lane in lanes:
-            loss, lane.gradient[...] = fun(lane.x)
-            losses.append(loss)
+            for grad in lane.grads.values():
+                grad[...] = 0.0
+            delta = lane.params["nu"] - target
+            lane.grads["nu"][:] = 2.0 * delta
+            losses.append(float(delta @ delta))
         return losses
+    return call
 
-    shared = optim._Lane(BetaPack, np.zeros(0), None)
-    lane, = optim._adam(objective, shared, [optim._Lane(BetaPack, x0, None)], config)
-    if lane.error is not None:
-        raise lane.error
-    return lane.x, lane.trajectory, lane.converged, lane.steps
+
+def minimize_quadratic(monkeypatch, x0, target, config):
+    """The lane of `optim._minimize` from the free nu ``x0`` on the
+    quadratic objective of ``target``."""
+    monkeypatch.setattr(Objective, "__call__", quadratic_objective(np.asarray(target)))
+    table = cells_table(len(x0))
+    lane, = optim._minimize(table, ParameterPack(None, table), [np.array(x0, dtype=float)],
+                            config, [None])
+    return lane
+
+
+def bare_lane():
+    """A lane whose `_Lane.record` is driven by hand."""
+    table = cells_table(1)
+    pack = ParameterPack(None, table)
+    x = np.zeros(pack.size)
+    return optim._Lane(pack, x, np.zeros_like(x), slice(0, pack.size), None)
 
 
 class TestAdamMinimize:
-    def test_quadratic_convergence(self):
+    """The driver's Adam steps, stopping rule and failure messages."""
+
+    def test_quadratic_convergence(self, monkeypatch):
         target = np.array([1.5, -2.0, 0.25])
-
-        def objective(x):
-            delta = x - target
-            return float(delta @ delta), 2.0 * delta
-
         config = FitConfig(learning_rate=0.05, max_iterations=10_000,
                            convergence_tol=1e-9, patience=2)
-        x, trajectory, converged, steps = adam_minimize(np.zeros(3), objective, config)
-        assert converged
-        assert_allclose(x, target, atol=1e-3)
-        assert trajectory[-1] < 1e-5
-        assert steps < 10_000
+        lane = minimize_quadratic(monkeypatch, np.zeros(3), target, config)
+        assert lane.error is None
+        assert lane.converged
+        assert_allclose(lane.result[0], target, atol=1e-3)
+        assert lane.trajectory[-1] < 1e-5
+        assert lane.steps < 10_000
 
-    def test_zero_iterations_returns_initialization(self):
-        def objective(x):
-            return float(np.sum(x * x)), 2.0 * x
-
+    def test_zero_iterations_returns_initialization(self, monkeypatch):
         config = FitConfig(max_iterations=0)
         x0 = np.array([1.0, 2.0])
-        x, trajectory, converged, steps = adam_minimize(x0, objective, config)
-        assert_array_equal(x, x0)
-        assert trajectory == [5.0]
-        assert not converged
-        assert steps == 0
+        lane = minimize_quadratic(monkeypatch, x0, np.zeros(2), config)
+        nu, effects, alpha = lane.result
+        assert_array_equal(nu, x0)
+        assert all(np.all(value == 0.0) for value in vars(effects).values())
+        assert_array_equal(alpha, response.logit(np.full(2, 0.9)))
+        assert lane.trajectory == [5.0]
+        assert not lane.converged
+        assert lane.steps == 0
 
     def test_trajectory_final_entry_is_loss_at_returned_point(self):
-        def objective(x):
-            return float(np.sum(x * x)), 2.0 * x
-
-        config = FitConfig(max_iterations=37, convergence_tol=0.0)
-        x, trajectory, converged, steps = adam_minimize(np.array([3.0]), objective, config)
-        assert steps == 37
-        assert len(trajectory) == 38
-        assert trajectory[-1] == objective(x)[0]
+        # every lane, stopped at the cap or converged before the others
+        table, pack, starts, masks = TestLockstepLanes().problem()
+        for config in (FitConfig(max_iterations=37, convergence_tol=0.0),
+                       TestLockstepLanes.STAGGERED):
+            lanes = optim._minimize(table, pack, starts, config, masks)
+            for lane, mask in zip(lanes, masks):
+                factors, effects, alpha = lane.result
+                assert lane.trajectory[-1] == total_loss(
+                    table, factors, effects, AcceptabilityCells(alpha), nr_mask=mask)
+                assert len(lane.trajectory) == lane.steps + 1
+            if config.max_iterations == 37:
+                assert [lane.steps for lane in lanes] == [37] * 3
+                assert [len(lane.trajectory) for lane in lanes] == [38] * 3
 
     def test_non_finite_loss_raises_with_recent_losses(self):
-        calls = {"n": 0}
-
-        def objective(x):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                return float("nan"), np.zeros_like(x)
-            return 1.0 / calls["n"], np.ones_like(x)
-
+        lane, config = bare_lane(), FitConfig(max_iterations=100)
+        assert all(lane.record(it, 1.0 / (it + 1), config, None) for it in range(3))
+        assert not lane.record(3, float("nan"), config, None)
         with pytest.raises(FitError, match="recent losses"):
-            adam_minimize(np.zeros(2), objective, FitConfig(max_iterations=100))
+            raise lane.error
+        assert str(lane.error) == (
+            "loss became non-finite at iteration 3; recent losses [1, 0.5, 0.333333]")
+        last = bare_lane()
+        assert not last.record(0, float("inf"), FitConfig(max_iterations=0), None)
+        assert str(last.error) == "loss became non-finite after the final step; recent losses []"
 
-    def test_non_finite_gradient_names_parameter(self):
-        def objective(x):
-            grad = np.zeros_like(x)
-            grad[1] = np.inf
-            return 1.0, grad
+    def test_non_finite_gradient_names_parameter(self, monkeypatch):
+        # a lane names the first non-finite entry of its own block, else the
+        # acceptability block's, which stops every lane
+        table, pack, starts, masks = TestLockstepLanes().problem()
+        real_call = Objective.__call__
 
+        def poisoned(self, params, grads, lanes):
+            losses = real_call(self, params, grads, lanes)
+            grads["alpha"][4] = np.nan
+            lanes[0].grads["beta"][1] = np.inf
+            return losses
+
+        monkeypatch.setattr(Objective, "__call__", poisoned)
+        lanes = optim._minimize(table, pack, starts[:2], FitConfig(max_iterations=10), masks[:2])
+        assert [str(lane.error) for lane in lanes] == [
+            "non-finite gradient for beta[1] at iteration 0",
+            "non-finite gradient for alpha[4] at iteration 0"]
+        lane = bare_lane()
+        assert not lane.record(2, 1.0, FitConfig(max_iterations=10), "beta[1]")
         with pytest.raises(FitError, match="beta"):
-            adam_minimize(np.zeros(2), objective, FitConfig(max_iterations=10))
+            raise lane.error
 
     def test_convergence_waits_for_patience(self):
         # loss drops only at specific checkpoints: one quiet window is not
         # enough at patience=2, two consecutive quiet windows are
-        losses = iter(range(10_000))
-
-        def objective(x):
-            it = next(losses)
-            if it < CONVERGENCE_WINDOW:
-                value = 100.0 - it
-            else:
-                value = 1.0
-            return float(value), np.zeros_like(x)
-
+        lane = bare_lane()
         config = FitConfig(max_iterations=1_000, convergence_tol=1e-6, patience=2)
-        _, trajectory, converged, steps = adam_minimize(np.zeros(1), objective, config)
-        assert converged
+        it = 0
+        while lane.record(it, 100.0 - it if it < CONVERGENCE_WINDOW else 1.0, config, None):
+            it += 1
+        assert lane.converged
+        assert lane.error is None
         # windows end at 100 (loss changed), 200, 300 (first and second
         # quiet checks): convergence declared at iteration 300
-        assert len(trajectory) == 3 * CONVERGENCE_WINDOW + 1
+        assert len(lane.trajectory) == 3 * CONVERGENCE_WINDOW + 1
 
 
 class TestLockstepLanes:
@@ -422,8 +453,10 @@ class TestLockstepLanes:
 
     @staticmethod
     def outcome(lane):
-        return (lane.x.tobytes(), lane.shared.tobytes(), lane.trajectory, lane.converged,
-                lane.steps, str(lane.error))
+        latent, effects, alpha = lane.result
+        arrays = [*latent.arrays().values(), *vars(effects).values(), alpha]
+        return ([np.asarray(a).tobytes() for a in arrays if a is not None], lane.trajectory,
+                lane.converged, lane.steps, str(lane.error))
 
     @pytest.mark.parametrize("config", [FitConfig(max_iterations=250, convergence_tol=0.0),
                                         STAGGERED], ids=["to-cap", "staggered"])
@@ -439,9 +472,12 @@ class TestLockstepLanes:
                 (500, True), (600, True), (500, True)]
         # lanes that took the same steps keep one acceptability block, and
         # each keeps it as it stood where the lane stopped
+        def acceptability(lane):
+            return pack.shared.pack(None, *lane.result[1:]).tobytes()
+
         first = lanes[0]
         for lane in lanes:
-            assert (lane.shared.tobytes() == first.shared.tobytes()) == (lane.steps == first.steps)
+            assert (acceptability(lane) == acceptability(first)) == (lane.steps == first.steps)
 
     def test_failing_lane_stops_alone(self):
         table, pack, starts, masks = self.problem()
@@ -455,6 +491,28 @@ class TestLockstepLanes:
         assert str(lanes[0].error) == str(alone.error) == (
             "loss became non-finite at iteration 0; recent losses []")
         assert lanes[0].trajectory == [] and lanes[0].steps == 0
+        assert [self.outcome(lane) for lane in lanes[1:]] == healthy
+
+    def test_lane_with_non_finite_gradient_stops_alone(self, monkeypatch):
+        # the failed lane's block stays in the one Adam update, which must
+        # step it by exactly 0.0 without an inf / inf warning
+        table, pack, starts, masks = self.problem()
+        config = FitConfig(max_iterations=150, convergence_tol=0.0)
+        healthy = [self.outcome(lane)
+                   for lane in optim._minimize(table, pack, starts[1:], config, masks[1:])]
+        real_call, iterations = Objective.__call__, []
+
+        def poisoned(self, params, grads, lanes):
+            losses = real_call(self, params, grads, lanes)
+            iterations.append(len(iterations))
+            if iterations[-1] == 5:
+                lanes[0].grads["beta"][1] = np.inf
+            return losses
+
+        monkeypatch.setattr(Objective, "__call__", poisoned)
+        lanes = optim._minimize(table, pack, starts, config, masks)
+        assert str(lanes[0].error) == "non-finite gradient for beta[1] at iteration 5"
+        assert lanes[0].steps == 5 and len(lanes[0].trajectory) == 6
         assert [self.outcome(lane) for lane in lanes[1:]] == healthy
 
     @pytest.mark.parametrize("bad, message", [
@@ -477,7 +535,7 @@ class TestLockstepLanes:
         assert [str(lane.error) for lane in lanes] == [message] * 3
         for lane in lanes:
             assert lane.steps == 0
-            assert not np.isfinite(pack.shared.views(lane.shared)["alpha"][3])
+            assert not np.isfinite(lane.result[2][3])
 
     def test_fit_raises_the_error_of_the_lowest_failing_restart(self, monkeypatch):
         table, _ = generate_synthetic(self.SPEC)
