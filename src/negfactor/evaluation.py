@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import JsonArtifact, ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .model import json_cells, json_checked, json_integer, json_numbers
+from .model import json_cells, json_checked, json_integer, json_labels, json_numbers
 from .optim import FitConfig, _scored_records, fit_group
 
 REPORT_FORMAT = "negfactor-cv-report"
@@ -258,7 +258,8 @@ class EvalReport(JsonArtifact):
             if json_integer("version", data["version"]) > REPORT_VERSION:
                 raise SchemaError(f"report version {data['version']} is newer than this "
                                   f"package's {REPORT_VERSION}")
-            verbs, frames = tuple(data["verbs"]), tuple(data["frames"])
+            verbs = json_labels("verbs", data["verbs"])
+            frames = json_labels("frames", data["frames"])
             cells = json_cells(data["cells"], verbs, frames)
             n_folds = json_integer("n_folds", data["n_folds"])
             fold_of = json_numbers(data["fold_of"], np.int64)

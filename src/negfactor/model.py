@@ -37,14 +37,13 @@ def json_numbers(value, kind=float, null: bool = False) -> np.ndarray | None:
         return None
 
 
-def json_checked(name: str, value, shape: tuple, null: bool = False):
-    """A number for shape (), else nested lists of ``shape`` numbers (or
-    nulls, as NaN, with ``null``) as an array; else SchemaError."""
-    array = json_numbers(value, null=null)
+def json_checked(name: str, value, shape: tuple):
+    """A number for shape (), else nested lists of ``shape`` numbers as an
+    array; else SchemaError."""
+    array = json_numbers(value)
     if array is None or array.shape != shape:
-        what = " numbers or nulls" if null else " numbers"
         raise SchemaError(f"{name} must be "
-                          + (" x ".join(map(str, shape)) + what if shape else "a number"))
+                          + (" x ".join(map(str, shape)) + " numbers" if shape else "a number"))
     return array if shape else float(value)
 
 
@@ -55,6 +54,14 @@ def json_cells(value, verbs: tuple, frames: tuple) -> np.ndarray:
     if cells is None or cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
         raise SchemaError(f"cells must be rows of four indices below {bounds}")
     return cells
+
+
+def json_labels(name: str, value) -> tuple[str, ...]:
+    """A JSON list of distinct strings as a tuple; else SchemaError."""
+    if (not isinstance(value, list) or not all(type(label) is str for label in value)
+            or len(set(value)) != len(value)):
+        raise SchemaError(f"{name} must be a list of distinct strings")
+    return tuple(value)
 
 
 def json_integer(name: str, value) -> int:
@@ -109,9 +116,9 @@ class FittedModel(JsonArtifact):
         try:
             if data["format"] != MODEL_FORMAT:
                 raise SchemaError(f"unexpected format tag {data['format']!r}")
-            verbs = tuple(data["verbs"])
-            frames = tuple(data["frames"])
-            participants = tuple(data["participants"])
+            verbs = json_labels("verbs", data["verbs"])
+            frames = json_labels("frames", data["frames"])
+            participants = json_labels("participants", data["participants"])
 
             hyper = Hyperparams(
                 n_lexical=json_integer("hyper.n_lexical", data["hyper"]["n_lexical"]),

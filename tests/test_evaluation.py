@@ -269,6 +269,9 @@ class TestCrossValidate:
         (("comparisons", 0, "observed"), "0.1", "observed must be a number"),
         (("comparisons", 1, "reliable"), 0, "reliable and equivalent must be true or false"),
         (("comparisons", 1, "a"), [0, "1"], "a must be two integers"),
+        (("verbs",), "abc", "verbs must be a list of distinct strings"),
+        (("frames",), [1, 2], "frames must be a list of distinct strings"),
+        (("verbs", 2), "v000", "verbs must be a list of distinct strings"),
     ]
 
     @pytest.mark.parametrize("path, value, message", MALFORMED,

@@ -197,6 +197,12 @@ class TestEntriesAreNumbers:
         (("final_loss",), "1e3", "final_loss must be a number"),
         (("final_data_loss",), False, "final_data_loss must be a number"),
         (("converged",), "no", "converged must be true or false"),
+        (("verbs",), "abc", "verbs must be a list of distinct strings"),
+        (("frames",), [1], "frames must be a list of distinct strings"),
+        (("participants",), ["p000", None, "p002", "p003"],
+         "participants must be a list of distinct strings"),
+        (("participants",), ["p000", "p001", "p002", "p000"],
+         "participants must be a list of distinct strings"),
     ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
     def test_scalar_fields_are_not_converted(self, path, value, message):
         # each of these used to load through int(), float() or bool()
