@@ -13,7 +13,7 @@ import click
 
 from . import __version__
 from .dataset import (PlantedSpec, generate_synthetic, json_text, load_csv, read_json, summarize,
-                      write_csv)
+                      write_csv, write_json)
 from .errors import NegfactorError
 from .evaluation import EvalReport, bootstrap_compare, cross_validate
 from .factorization import MAX_PROPERTIES, Hyperparams
@@ -187,9 +187,9 @@ def compare_command(report_path, point_a, point_b, n_boot, seed, out_path):
         record = bootstrap_compare(report, a, b, n_boot=n_boot, seed=seed)
     except ValueError as err:  # a point the report lacks
         raise click.ClickException(str(err)) from err
-    click.echo(record.to_json())
+    click.echo(json_text(record.to_dict()))
     if out_path is not None:
-        record.save(out_path)
+        write_json(out_path, record.to_dict())
 
 
 @main.command("normalize")

@@ -43,6 +43,9 @@ TENSE_LABELS = ("past", "present")
 CANONICAL_COLUMNS = ("verb", "frame", "subject", "tense", "participant", "negraising", "acceptability")
 
 RESPONSE_EPS = 1e-4
+# a planted factor probability is clipped to [PLANTED_CLIP, 1 - PLANTED_CLIP]
+# before its logit
+PLANTED_CLIP = 1e-9
 
 
 def json_text(data: dict) -> str:
@@ -70,7 +73,9 @@ def write_rows(path, header, rows) -> None:
 
 class JsonArtifact:
     """``to_json``, ``save`` and ``load`` for a class with ``to_dict`` and
-    ``from_dict``."""
+    ``from_dict``: a file the package reads back as well as writes. An
+    output-only file (the analysis bundle, a comparison record) is written
+    with ``write_json`` from its ``to_dict``."""
 
     def to_json(self) -> str:
         return json_text(self.to_dict())
@@ -354,10 +359,12 @@ class PlantedFactors:
         return cls(*(a.reshape(shape) if a.size == 0 == math.prod(shape) else a
                      for a, shape in zip(arrays, shapes)))
 
-    def as_factor_params(self, clip_eps: float = 1e-9) -> FactorParams:
-        """Logit-scale view of the planted factors (entries clipped inward)."""
+    def as_factor_params(self) -> FactorParams:
+        """Logit-scale view of the planted factors (entries clipped inward by
+        PLANTED_CLIP)."""
         return FactorParams(self.hyper(), self.lambda_.shape[0], self.pi.shape[1], **{
-            FACTOR_SLOTS[slot]: logit(np.clip(p, clip_eps, 1.0 - clip_eps)) if p.size else None
+            FACTOR_SLOTS[slot]:
+                logit(np.clip(p, PLANTED_CLIP, 1 - PLANTED_CLIP)) if p.size else None
             for slot, p in self.arrays().items()
         })
 
@@ -413,6 +420,8 @@ class PlantedSpec(JsonArtifact):
                     raise DimensionError(
                         f"true_factors.{slot} has shape {arrays[slot].shape}, expected {shape}"
                     )
+                if not np.all((arrays[slot] >= 0) & (arrays[slot] <= 1)):
+                    raise DimensionError(f"true_factors.{slot} entries must be in [0, 1]")
 
     def to_dict(self) -> dict:
         factors = self.true_factors

@@ -14,7 +14,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import get_context
 
@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import JsonArtifact, ResponseTable
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .model import json_cells, json_checked, json_integer, json_labels, json_numbers
+from .model import json_cells, json_integer, json_labels, json_numbers
 from .optim import FitConfig, _scored_records, fit_group
 
 REPORT_FORMAT = "negfactor-cv-report"
@@ -165,7 +165,7 @@ def _pair(name: str, value) -> tuple[int, int]:
 
 
 @dataclass
-class ComparisonRecord(JsonArtifact):
+class ComparisonRecord:
     """Bootstrap CI for the mean per-sentence held-out loss difference A - B.
 
     ``equivalent`` marks two grid points of one prediction class; such a
@@ -180,25 +180,10 @@ class ComparisonRecord(JsonArtifact):
     reliable: bool
     n_boot: int
     seed: int
-    equivalent: bool = False
+    equivalent: bool
 
     def to_dict(self) -> dict:
         return {**vars(self), "a": list(self.a), "b": list(self.b)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ComparisonRecord:
-        # a field with a default (``equivalent``) may be absent, as in
-        # version-1 reports; a missing required field raises KeyError
-        values = {f.name: data[f.name] for f in fields(cls)
-                  if f.name in data or f.default is MISSING}
-        for name in ("observed", "lower", "upper"):
-            json_checked(name, values[name], ())
-        for name in ("n_boot", "seed"):
-            json_integer(name, values[name])
-        if not all(isinstance(values[name], bool) for name in ("reliable", "equivalent")
-                   if name in values):
-            raise SchemaError("reliable and equivalent must be true or false")
-        return cls(**{**values, "a": _pair("a", values["a"]), "b": _pair("b", values["b"])})
 
 
 @dataclass
@@ -211,7 +196,6 @@ class EvalReport(JsonArtifact):
     assignment: FoldAssignment
     results: list[GridPointResult]
     config_seed: int
-    comparisons: list[ComparisonRecord] = field(default_factory=list)
 
     def point(self, hyper: Hyperparams | tuple[int, int]) -> GridPointResult:
         key = hyper if isinstance(hyper, Hyperparams) else Hyperparams(*hyper)
@@ -247,11 +231,12 @@ class EvalReport(JsonArtifact):
             "config_seed": self.config_seed,
             "grid": [result.to_dict() for result in self.results],
             "ranking": [list(pair) for pair in self.ranking()],
-            "comparisons": [record.to_dict() for record in self.comparisons],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> EvalReport:
+        # a key not read here ("ranking", recomputed, or a list that earlier
+        # versions wrote) is ignored
         try:
             if data["format"] != REPORT_FORMAT:
                 raise SchemaError(f"not a cross-validation report: {data['format']!r}")
@@ -280,7 +265,6 @@ class EvalReport(JsonArtifact):
                                           seed=json_integer("fold_seed", data["fold_seed"])),
                 results=results,
                 config_seed=json_integer("config_seed", data["config_seed"]),
-                comparisons=[ComparisonRecord.from_dict(c) for c in data.get("comparisons", [])],
             )
         except KeyError as err:
             raise SchemaError(f"report is missing field {err.args[0]!r}") from None

@@ -40,10 +40,14 @@ PROB_CLAMP = 1e-7
 
 def require_integers(settings, error: type[Exception]) -> None:
     """Raise ``error`` unless every ``int`` field of the dataclass
-    ``settings`` holds an integer, and store each as a Python int."""
+    ``settings`` holds an integer, not a bool, and store each as a Python
+    int."""
     for name in (f.name for f in fields(settings) if f.type == "int"):
+        value = getattr(settings, name)
         try:
-            object.__setattr__(settings, name, operator.index(getattr(settings, name)))
+            if isinstance(value, bool):  # which operator.index takes as 0 or 1
+                raise TypeError
+            object.__setattr__(settings, name, operator.index(value))
         except TypeError:
             raise error(f"{name} must be an integer") from None
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SUBJECT_LABELS, TENSE_LABELS, JsonArtifact, write_rows
-from .errors import DimensionError, SchemaError
-from .factorization import Hyperparams, factor_shapes
+from .dataset import SUBJECT_LABELS, TENSE_LABELS, write_json, write_rows
+from .errors import DimensionError
+from .factorization import Hyperparams
 from .model import FittedModel
 from .response import expit
 
@@ -28,7 +28,7 @@ BUNDLE_VERSION = 1
 
 
 @dataclass
-class AnalysisBundle(JsonArtifact):
+class AnalysisBundle:
     """Probability-scale view of a fitted model's factor parameters.
 
     verb_scores and psi_lambda_spearman are populated only for the
@@ -68,33 +68,6 @@ class AnalysisBundle(JsonArtifact):
             "verb_scores": None if self.verb_scores is None else self.verb_scores.tolist(),
             "psi_lambda_spearman": spearman,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> AnalysisBundle:
-        try:
-            if data["format"] != BUNDLE_FORMAT:
-                raise SchemaError(f"not an analysis bundle: {data['format']!r}")
-            hyper = Hyperparams(int(data["n_lexical"]), int(data["n_structural"]))
-            scores = data["verb_scores"]
-            spearman = data["psi_lambda_spearman"]
-            if spearman is None and hyper.as_tuple() == (1, 1):
-                spearman = float("nan")
-            shapes = factor_shapes(hyper, len(data["verbs"]), len(data["frames"]))
-            tables = {slot: np.array(data[slot]).reshape(shape) for slot, shape in shapes.items()}
-            return cls(
-                hyper=hyper,
-                verbs=tuple(data["verbs"]),
-                frames=tuple(data["frames"]),
-                phi=tables["phi"],
-                omega=tables["omega"],
-                pi=tables["pi"],
-                lambda_=tables["lambda"],
-                psi=tables["psi"],
-                verb_scores=None if scores is None else np.array(scores, dtype=float),
-                psi_lambda_spearman=spearman,
-            )
-        except KeyError as err:
-            raise SchemaError(f"bundle is missing field {err.args[0]!r}") from None
 
 
 def analyze(model: FittedModel) -> AnalysisBundle:
@@ -176,5 +149,5 @@ def write_analysis(bundle: AnalysisBundle, out_dir) -> dict[str, str]:
     paths = {name: os.path.join(out_dir, name) for name in [*tables, "bundle.json"]}
     for name, (header, rows) in tables.items():
         write_rows(paths[name], header, rows)
-    bundle.save(paths["bundle.json"])
+    write_json(paths["bundle.json"], bundle.to_dict())
     return paths

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -13,6 +14,15 @@ from negfactor.evaluation import EvalReport
 from negfactor.model import FittedModel
 
 DATA = Path(__file__).parent / "data"
+
+
+def planted_spec_with(slot: str, index: int, value: float) -> dict:
+    """The spec of a saved truth file, one planted factor entry replaced."""
+    spec = json.loads((DATA / "truth_1_1.json").read_text(encoding="utf-8"))
+    factor = np.array(spec["true_factors"][slot], dtype=float)
+    factor.flat[index] = value
+    spec["true_factors"][slot] = factor.tolist()
+    return spec
 
 
 @pytest.fixture
@@ -75,7 +85,11 @@ class TestDataCommands:
 
     @pytest.mark.parametrize("spec", [{"n_verbs": 2.5}, {"n_verb": 3}, {},
                                       {"n_verbs": 3, "true_factors": {}},
-                                      {"n_verbs": 3, "noise_scale": float("nan")}])
+                                      {"n_verbs": 3, "noise_scale": float("nan")},
+                                      {"n_verbs": 3, "seed": True},
+                                      planted_spec_with("psi", 0, float("nan")),
+                                      planted_spec_with("pi", 1, 1.7),
+                                      planted_spec_with("phi", 1, -0.5)])
     def test_bad_spec_is_a_clean_error(self, runner, tmp_path, spec):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -167,6 +181,7 @@ class TestFitAndReport:
         for config in ({"learning_rte": 0.01}, {"patience": 0}, {"convergence_tol": -1e-6},
                        {"learning_rate": 0}, {"seed": -1}, {"max_iterations": 1.5},
                        {"n_restarts": 2.0}, {"seed": 1.5}, {"patience": 1.5},
+                       {"n_restarts": True, "max_iterations": 3},
                        {"convergence_tol": float("nan")}, {"learning_rate": float("nan")}):
             bad.write_text(json.dumps(config))
             result = runner.invoke(main, [

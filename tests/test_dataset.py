@@ -356,6 +356,8 @@ class TestPlantedSpec:
             PlantedSpec(n_verbs=2.5)
         with pytest.raises(DimensionError, match="seed must be an integer"):
             PlantedSpec(n_verbs=3, seed=1.5)
+        with pytest.raises(DimensionError, match="ratings_per_cell must be an integer"):
+            PlantedSpec(n_verbs=3, ratings_per_cell=True)
         for ratings in (-1, 0):
             with pytest.raises(DimensionError, match="ratings_per_cell"):
                 PlantedSpec(n_verbs=3, ratings_per_cell=ratings)
@@ -380,6 +382,20 @@ class TestPlantedSpec:
         )
         with pytest.raises(DimensionError, match="psi"):
             PlantedSpec(n_verbs=2, true_factors=factors)
+
+    @pytest.mark.parametrize("slot, value", [("psi", float("nan")), ("pi", 1.7),
+                                             ("phi", -0.5), ("omega", float("inf"))])
+    def test_rejects_factor_entries_outside_the_unit_interval(self, slot, value):
+        _, resolved = generate_synthetic(PlantedSpec(n_verbs=3, seed=4))
+        arrays = resolved.true_factors.arrays()
+        arrays[slot] = arrays[slot].copy()
+        arrays[slot].flat[1] = value
+        with pytest.raises(DimensionError, match=rf"true_factors\.{slot} entries must be in"):
+            replace(resolved, true_factors=PlantedFactors(*arrays.values()))
+        # the bounds themselves are planted boolean structure
+        arrays[slot].flat[1] = 1.0
+        arrays[slot].flat[0] = 0.0
+        assert replace(resolved, true_factors=PlantedFactors(*arrays.values())).n_verbs == 3
 
     def test_rejects_sizes_other_than_its_factors(self):
         _, resolved = generate_synthetic(PlantedSpec(n_verbs=3, n_lexical=0, n_structural=2))

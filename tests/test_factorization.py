@@ -35,7 +35,7 @@ class TestHyperparams:
         assert Hyperparams(4, 4).n_structural == 4
 
     def test_sizes_must_be_integers(self):
-        for sizes in ((1.5, 1), (1, 2.0)):
+        for sizes in ((1.5, 1), (1, 2.0), (True, 1)):
             with pytest.raises(DimensionError, match="must be an integer"):
                 Hyperparams(*sizes)
         # a numpy integer is accepted and kept as a Python int, so records

@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit
 
-from negfactor.errors import DimensionError, SchemaError
+from negfactor.dataset import json_text
+from negfactor.errors import DimensionError
 from negfactor.factorization import FactorParams, Hyperparams
 from negfactor.report import AnalysisBundle, analyze, rank_verbs, write_analysis
 
 from test_model import make_model
-
-DATA = Path(__file__).parent / "data"
 
 
 def zero_logit_model(hyper=Hyperparams(1, 1), n_verbs=3):
@@ -119,37 +117,23 @@ class TestSerialization:
         Hyperparams(1, 1), Hyperparams(2, 1), Hyperparams(0, 2), Hyperparams(3, 0),
     ])
     def test_round_trip_identity(self, hyper):
+        # the tables a reader parses from the bundle's JSON are the bundle's, bit for bit
         bundle = analyze(make_model(seed=9, hyper=hyper))
-        text = bundle.to_json()
-        back = AnalysisBundle.from_dict(json.loads(text))
-        assert back.to_json() == text
-        for field in ("phi", "omega", "pi", "lambda_", "psi"):
-            assert_array_equal(getattr(back, field), getattr(bundle, field))
+        data = json.loads(json_text(bundle.to_dict()))
+        for key, field in (("phi", "phi"), ("omega", "omega"), ("pi", "pi"),
+                           ("lambda", "lambda_"), ("psi", "psi")):
+            table = getattr(bundle, field)
+            assert_array_equal(np.array(data[key]).reshape(table.shape), table)
         if bundle.verb_scores is None:
-            assert back.verb_scores is None
+            assert data["verb_scores"] is None
         else:
-            assert_array_equal(back.verb_scores, bundle.verb_scores)
+            assert_array_equal(data["verb_scores"], bundle.verb_scores)
+        assert (data["n_lexical"], data["n_structural"]) == hyper.as_tuple()
 
-    def test_round_trip_restores_undefined_spearman(self):
+    def test_undefined_spearman_is_written_as_null(self):
         bundle = analyze(zero_logit_model())
-        back = AnalysisBundle.from_dict(json.loads(bundle.to_json()))
-        assert np.isnan(back.psi_lambda_spearman)
-
-    def test_rejects_wrong_format(self):
-        with pytest.raises(SchemaError, match="not an analysis bundle"):
-            AnalysisBundle.from_dict({"format": "something-else"})
-
-    def test_rejects_missing_field(self):
-        data = json.loads(analyze(make_model(seed=10)).to_json())
-        del data["pi"]
-        with pytest.raises(SchemaError, match="missing field 'pi'"):
-            AnalysisBundle.from_dict(data)
-
-
-    def test_file_of_an_earlier_version_is_reproduced_byte_for_byte(self):
-        # written by an earlier version of the package from a short (1, 1) fit
-        path = DATA / "bundle_1_1.json"
-        assert AnalysisBundle.load(path).to_json() + "\n" == path.read_text(encoding="utf-8")
+        assert np.isnan(bundle.psi_lambda_spearman)
+        assert json.loads(json_text(bundle.to_dict()))["psi_lambda_spearman"] is None
 
 
 class TestWriteAnalysis:
@@ -178,7 +162,8 @@ class TestWriteAnalysis:
             rows = list(csv.DictReader(handle))
         assert [(r["verb"], float(r["score"])) for r in rows] == rank_verbs(bundle)
 
-        assert AnalysisBundle.load(paths["bundle.json"]).to_json() == bundle.to_json()
+        with open(paths["bundle.json"], encoding="utf-8") as handle:
+            assert handle.read() == json_text(bundle.to_dict()) + "\n"
 
     def test_larger_bundle_skips_verb_scores(self, tmp_path):
         bundle = analyze(make_model(seed=12, hyper=Hyperparams(2, 2)))
