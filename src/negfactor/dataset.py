@@ -8,7 +8,8 @@ undefined at the endpoints.
 
 Every file the package saves follows the conventions written once here:
 JSON artifacts are sorted-key, two-space-indented text ending in a newline
-(`JsonArtifact`, `json_text`, `write_json`, `read_json`), and tables are
+(`JsonArtifact`, `json_text`, `write_json`, `read_json`) whose numbers are
+read back as JSON numbers only (`json_numbers`), and tables are
 UTF-8 CSV written from a header and rows (`write_rows`). Floats keep
 Python's shortest round-trip form in both, so identical values produce
 identical bytes.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, RowError, SchemaError
 from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
-                            require_integers)
+                            require_numbers)
 from .response import expit, logit
 
 FRAME_LABELS = (
@@ -61,6 +62,23 @@ def write_json(path, data: dict) -> None:
 def read_json(path) -> dict:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def json_numbers(value, kind=float, null: bool = False) -> np.ndarray | None:
+    """``value`` (nested lists, or one entry) as an array of ``kind``, or
+    None if an entry is not a number of that kind (an int is a float too,
+    and a bool or a string is neither) or does not fit in it; with
+    ``null``, a null entry is NaN."""
+    entries = np.asarray(value, dtype=object)
+    if null:
+        entries[np.equal(entries, None)] = np.nan
+    allowed = (int, float) if kind is float else int
+    if any(t is bool or not issubclass(t, allowed) for t in set(map(type, entries.flat))):
+        return None
+    try:
+        return entries.astype(kind)
+    except OverflowError:
+        return None
 
 
 def write_rows(path, header, rows) -> None:
@@ -354,7 +372,9 @@ class PlantedFactors:
     def from_dict(cls, data: dict, n_frames: int) -> "PlantedFactors":
         # JSON keeps no shape for an empty array, so a frozen side's pi,
         # omega or phi comes back as [] and takes its slot's shape here
-        arrays = [np.asarray(data[slot], dtype=float) for slot in FACTOR_SLOTS]
+        arrays = [json_numbers(data[slot]) for slot in FACTOR_SLOTS]
+        if any(a is None for a in arrays):
+            raise SchemaError("true_factors entries must be numbers")
         shapes = factor_shapes(cls(*arrays).hyper(), len(arrays[0]), n_frames).values()
         return cls(*(a.reshape(shape) if a.size == 0 == math.prod(shape) else a
                      for a, shape in zip(arrays, shapes)))
@@ -394,7 +414,7 @@ class PlantedSpec(JsonArtifact):
     true_factors: PlantedFactors | None = None
 
     def __post_init__(self):
-        require_integers(self, DimensionError)
+        require_numbers(self, DimensionError)
         if self.n_verbs <= 0 or self.n_participants <= 0 or self.ratings_per_cell < 1:
             raise DimensionError("n_verbs, n_participants and ratings_per_cell must be positive")
         if not 1 <= self.n_frames <= len(FRAME_LABELS):

@@ -38,8 +38,10 @@ class ConsistencyError(NegfactorError):
 class FitError(NegfactorError):
     """Optimization produced a non-finite loss and cannot continue.
 
-    The message includes the tail of the loss trajectory so the blow-up
-    point is visible without re-running.
+    The message names the first non-finite gradient entry, or includes the
+    tail of the loss trajectory (the losses at iteration 0 and at each
+    convergence window's end) when the loss itself turned non-finite, so
+    the blow-up point is visible without re-running.
     """
 
 

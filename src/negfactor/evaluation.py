@@ -20,10 +20,10 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .dataset import JsonArtifact, ResponseTable
+from .dataset import JsonArtifact, ResponseTable, json_numbers
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .model import json_cells, json_integer, json_labels, json_numbers
+from .model import json_cells, json_integer, json_labels
 from .optim import FitConfig, _scored_records, fit_group
 
 REPORT_FORMAT = "negfactor-cv-report"

@@ -25,6 +25,7 @@ probability with respect to its logit is p (1 - p).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 
@@ -38,18 +39,23 @@ MAX_PROPERTIES = 4
 PROB_CLAMP = 1e-7
 
 
-def require_integers(settings, error: type[Exception]) -> None:
+def require_numbers(settings, error: type[Exception]) -> None:
     """Raise ``error`` unless every ``int`` field of the dataclass
-    ``settings`` holds an integer, not a bool, and store each as a Python
-    int."""
-    for name in (f.name for f in fields(settings) if f.type == "int"):
-        value = getattr(settings, name)
+    ``settings`` holds an integer and every ``float`` field a real number,
+    neither a bool, and store each integer as a Python int (a float stays
+    as given)."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise error(f"{f.name} must be a number")
+        if f.type != "int":
+            continue
         try:
             if isinstance(value, bool):  # which operator.index takes as 0 or 1
                 raise TypeError
-            object.__setattr__(settings, name, operator.index(value))
+            object.__setattr__(settings, f.name, operator.index(value))
         except TypeError:
-            raise error(f"{name} must be an integer") from None
+            raise error(f"{f.name} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class Hyperparams:
     n_structural: int
 
     def __post_init__(self):
-        require_integers(self, DimensionError)
+        require_numbers(self, DimensionError)
         for name, value in (("n_lexical", self.n_lexical), ("n_structural", self.n_structural)):
             if not 0 <= value <= MAX_PROPERTIES:
                 raise DimensionError(f"{name} must be in 0..{MAX_PROPERTIES}, got {value}")

@@ -11,30 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import JsonArtifact
+from .dataset import JsonArtifact, json_numbers
 from .errors import SchemaError
 from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes
 from .response import EffectsParams
 
 MODEL_FORMAT = "negfactor-model"
 MODEL_VERSION = 1
-
-
-def json_numbers(value, kind=float, null: bool = False) -> np.ndarray | None:
-    """``value`` (nested lists, or one entry) as an array of ``kind``, or
-    None if an entry is not a number of that kind (an int is a float too,
-    and a bool or a string is neither) or does not fit in it; with
-    ``null``, a null entry is NaN."""
-    entries = np.asarray(value, dtype=object)
-    if null:
-        entries[np.equal(entries, None)] = np.nan
-    allowed = (int, float) if kind is float else int
-    if any(t is bool or not issubclass(t, allowed) for t in set(map(type, entries.flat))):
-        return None
-    try:
-        return entries.astype(kind)
-    except OverflowError:
-        return None
 
 
 def json_checked(name: str, value, shape: tuple):

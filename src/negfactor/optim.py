@@ -16,6 +16,10 @@ each coordinate on its own), then each lane's block. Its nu comes from
 `factorization.CellLink`, its link and divergence from `response`. Each
 piece writes the gradient of what it reads into its parameter's view of
 the gradient vector; only `ParameterPack` knows the layout of a block.
+An Adam step reads only the gradient, so the driver evaluates the loss
+only where it reads it: at iteration 0, at the end of each
+CONVERGENCE_WINDOW-iteration window and at the last iteration. A lane's
+trajectory holds the losses there.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ import numpy as np
 from .dataset import ResponseTable, clamp_responses
 from .errors import ConsistencyError, CoverageError, DimensionError, FitError
 from .factorization import (FACTOR_SLOTS, CellLink, FactorParams, FactorProbs, Hyperparams,
-                            factor_shapes, link_values, require_integers)
+                            factor_shapes, link_values, require_numbers)
 from .model import FittedModel
-from .response import (PREDICTION_CLAMP, AcceptabilityCells, EffectsParams, channel_losses, expit,
-                       logit)
+from .response import (PREDICTION_CLAMP, AcceptabilityCells, EffectsParams, _link, channel_losses,
+                       expit, logit)
 
 CONVERGENCE_WINDOW = 100
 # Adam moment decay rates and denominator offset, and the standard
@@ -58,7 +62,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, ValueError)
+        require_numbers(self, ValueError)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.patience < 1:
@@ -80,7 +84,9 @@ class Restart(NamedTuple):
 @dataclass
 class FitResult:
     """The kept restart's model, trajectory, update steps and convergence,
-    and the outcome of every restart in seed order."""
+    and the outcome of every restart in seed order. The trajectory holds
+    the losses at every CONVERGENCE_WINDOW-th iteration from 0 and at the
+    last."""
 
     model: FittedModel
     trajectory: list[float]
@@ -173,14 +179,17 @@ class _Channel(NamedTuple):
 
 
 def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel,
-                     params: dict, grads: dict, weights: np.ndarray | None = None):
+                     params: dict, grads: dict, weights: np.ndarray | None = None, *,
+                     scored: bool):
     """Loss of one response channel with per-cell latents ``values``.
 
     The channel's link parameters are the entries beta0, sigma0, beta and
     sigma of ``params``, each name followed by the channel's suffix. Writes
     their gradients into the same entries of ``grads`` and returns (loss,
-    d loss / d values per cell). ``weights`` are per-record constants (the
-    blocked alpha' weights). `Objective` calls it under its np.errstate.
+    d loss / d values per cell); the loss is None, and neither the
+    divergence nor the clamp is computed, unless ``scored``. ``weights``
+    are per-record constants (the blocked alpha' weights). `Objective`
+    calls it under its np.errstate.
     """
     responses, complement, suffix, mask = channel
     beta0, sigma0, beta, sigma = (params[name + suffix]
@@ -188,11 +197,15 @@ def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel
     cell_idx, part_idx = table.cell_idx, table.part_idx
     n_participants = beta.shape[0]
     vals_rec = values[cell_idx]
-    each, pred, scale = channel_losses(vals_rec, part_idx, responses, complement,
-                                       beta0, sigma0, beta, sigma)
-    if weights is not None:
-        each *= weights
-    loss = float(np.sum(each[mask])) if mask is not None else float(np.sum(each))
+    loss = None
+    if scored:
+        each, pred, scale = channel_losses(vals_rec, part_idx, responses, complement,
+                                           beta0, sigma0, beta, sigma)
+        if weights is not None:
+            each *= weights
+        loss = float(np.sum(each[mask])) if mask is not None else float(np.sum(each))
+    else:
+        pred, scale = _link(vals_rec, part_idx, beta0, sigma0, beta, sigma)
     inside = (pred >= PREDICTION_CLAMP) & (pred <= 1.0 - PREDICTION_CLAMP)
     g_z = np.subtract(pred, responses, out=pred)
     np.copyto(g_z, 0.0, where=~inside)
@@ -212,18 +225,19 @@ def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel
     return loss, np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
 
 
-def prior_backward(params: dict, grads: dict, groups: tuple[str, ...]) -> list[float]:
+def prior_backward(params: dict, grads: dict, groups: tuple[str, ...],
+                   scored: bool) -> list[float]:
     """Gaussian negative log prior over the random-effect ``groups``, up
     to constants.
 
     Each group contributes sum(x^2) / (2 v) plus the normalizer
     (n/2) log v, with v the group's optimized variance. Adds the gradient
     of each random effect into its entry of ``grads``, writes that of each
-    log-variance, and returns each group's penalty in order. Uses numpy
-    float semantics so that degenerate log-variances produce inf/nan
-    values (caught by the optimizer's finiteness checks) instead of range
-    errors; `Objective` calls it under its np.errstate, which silences
-    their warnings.
+    log-variance, and returns each group's penalty in order (none unless
+    ``scored``). Uses numpy float semantics so that degenerate
+    log-variances produce inf/nan values (caught by the optimizer's
+    finiteness checks) instead of range errors; `Objective` calls it under
+    its np.errstate, which silences their warnings.
     """
     penalties = []
     for name in groups:
@@ -231,7 +245,8 @@ def prior_backward(params: dict, grads: dict, groups: tuple[str, ...]) -> list[f
         variance = np.exp(np.float64(log_var))
         sum_sq = np.float64(np.sum(values * values))
         n = values.shape[0]
-        penalties.append(float(sum_sq / (2.0 * variance) + 0.5 * n * log_var))
+        if scored:
+            penalties.append(float(sum_sq / (2.0 * variance) + 0.5 * n * log_var))
         grads[name] += values / variance
         grads["log_var_" + name][...] = -sum_sq / (2.0 * variance) + 0.5 * n
     return penalties
@@ -257,25 +272,28 @@ class _Lane:
         self.error: FitError | None = None
         self.result: tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray] | None = None
 
-    def record(self, it: int, loss: float, config: FitConfig, bad: str | None) -> bool:
-        """Record the loss at iteration ``it``; False if the lane stops
-        there: at the iteration cap, converged, or failed with a non-finite
-        loss or with ``bad``, the name of the first non-finite gradient
-        entry it reads."""
-        if not np.isfinite(loss):
-            tail = ", ".join(f"{value:.6g}" for value in self.trajectory[-8:])
-            when = "after the final step" if it == config.max_iterations else f"at iteration {it}"
-            self.error = FitError(f"loss became non-finite {when}; recent losses [{tail}]")
-            return False
-        self.trajectory.append(float(loss))
+    def record(self, it: int, loss: float | None, config: FitConfig, bad: str | None) -> bool:
+        """Record the loss at iteration ``it``, None where it was not
+        evaluated; False if the lane stops there: at the iteration cap,
+        converged, or failed with a non-finite loss or with ``bad``, the
+        name of the first non-finite gradient entry it reads."""
+        if loss is not None:
+            if not np.isfinite(loss):
+                tail = ", ".join(f"{value:.6g}" for value in self.trajectory[-8:])
+                when = ("after the final step" if it == config.max_iterations
+                        else f"at iteration {it}")
+                self.error = FitError(f"loss became non-finite {when}; recent losses [{tail}]")
+                return False
+            self.trajectory.append(float(loss))
         if it == config.max_iterations:
             return False
         if bad is not None:
             self.error = FitError(f"non-finite gradient for {bad} at iteration {it}")
             return False
         if it > 0 and it % CONVERGENCE_WINDOW == 0:
-            previous = self.trajectory[it - CONVERGENCE_WINDOW]
-            relative = abs(self.trajectory[it] - previous) / max(abs(previous), 1e-12)
+            # the loss there and at the previous window's end
+            previous = self.trajectory[-2]
+            relative = abs(self.trajectory[-1] - previous) / max(abs(previous), 1e-12)
             self.streak = self.streak + 1 if relative < config.convergence_tol else 0
             self.converged = self.streak >= config.patience
         return not self.converged
@@ -296,9 +314,10 @@ class Objective:
     Called on the slot views of the acceptability block's point and
     gradient and on the lanes that share it, it evaluates that half once
     and each lane's neg-raising half under the lane's own ``nr_mask``,
-    writes every block's gradient in full, and returns the lanes' losses.
-    What does not depend on the point is built once: 1 - r of each channel
-    and the cell link's constants.
+    writes every block's gradient in full, and returns the lanes' losses,
+    each None unless ``scored``: then it computes the gradient alone. What
+    does not depend on the point is built once: 1 - r of each channel and
+    the cell link's constants.
     """
 
     def __init__(self, pack: ParameterPack, table: ResponseTable):
@@ -316,23 +335,27 @@ class Objective:
                 factor_shapes(pack.hyper, table.n_verbs, table.n_frames),
                 {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
 
-    def __call__(self, params: dict, grads: dict, lanes: list[_Lane]) -> list[float]:
+    def __call__(self, params: dict, grads: dict, lanes: list[_Lane],
+                 scored: bool) -> list[float | None]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            halves = self._acceptability_half(params, grads)
-            return [self._negraising_half(lane, *halves) for lane in lanes]
+            halves = self._acceptability_half(params, grads, scored)
+            return [self._negraising_half(lane, scored, *halves) for lane in lanes]
 
-    def _acceptability_half(self, params: dict, grads: dict):
-        """The acceptability loss and prior penalties, and the neg-raising
-        weights; writes the acceptability block's gradient."""
+    def _acceptability_half(self, params: dict, grads: dict, scored: bool):
+        """The acceptability loss and prior penalties (None and none unless
+        ``scored``), and the neg-raising weights; writes the acceptability
+        block's gradient."""
         alpha = params["alpha"]
-        acc_loss, g_alpha = channel_backward(alpha, self.table, self.acceptability, params, grads)
+        acc_loss, g_alpha = channel_backward(alpha, self.table, self.acceptability, params, grads,
+                                             scored=scored)
         grads["alpha"][:] = g_alpha
-        penalties = prior_backward(params, grads, ("beta_acc", "sigma_acc"))
+        penalties = prior_backward(params, grads, ("beta_acc", "sigma_acc"), scored)
         return acc_loss, penalties, expit(alpha)[self.table.cell_idx]
 
-    def _negraising_half(self, lane: _Lane, acc_loss: float, acc_penalties: list[float],
-                         weights: np.ndarray) -> float:
-        """The lane's total loss; writes the gradient of its own block."""
+    def _negraising_half(self, lane: _Lane, scored: bool, acc_loss: float | None,
+                         acc_penalties: list[float], weights: np.ndarray) -> float | None:
+        """The lane's total loss, None unless ``scored``; writes the
+        gradient of its own block."""
         params, grads = lane.params, lane.grads
         if self.link is None:
             nu = params["nu"]
@@ -341,12 +364,14 @@ class Objective:
             expit(lane.latent, out=self._probabilities[latent])
             nu, backward = self.link.values(self._probs)
         nr_loss, g_nu = channel_backward(nu, self.table, self.negraising._replace(mask=lane.nr_mask),
-                                         params, grads, weights=weights)
+                                         params, grads, weights=weights, scored=scored)
         if self.link is None:
             grads["nu"][:] = g_nu
         else:
             backward(g_nu, grads)
-        penalties = prior_backward(params, grads, ("beta", "sigma"))
+        penalties = prior_backward(params, grads, ("beta", "sigma"), scored)
+        if not scored:
+            return None
         # the penalties summed in the order beta, sigma, beta_acc, sigma_acc
         return nr_loss + acc_loss + sum(penalties + acc_penalties)
 
@@ -369,7 +394,7 @@ def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects
                                f"table's {want}")
     pack = ParameterPack(None if free else factors.hyper, table)
     _, _, acceptability, lanes = _start(table, pack, [factors], effects, cells.alpha, [nr_mask])
-    return Objective(pack, table)(*acceptability, lanes)[0]
+    return Objective(pack, table)(*acceptability, lanes, scored=True)[0]
 
 
 def _start(table: ResponseTable, pack: ParameterPack, latents, effects: EffectsParams,
@@ -396,14 +421,15 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     alpha at the logit of each cell's clamped mean acceptability.
 
     One vector holds every block, so one Adam update steps them all. Each
-    live lane records its loss (`_Lane.record`); a non-finite entry of the
-    acceptability gradient stops every live lane. Convergence: relative
-    loss change below convergence_tol across consecutive
-    CONVERGENCE_WINDOW-iteration windows, ``patience`` times in a row. A
-    lane that stops keeps its ``result``, the point whose loss is its last
-    trajectory entry; its gradient and first moment are zeroed, so Adam
-    steps its block by exactly 0.0. Returns the lanes in the order of
-    ``latents``, each as it runs alone.
+    live lane records its loss (`_Lane.record`), which is evaluated only
+    at iteration 0, every CONVERGENCE_WINDOW-th iteration and the last; a
+    non-finite entry of the acceptability gradient stops every live lane.
+    Convergence: relative loss change below convergence_tol across
+    consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times
+    in a row. A lane that stops keeps its ``result``, unless it failed the
+    point whose loss is its last trajectory entry; its gradient and first
+    moment are zeroed, so Adam steps its block by exactly 0.0. Returns the
+    lanes in the order of ``latents``, each as it runs alone.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
@@ -417,7 +443,8 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     live = list(lanes)
     # the pass after the last update only records the loss at the returned point
     for it in range(config.max_iterations + 1):
-        losses = objective(*acceptability, live)
+        scored = it % CONVERGENCE_WINDOW == 0 or it == config.max_iterations
+        losses = objective(*acceptability, live, scored)
         finite = np.isfinite(gradient)
         acc_bad = acc.first_non_finite(finite[:acc.size])
         for lane, loss in zip(live, losses):

@@ -16,10 +16,10 @@ from negfactor.model import FittedModel
 DATA = Path(__file__).parent / "data"
 
 
-def planted_spec_with(slot: str, index: int, value: float) -> dict:
+def planted_spec_with(slot: str, index: int, value) -> dict:
     """The spec of a saved truth file, one planted factor entry replaced."""
     spec = json.loads((DATA / "truth_1_1.json").read_text(encoding="utf-8"))
-    factor = np.array(spec["true_factors"][slot], dtype=float)
+    factor = np.array(spec["true_factors"][slot], dtype=object)
     factor.flat[index] = value
     spec["true_factors"][slot] = factor.tolist()
     return spec
@@ -89,7 +89,8 @@ class TestDataCommands:
                                       {"n_verbs": 3, "seed": True},
                                       planted_spec_with("psi", 0, float("nan")),
                                       planted_spec_with("pi", 1, 1.7),
-                                      planted_spec_with("phi", 1, -0.5)])
+                                      planted_spec_with("phi", 1, -0.5),
+                                      planted_spec_with("psi", 0, "0.5")])
     def test_bad_spec_is_a_clean_error(self, runner, tmp_path, spec):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -182,7 +183,8 @@ class TestFitAndReport:
                        {"learning_rate": 0}, {"seed": -1}, {"max_iterations": 1.5},
                        {"n_restarts": 2.0}, {"seed": 1.5}, {"patience": 1.5},
                        {"n_restarts": True, "max_iterations": 3},
-                       {"convergence_tol": float("nan")}, {"learning_rate": float("nan")}):
+                       {"convergence_tol": float("nan")}, {"learning_rate": float("nan")},
+                       {"learning_rate": True}):
             bad.write_text(json.dumps(config))
             result = runner.invoke(main, [
                 "fit", "--data", str(workspace / "data.csv"),

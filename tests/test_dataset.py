@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -358,6 +359,10 @@ class TestPlantedSpec:
             PlantedSpec(n_verbs=3, seed=1.5)
         with pytest.raises(DimensionError, match="ratings_per_cell must be an integer"):
             PlantedSpec(n_verbs=3, ratings_per_cell=True)
+        with pytest.raises(DimensionError, match="noise_scale must be a number"):
+            PlantedSpec(n_verbs=3, noise_scale=True, beta0=False)
+        with pytest.raises(DimensionError, match="beta0 must be a number"):
+            PlantedSpec(n_verbs=3, beta0="0.5")
         for ratings in (-1, 0):
             with pytest.raises(DimensionError, match="ratings_per_cell"):
                 PlantedSpec(n_verbs=3, ratings_per_cell=ratings)
@@ -415,14 +420,20 @@ class TestPlantedSpec:
                                getattr(resolved.true_factors, name))
 
     def test_from_json_file(self, tmp_path):
-        import json
-
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"n_verbs": 4, "seed": 3}), encoding="utf-8")
         spec = PlantedSpec.load(path)
         assert spec.n_verbs == 4
         assert spec.n_frames == 6
 
+    @pytest.mark.parametrize("slot, index, value", [("psi", 0, "0.5"), ("phi", 1, True)])
+    def test_factor_entries_must_be_json_numbers(self, slot, index, value):
+        data = json.loads((DATA / "truth_1_1.json").read_text(encoding="utf-8"))
+        factor = np.array(data["true_factors"][slot], dtype=object)
+        factor.flat[index] = value
+        data["true_factors"][slot] = factor.tolist()
+        with pytest.raises(SchemaError, match="true_factors entries must be numbers"):
+            PlantedSpec.from_dict(data)
 
     @pytest.mark.parametrize("name", ["truth_1_1.json", "truth_0_2.json"])
     def test_truth_file_of_an_earlier_version_is_reproduced_byte_for_byte(self, tmp_path, name):

@@ -4,7 +4,9 @@ and evaluation."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,7 +120,7 @@ def evaluated(pack, table, nr_mask, x, shared_x):
     latent, effects, alpha = pack.unpack(x, shared_x)
     _, gradient, acceptability, lanes = optim._start(table, pack, [latent], effects, alpha,
                                                      [nr_mask])
-    loss, = Objective(pack, table)(*acceptability, lanes)
+    loss, = Objective(pack, table)(*acceptability, lanes, True)
     return loss, gradient[lanes[0].block], gradient[:pack.shared.size]
 
 
@@ -210,10 +212,10 @@ class TestGradientAgainstFiniteDifferences:
         lane, = lanes
         for block, block_pack in ((lane.block, pack), (slice(0, pack.shared.size), pack.shared)):
             gradient = vector[block]
-            objective(*acceptability, lanes)
+            objective(*acceptability, lanes, True)
             first = gradient.copy()
             gradient[:] = np.nan
-            objective(*acceptability, lanes)
+            objective(*acceptability, lanes, True)
             again = vector[block]
             assert np.shares_memory(again, gradient)
             assert np.all(np.isfinite(first))
@@ -282,6 +284,64 @@ class TestGradientAgainstFiniteDifferences:
             assert_array_equal(_scatter(_scatter_bins(index, k), values, n), expected)
 
 
+class TestUnscoredIterations:
+    """Off the recorded iterations the objective computes the gradient
+    alone, which must be that of the scored call, bit for bit."""
+
+    @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 1), Hyperparams(0, 2)],
+                             ids=layout_id)
+    def test_gradient_is_the_scored_gradient(self, hyper):
+        # two lanes, one masked and one not
+        rng = np.random.default_rng(21)
+        table = random_table(rng, n_verbs=4, n_frames=2, n_participants=3, ratings_per_cell=2)
+        if hyper is None:
+            latent = rng.normal(size=table.n_cells)
+        else:
+            latent = random_factor_params(rng, hyper, 4, 2, scale=0.7)
+        pack = ParameterPack(hyper, table)
+        _, gradient, acceptability, lanes = optim._start(
+            table, pack, [latent, latent], random_effects(rng, 3), rng.normal(size=table.n_cells),
+            [rng.random(table.n_records) < 0.7, None])
+        objective = Objective(pack, table)
+        losses = objective(*acceptability, lanes, True)
+        scored = gradient.copy()
+        gradient[:] = np.nan
+        assert objective(*acceptability, lanes, False) == [None, None]
+        assert_array_equal(gradient, scored)
+        assert np.all(np.isfinite(losses)) and losses[0] != losses[1]
+
+    def test_failing_lanes_stop_where_the_loss_first_turns_non_finite(self, monkeypatch):
+        # a non-finite loss comes with a non-finite gradient entry, so a lane
+        # whose loss turns non-finite between windows stops at that very
+        # iteration, named by its gradient: the loss, scored at every
+        # iteration here, is finite at every step before the lane stops
+        real_call, finite = Objective.__call__, {}
+
+        def scoring(self, params, grads, lanes, scored):
+            losses = real_call(self, params, grads, lanes, True)
+            for lane, loss in zip(lanes, losses):
+                finite.setdefault(lane, []).append(bool(np.isfinite(loss)))
+            return losses if scored else [None] * len(lanes)
+
+        monkeypatch.setattr(Objective, "__call__", scoring)
+        failed = []
+        for seed, hyper, learning_rate in itertools.product(
+                range(3), (Hyperparams(1, 1), Hyperparams(2, 2)), (1e4, 1e2)):
+            table, _ = generate_synthetic(replace(TestLockstepLanes.SPEC, seed=seed))
+            starts = [FactorParams.random(hyper, table.n_verbs, table.n_frames,
+                                          np.random.default_rng(k), 0.5) for k in range(3)]
+            finite.clear()
+            lanes = optim._minimize(table, ParameterPack(hyper, table), starts,
+                                    FitConfig(learning_rate=learning_rate, max_iterations=300),
+                                    [None] * 3)
+            for lane in lanes:
+                assert all(finite[lane][:lane.steps])
+                if lane.error is not None:
+                    failed.append(lane.steps)
+        # every lane at lr 1e4 and one at lr 1e2 fail, all between windows
+        assert len(failed) == 19 and all(steps % CONVERGENCE_WINDOW for steps in failed)
+
+
 class TestLossConsistency:
     def test_fused_loss_matches_reference_composition(self):
         for seed in (3, 7, 19, 42):
@@ -308,7 +368,7 @@ def cells_table(n_cells):
 def quadratic_objective(target):
     """An `Objective.__call__` whose lane loss is sum((nu - target)^2) over
     the lane's free nu, flat in every other slot."""
-    def call(self, params, grads, lanes):
+    def call(self, params, grads, lanes, scored):
         for grad in grads.values():
             grad[...] = 0.0
         losses = []
@@ -317,7 +377,7 @@ def quadratic_objective(target):
                 grad[...] = 0.0
             delta = lane.params["nu"] - target
             lane.grads["nu"][:] = 2.0 * delta
-            losses.append(float(delta @ delta))
+            losses.append(float(delta @ delta) if scored else None)
         return losses
     return call
 
@@ -367,19 +427,32 @@ class TestAdamMinimize:
         assert lane.steps == 0
 
     def test_trajectory_final_entry_is_loss_at_returned_point(self):
-        # every lane, stopped at the cap or converged before the others
+        # every lane, stopped at the cap or converged before the others; the
+        # trajectory holds the losses at iteration 0, at each window's end
+        # and at the step where the lane stopped
         table, pack, starts, masks = TestLockstepLanes().problem()
-        for config in (FitConfig(max_iterations=37, convergence_tol=0.0),
+        for config in (FitConfig(max_iterations=137, convergence_tol=0.0),
                        TestLockstepLanes.STAGGERED):
             lanes = optim._minimize(table, pack, starts, config, masks)
             for lane, mask in zip(lanes, masks):
                 factors, effects, alpha = lane.result
                 assert lane.trajectory[-1] == total_loss(
                     table, factors, effects, AcceptabilityCells(alpha), nr_mask=mask)
-                assert len(lane.trajectory) == lane.steps + 1
-            if config.max_iterations == 37:
-                assert [lane.steps for lane in lanes] == [37] * 3
-                assert [len(lane.trajectory) for lane in lanes] == [38] * 3
+                recorded = range(0, lane.steps + 1, CONVERGENCE_WINDOW)
+                assert len(lane.trajectory) == len(recorded) + (lane.steps not in recorded)
+            if config.max_iterations == 137:
+                assert [lane.steps for lane in lanes] == [137] * 3
+                assert [len(lane.trajectory) for lane in lanes] == [3] * 3
+
+    def test_trajectory_entries_are_the_losses_of_shorter_fits(self):
+        # entry k of a 300-iteration fit is the final loss of the same fit
+        # capped at the k-th recorded iteration
+        table, _ = generate_synthetic(TestLockstepLanes.SPEC)
+        config = FitConfig(max_iterations=300, n_restarts=1, convergence_tol=0.0, seed=3)
+        trajectory = fit(table, Hyperparams(2, 1), config).trajectory
+        capped = [fit(table, Hyperparams(2, 1), replace(config, max_iterations=cap)).model
+                  for cap in (0, 100, 200, 300)]
+        assert trajectory == [model.final_loss for model in capped]
 
     def test_non_finite_loss_raises_with_recent_losses(self):
         lane, config = bare_lane(), FitConfig(max_iterations=100)
@@ -399,8 +472,8 @@ class TestAdamMinimize:
         table, pack, starts, masks = TestLockstepLanes().problem()
         real_call = Objective.__call__
 
-        def poisoned(self, params, grads, lanes):
-            losses = real_call(self, params, grads, lanes)
+        def poisoned(self, params, grads, lanes, scored):
+            losses = real_call(self, params, grads, lanes, scored)
             grads["alpha"][4] = np.nan
             lanes[0].grads["beta"][1] = np.inf
             return losses
@@ -417,17 +490,25 @@ class TestAdamMinimize:
 
     def test_convergence_waits_for_patience(self):
         # loss drops only at specific checkpoints: one quiet window is not
-        # enough at patience=2, two consecutive quiet windows are
+        # enough at patience=2, two consecutive quiet windows are; the loss
+        # is recorded only at the windows' ends, None between them
         lane = bare_lane()
         config = FitConfig(max_iterations=1_000, convergence_tol=1e-6, patience=2)
+
+        def loss(it):
+            if it % CONVERGENCE_WINDOW:
+                return None
+            return 100.0 if it == 0 else 1.0
+
         it = 0
-        while lane.record(it, 100.0 - it if it < CONVERGENCE_WINDOW else 1.0, config, None):
+        while lane.record(it, loss(it), config, None):
             it += 1
         assert lane.converged
         assert lane.error is None
         # windows end at 100 (loss changed), 200, 300 (first and second
         # quiet checks): convergence declared at iteration 300
-        assert len(lane.trajectory) == 3 * CONVERGENCE_WINDOW + 1
+        assert it == 3 * CONVERGENCE_WINDOW
+        assert lane.trajectory == [100.0, 1.0, 1.0, 1.0]
 
 
 class TestLockstepLanes:
@@ -502,8 +583,8 @@ class TestLockstepLanes:
                    for lane in optim._minimize(table, pack, starts[1:], config, masks[1:])]
         real_call, iterations = Objective.__call__, []
 
-        def poisoned(self, params, grads, lanes):
-            losses = real_call(self, params, grads, lanes)
+        def poisoned(self, params, grads, lanes, scored):
+            losses = real_call(self, params, grads, lanes, scored)
             iterations.append(len(iterations))
             if iterations[-1] == 5:
                 lanes[0].grads["beta"][1] = np.inf
@@ -512,7 +593,8 @@ class TestLockstepLanes:
         monkeypatch.setattr(Objective, "__call__", poisoned)
         lanes = optim._minimize(table, pack, starts, config, masks)
         assert str(lanes[0].error) == "non-finite gradient for beta[1] at iteration 5"
-        assert lanes[0].steps == 5 and len(lanes[0].trajectory) == 6
+        # between windows the loss is not evaluated: only iteration 0's is recorded
+        assert lanes[0].steps == 5 and len(lanes[0].trajectory) == 1
         assert [self.outcome(lane) for lane in lanes[1:]] == healthy
 
     @pytest.mark.parametrize("bad, message", [
@@ -597,10 +679,10 @@ class TestRestartOutcomes:
 
 class TestPinnedRuns:
     """Seeded 200-iteration runs reproduce, bit for bit, the final loss and
-    the loss trajectory recorded from the objective as it was before it was
-    built once per fit (with per-evaluation unpacking). A change to the
-    order of the floating-point operations in the objective or in Adam
-    moves the last bits, which these catch."""
+    the losses at iterations 0, 100 and 200 recorded from the objective as
+    it was before it was built once per fit (with per-evaluation
+    unpacking). A change to the order of the floating-point operations in
+    the objective or in Adam moves the last bits, which these catch."""
 
     SPEC = PlantedSpec(n_verbs=6, n_frames=3, n_participants=8, ratings_per_cell=4, seed=3)
     CONFIG = FitConfig(max_iterations=200, n_restarts=2, convergence_tol=0.0, seed=4)
@@ -613,14 +695,14 @@ class TestPinnedRuns:
         table, _ = generate_synthetic(self.SPEC)
         trajectory = fit(table, Hyperparams(1, 1), self.CONFIG).trajectory
         assert repr(trajectory[-1]) == "-24.350178416484926"
-        assert self.digest(trajectory) == "1a2f8f0768bce566"
+        assert self.digest(trajectory) == "8bf67bb1f4c2befd"
 
     def test_fit_masked(self):
         table, _ = generate_synthetic(self.SPEC)
         mask = np.random.default_rng(5).random(table.n_records) < 0.8
         trajectory = fit(table, Hyperparams(2, 3), self.CONFIG, nr_mask=mask).trajectory
         assert repr(trajectory[-1]) == "-25.34784201709133"
-        assert self.digest(trajectory) == "9d020556826bb5a3"
+        assert self.digest(trajectory) == "b5dabae6148bbfae"
 
     def test_normalize(self, monkeypatch):
         table, _ = generate_synthetic(self.SPEC)
@@ -635,7 +717,7 @@ class TestPinnedRuns:
         (lane,), = runs
         trajectory = lane.trajectory
         assert repr(trajectory[-1]) == "-25.228106027040784"
-        assert self.digest(trajectory) == "0f0e27228fb69637"
+        assert self.digest(trajectory) == "7696cdf60ffa4e89"
 
 
 class TestFit:

@@ -69,7 +69,7 @@ def prior_penalty(effects):
     """The prior term of the objective, as `optim.prior_backward` returns it."""
     params = {name: np.asarray(value, dtype=float) for name, value in vars(effects).items()}
     grads = {name: np.zeros(np.shape(value)) for name, value in params.items()}
-    return sum(prior_backward(params, grads, ("beta", "sigma", "beta_acc", "sigma_acc")))
+    return sum(prior_backward(params, grads, ("beta", "sigma", "beta_acc", "sigma_acc"), True))
 
 
 class TestSigmoidAndLogit:
