@@ -2,9 +2,15 @@
 
 The canonical file format is a long-format UTF-8 CSV with header
 ``verb,frame,subject,tense,participant,negraising,acceptability``; one row
-per rating, both slider responses in [0, 1]. Responses exactly at 0 or 1
-are clamped inward by 1e-4 at load time because the divergence loss is
-undefined at the endpoints.
+per rating, both slider responses in [0, 1]. A leading byte-order mark is
+accepted. Responses exactly at 0 or 1 are clamped inward by 1e-4 at load
+time because the divergence loss is undefined at the endpoints.
+
+The data path holds little beyond the table. Loading collects each
+record's indexes and responses in typed buffers, under 200 bytes per
+record at its peak; writing streams records in blocks of
+``WRITE_BLOCK_RECORDS``; and synthesis draws its rater scores in blocks
+of at most ``ASSIGN_BLOCK_SCORES``, whatever the participant count.
 
 Every file the package saves follows the conventions written once here:
 JSON artifacts are sorted-key, two-space-indented text ending in a newline
@@ -21,6 +27,7 @@ import csv
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +54,10 @@ RESPONSE_EPS = 1e-4
 # a planted factor probability is clipped to [PLANTED_CLIP, 1 - PLANTED_CLIP]
 # before its logit
 PLANTED_CLIP = 1e-9
+# synthesis draws rater scores at most this many at a time, and write_csv
+# formats this many records at a time
+ASSIGN_BLOCK_SCORES = 1 << 18
+WRITE_BLOCK_RECORDS = 1 << 12
 
 
 def json_text(data: dict) -> str:
@@ -236,11 +247,13 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
 
     verbs: dict[str, int] = {}
     participants: dict[str, int] = {}
-    ids: list[tuple[int, int, int, int, int]] = []
-    responses: list[tuple[float, float]] = []
+    # one typed buffer per index column and response, so a record costs no
+    # Python objects once read
+    verb_col, frame_col, subj_col, tense_col, part_col = (array("q") for _ in range(5))
+    nr_col, acc_col = array("d"), array("d")
     n_dropped = 0
 
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         for canonical in CANONICAL_COLUMNS:
@@ -266,27 +279,34 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
                     raise RowError(line, f"unknown subject label {subject!r}")
                 if tense not in tense_ids:
                     raise RowError(line, f"unknown tense label {tense!r}")
-                responses.append((_response(line, "negraising", nr),
-                                  _response(line, "acceptability", acc)))
+                nr_value = _response(line, "negraising", nr)
+                acc_value = _response(line, "acceptability", acc)
             except RowError:
                 if on_error == "fail":
                     raise
                 n_dropped += 1
                 continue
-            ids.append((verbs.setdefault(verb, len(verbs)), frame_ids[frame], subject_ids[subject],
-                        tense_ids[tense], participants.setdefault(participant, len(participants))))
+            verb_col.append(verbs.setdefault(verb, len(verbs)))
+            frame_col.append(frame_ids[frame])
+            subj_col.append(subject_ids[subject])
+            tense_col.append(tense_ids[tense])
+            part_col.append(participants.setdefault(participant, len(participants)))
+            nr_col.append(nr_value)
+            acc_col.append(acc_value)
 
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} malformed rows while loading {path}")
-    if not ids:
+    if not part_col:
         raise SchemaError(f"no usable rows in {path}")
 
-    verb_idx, frame_idx, subj_idx, tense_idx, part_idx = np.array(ids, dtype=np.int64).T.copy()
+    verb_idx, frame_idx, subj_idx, tense_idx, part_idx = (
+        np.frombuffer(column, dtype=np.int64)
+        for column in (verb_col, frame_col, subj_col, tense_col, part_col))
     frames_used, frame_idx = np.unique(frame_idx, return_inverse=True)
-    negraising, acceptability = clamp_responses(np.array(responses).T.copy())
     return ResponseTable.build(tuple(verbs), tuple(FRAME_LABELS[i] for i in frames_used),
                                tuple(participants), verb_idx, frame_idx, subj_idx, tense_idx,
-                               part_idx, negraising, acceptability)
+                               part_idx, clamp_responses(np.frombuffer(nr_col)),
+                               clamp_responses(np.frombuffer(acc_col)))
 
 
 def _response(line_number: int, column: str, raw: str | None) -> float:
@@ -307,15 +327,19 @@ def labels_at(labels, index: np.ndarray) -> list:
 
 def write_csv(table: ResponseTable, path) -> None:
     """Write a table in the canonical format; load_csv(write_csv(t)) == t."""
-    write_rows(path, CANONICAL_COLUMNS, zip(
-        labels_at(table.verbs, table.verb_idx),
-        labels_at(table.frames, table.frame_idx),
-        labels_at(SUBJECT_LABELS, table.subj_idx),
-        labels_at(TENSE_LABELS, table.tense_idx),
-        labels_at(table.participants, table.part_idx),
-        table.negraising.tolist(),
-        table.acceptability.tolist(),
-    ))
+    def rows():
+        for start in range(0, table.n_records, WRITE_BLOCK_RECORDS):
+            block = slice(start, start + WRITE_BLOCK_RECORDS)
+            yield from zip(
+                labels_at(table.verbs, table.verb_idx[block]),
+                labels_at(table.frames, table.frame_idx[block]),
+                labels_at(SUBJECT_LABELS, table.subj_idx[block]),
+                labels_at(TENSE_LABELS, table.tense_idx[block]),
+                labels_at(table.participants, table.part_idx[block]),
+                table.negraising[block].tolist(),
+                table.acceptability[block].tolist(),
+            )
+    write_rows(path, CANONICAL_COLUMNS, rows())
 
 
 def summarize(table: ResponseTable) -> dict:
@@ -503,9 +527,14 @@ def generate_synthetic(spec: PlantedSpec) -> tuple[ResponseTable, PlantedSpec]:
     cells = np.stack(np.unravel_index(np.arange(n_cells), (spec.n_verbs, spec.n_frames, 2, 2)),
                      axis=1)
     per_cell = min(spec.ratings_per_cell, spec.n_participants)
+    # a cell's raters are the per_cell lowest scores of its row; drawn a
+    # block of rows at a time, the scores are those of one draw of them all
     assign_rng = np.random.default_rng(streams[2])
-    scores = assign_rng.random((n_cells, spec.n_participants))
-    raters = np.sort(np.argsort(scores, axis=1)[:, :per_cell], axis=1)  # (n_cells, per_cell)
+    rows = max(1, ASSIGN_BLOCK_SCORES // spec.n_participants)
+    scores = (assign_rng.random((min(rows, n_cells - start), spec.n_participants))
+              for start in range(0, n_cells, rows))
+    raters = np.concatenate([np.sort(np.argsort(block, axis=1)[:, :per_cell], axis=1)
+                             for block in scores])  # (n_cells, per_cell)
 
     verb_idx, frame_idx, subj_idx, tense_idx = (np.repeat(column, per_cell) for column in cells.T)
     part_idx = raters.reshape(-1)

@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -363,6 +361,9 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     fit_folds = partial(_fit_folds, table, assignment, config)
     workers = min(cpus, len(tasks))
     if workers > 1:
+        # imported here, so that loading the package does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
         with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
             outcomes = list(pool.map(fit_folds, tasks))
     else:

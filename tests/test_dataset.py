@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from negfactor.dataset import (
+    ASSIGN_BLOCK_SCORES,
     FRAME_LABELS,
     RESPONSE_EPS,
+    WRITE_BLOCK_RECORDS,
     PlantedFactors,
     PlantedSpec,
     ResponseTable,
@@ -211,10 +214,37 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="no usable rows"):
             load_csv(path)
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / "data_small.csv").read_bytes())
+        table, plain = load_csv(path), load_csv(DATA / "data_small.csv")
+        assert table_fields(table) == table_fields(plain)
+        again = tmp_path / "again.csv"
+        write_csv(table, again)
+        assert again.read_bytes() == (DATA / "data_small.csv").read_bytes()
+
     def test_bad_on_error_value(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", [HEADER])
         with pytest.raises(ValueError, match="on_error"):
             load_csv(path, on_error="ignore")
+
+
+def table_fields(table):
+    """Every field of a table, arrays as (dtype, shape, bytes)."""
+    return {name: (value.dtype, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else value for name, value in vars(table).items()}
+
+
+def traced_peak(thunk) -> int:
+    """Peak bytes traced above the starting level while ``thunk`` runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        thunk()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def decoded_records(table):
@@ -494,6 +524,16 @@ class TestGenerateSynthetic:
         nu = link_values(resolved.true_factors.as_factor_params(), table.cells)
         assert_array_equal(table.negraising, clamp_responses(expit(nu))[table.cell_idx])
 
+    def test_blocked_rater_draws_equal_one_draw_of_every_score(self):
+        spec = PlantedSpec(n_verbs=30, n_participants=5000, seed=6)
+        n_cells = 30 * 6 * 4
+        assert ASSIGN_BLOCK_SCORES // spec.n_participants < n_cells / 4  # several blocks
+        table, _ = generate_synthetic(spec)
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(5)[2])
+        scores = rng.random((n_cells, spec.n_participants))
+        raters = np.sort(np.argsort(scores, axis=1)[:, :spec.ratings_per_cell], axis=1)
+        assert_array_equal(table.part_idx, raters.reshape(-1))
+
     def test_effect_draws_deterministic_and_zero_at_zero_sd(self):
         spec = PlantedSpec(n_verbs=2, n_participants=4, seed=5)
         shift, log_scale, shift_acc, log_scale_acc = sample_participant_effects(spec)
@@ -506,3 +546,24 @@ class TestGenerateSynthetic:
         for a, b in zip(one, two):
             assert_array_equal(a, b)
         assert one[0].std() > 0
+
+
+class TestDataPathMemory:
+    """What the data path holds beyond its table, traced by tracemalloc."""
+
+    def test_synthesis_holds_less_than_one_full_score_matrix(self):
+        spec = PlantedSpec(n_verbs=30, n_participants=5000)
+        scores_bytes = 30 * 6 * 4 * spec.n_participants * 8  # 27.5 MB
+        assert traced_peak(lambda: generate_synthetic(spec)) < scores_bytes
+
+    def test_loading_holds_under_200_bytes_per_record(self, tmp_path):
+        table, _ = generate_synthetic(PlantedSpec(n_verbs=50))
+        assert table.n_records == 12_000
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        assert traced_peak(lambda: load_csv(path)) < 200 * table.n_records
+
+    def test_writing_holds_a_bounded_block(self, tmp_path):
+        table, _ = generate_synthetic(PlantedSpec(n_verbs=250))
+        assert table.n_records > 10 * WRITE_BLOCK_RECORDS
+        assert traced_peak(lambda: write_csv(table, tmp_path / "t.csv")) < 2 * 2**20

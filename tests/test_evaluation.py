@@ -3,6 +3,7 @@ comparisons."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import pickle
@@ -302,7 +303,7 @@ class TestCrossValidate:
         def no_pool(*args, **kwargs):
             raise AssertionError("started a process pool")
 
-        monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 1)
         serial = cross_validate(table, [(1, 1), (1, 0)], QUICK).to_json()
 
@@ -322,7 +323,7 @@ class TestCrossValidate:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 64)
         assert cross_validate(table, [(1, 1), (1, 0)], QUICK).to_json() == serial
         assert started == [10]
@@ -348,6 +349,16 @@ class TestCrossValidate:
         assert done.returncode != 0
         assert "BrokenProcessPool" in done.stderr
 
+    def test_importing_the_package_loads_no_multiprocessing(self):
+        # the worker pool's modules load only when cross_validate starts one
+        env = {**os.environ, "PYTHONPATH": str(Path(negfactor.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, negfactor; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+             " or m == 'concurrent.futures.process'))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
+
     def test_unknown_point_lookup(self):
         table = dense_table(n_verbs=4, n_frames=2)
         report = cross_validate(table, [(1, 1)], QUICK)
@@ -358,7 +369,7 @@ class TestCrossValidate:
         def no_pool(*args, **kwargs):
             raise AssertionError("started a process pool")
 
-        monkeypatch.setattr(negfactor.evaluation, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 2)
         with pytest.raises(DimensionError, match="n_lexical must be an integer"):
             cross_validate(dense_table(n_verbs=4, n_frames=2), [(1.5, 1), (2.9, 0)], QUICK)
