@@ -7,10 +7,9 @@ random effects, priors, acceptability latents and weighted KL loss. The
 resulting score summarizes a cell's neg-raising strength with
 participant variation regressed out.
 
-The reported score is logit^-1(exp(sigma0) * nu) + beta0. With the
-intercept added outside the inverse link the score can leave [0, 1]; pass
-inside_link=True for the variant logit^-1(exp(sigma0) * nu + beta0),
-which is always a probability.
+The reported score is logit^-1(exp(sigma0) * nu) + beta0, or with
+inside_link=True logit^-1(exp(sigma0) * nu + beta0). The driver holds
+sigma0 and beta0 at 0, so both forms are logit^-1(nu), bit for bit.
 """
 
 from __future__ import annotations

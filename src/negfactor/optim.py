@@ -16,6 +16,8 @@ each coordinate on its own), then each lane's block. Its nu comes from
 `factorization.CellLink`, its link and divergence from `response`. Each
 piece writes the gradient of what it reads into its parameter's view of
 the gradient vector; only `ParameterPack` knows the layout of a block.
+The driver holds the HELD_SLOTS at 0, which makes the prior a
+unit-variance ridge and the loss bounded below by 0.
 An Adam step reads only the gradient, so the driver evaluates the loss
 only where it reads it: at iteration 0, at the end of each
 CONVERGENCE_WINDOW-iteration window and at the last iteration. A lane's
@@ -48,6 +50,11 @@ INIT_SCALE = 0.5
 # the slots of the acceptability block, which the lanes of a `_minimize` call share
 ACCEPTABILITY_SLOTS = ("beta0_acc", "sigma0_acc", "beta_acc", "sigma_acc", "log_var_beta_acc",
                        "log_var_sigma_acc", "alpha")
+# the slots `_minimize` holds at their start, 0. Left free, the prior's (n/2) log v
+# is unbounded below, sigma0_acc trades with the scale of alpha, and beta0 drifts
+# along a near-flat direction
+HELD_SLOTS = ("beta0", "sigma0", "log_var_beta", "log_var_sigma", "beta0_acc", "sigma0_acc",
+              "log_var_beta_acc", "log_var_sigma_acc")
 
 
 @dataclass(frozen=True)
@@ -231,7 +238,8 @@ def prior_backward(params: dict, grads: dict, groups: tuple[str, ...],
     to constants.
 
     Each group contributes sum(x^2) / (2 v) plus the normalizer
-    (n/2) log v, with v the group's optimized variance. Adds the gradient
+    (n/2) log v, with v the group's variance, which `_minimize` holds at 1
+    (log v = 0): a unit-variance ridge. Adds the gradient
     of each random effect into its entry of ``grads``, writes that of each
     log-variance, and returns each group's penalty in order (none unless
     ``scored``). Uses numpy float semantics so that degenerate
@@ -428,8 +436,10 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times
     in a row. A lane that stops keeps its ``result``, unless it failed the
     point whose loss is its last trajectory entry; its gradient and first
-    moment are zeroed, so Adam steps its block by exactly 0.0. Returns the
-    lanes in the order of ``latents``, each as it runs alone.
+    moment are zeroed, so Adam steps its block by exactly 0.0. The
+    gradient entries of the HELD_SLOTS are zeroed after each evaluation,
+    so those slots stay at 0. Returns the lanes in the order of
+    ``latents``, each as it runs alone.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
@@ -438,6 +448,10 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     x, gradient, acceptability, lanes = _start(table, pack, latents, effects, alpha, nr_masks)
     objective = Objective(pack, table)
     acc = pack.shared
+    index = np.arange(x.size)
+    blocks = [acc.views(index[:acc.size]), *(pack.views(index[lane.block]) for lane in lanes)]
+    held = np.concatenate([np.ravel(views[name]) for views in blocks
+                           for name in HELD_SLOTS if name in views])
     m, v = np.zeros_like(x), np.zeros_like(x)
     step, denominator = np.empty_like(x), np.empty_like(x)
     live = list(lanes)
@@ -445,6 +459,7 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     for it in range(config.max_iterations + 1):
         scored = it % CONVERGENCE_WINDOW == 0 or it == config.max_iterations
         losses = objective(*acceptability, live, scored)
+        gradient[held] = 0.0
         finite = np.isfinite(gradient)
         acc_bad = acc.first_non_finite(finite[:acc.size])
         for lane, loss in zip(live, losses):

@@ -50,8 +50,9 @@ class EffectsParams:
 
     ``beta``/``sigma`` hold per-participant shift and log-scale offsets for
     the neg-raising channel; the ``_acc`` fields are their acceptability
-    counterparts. Random-effect variances are optimized on the log scale,
-    which keeps them positive by construction.
+    counterparts. The fixed effects beta0, sigma0, beta0_acc, sigma0_acc
+    and the four random-effect log-variances are held at 0 by the fitting
+    driver (`optim.HELD_SLOTS`); the link and the prior still read them.
     """
 
     beta0: float

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from negfactor.cli import _parse_grid, _parse_point, main
 from negfactor.evaluation import EvalReport
 from negfactor.model import FittedModel
+from negfactor.optim import HELD_SLOTS
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,6 +130,17 @@ class TestFitAndReport:
         assert result.exit_code == 0, result.output
         for name in ("phi.csv", "omega.csv", "pi.csv", "verb_scores.csv", "bundle.json"):
             assert (out_dir / name).exists()
+
+    def test_default_fit_converges(self, runner, tmp_path):
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(main, [
+            "fit", "--data", str(DATA / "data_small.csv"),
+            "--n-lexical", "1", "--n-structural", "1", "--out", str(model_path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "(max iterations reached)" not in result.output
+        effects = json.loads(model_path.read_text(encoding="utf-8"))["effects"]
+        assert [effects[name] for name in HELD_SLOTS] == [0.0] * 8
 
     def test_library_errors_become_clean_messages(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ from negfactor.dataset import FRAME_LABELS, ResponseTable
 from negfactor.errors import DimensionError
 from negfactor.normalization import normalize
 from negfactor.optim import FitConfig
+from negfactor.response import expit as package_expit
 
 from conftest import random_table
 
@@ -118,6 +119,9 @@ class TestScores:
                         rtol=1e-12)
         assert np.isfinite(literal.score).all()
         assert np.all((inside.score > 0) & (inside.score < 1))
+        # sigma0 and beta0 are held at 0, so both forms are expit(nu)
+        assert_array_equal(literal.score, package_expit(literal.nu))
+        assert_array_equal(inside.score, literal.score)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
