@@ -721,6 +721,22 @@ class TestPinnedRuns:
         assert self.digest(trajectory) == "5cf446f3b430fee6"
         assert min(trajectory) >= 0.0
 
+    # a cell's log-probability that no pair event fires is a sum over its
+    # |T|·|I| events, whose order changes at 8 events: (4,4) and (3,3) pin
+    # that branch, with and without a mask, and (0,3) a frozen lexical side
+    @pytest.mark.parametrize("size, masked, final, digest", [
+        ((4, 4), True, "7.5261448701583324", "aa5dd311b942f51e"),
+        ((3, 3), False, "7.980841610188268", "57d53544e7e34faf"),
+        ((0, 3), False, "8.998785768790931", "f7c3bfc4907b71f0"),
+    ], ids=["4x4-masked", "3x3", "0x3"])
+    def test_fit_many_pair_events(self, size, masked, final, digest):
+        table, _ = generate_synthetic(self.SPEC)
+        mask = np.random.default_rng(5).random(table.n_records) < 0.8 if masked else None
+        trajectory = fit(table, Hyperparams(*size), self.CONFIG, nr_mask=mask).trajectory
+        assert repr(trajectory[-1]) == final
+        assert self.digest(trajectory) == digest
+        assert min(trajectory) >= 0.0
+
     def test_normalize(self, monkeypatch):
         table, _ = generate_synthetic(self.SPEC)
         runs = []
