@@ -15,11 +15,16 @@ property, which contributes multiplicative ones.
 the latent nu of each cell, the logit of its clamped probability. A fit
 builds one `CellLink` for its cells and runs it at every evaluation; the
 scoring of saved models and synthesis read nu from it through
-`link_values`. Its backward pass uses two identities: the derivative of
-the cell probability with respect to one pairing term zeta is the
-product of all other (1 - zeta) factors, computed stably as
-exp(sum log1p(-zeta) - log1p(-zeta_own)); and the derivative of a
-probability with respect to its logit is p (1 - p).
+`link_values`. Its arrays put the cell axis last, so each operation runs
+along the m cells, not along |T| or |I| (at most 4): log(1 - zeta) of
+every pair event is one (|T|, |I|, m) array, summed over the events in
+the order numpy's ``sum(axis=(1, 2))`` adds a cells-first array, which
+keeps fits bit for bit equal to earlier versions. The backward pass
+uses two identities: the derivative of the cell probability with respect
+to one pairing term zeta is the product of all other (1 - zeta)
+factors, computed stably as exp(sum log1p(-zeta) - log1p(-zeta_own)) in
+place of that array; and the derivative of a probability with respect
+to its logit is p (1 - p).
 """
 
 from __future__ import annotations
@@ -99,8 +104,7 @@ class FactorProbs:
     """Probability-scale factor arrays with frozen sides widened to ones.
 
     Shapes use the effective dimensions max(n, 1), so downstream code never
-    branches on boundary models. `pair_events` also returns one holding
-    each factor's entries at m cells, every array (m, eff).
+    branches on boundary models.
     """
 
     lambda_: np.ndarray  # (n_verbs, eff_structural)
@@ -196,36 +200,22 @@ class FactorParams:
         })
 
 
-def pair_events(probs: FactorProbs, v, f, j, k):
-    """The factorization kernel for index arrays of m cells.
-
-    Returns each factor's probabilities at the cells (a FactorProbs of
-    (m, eff) arrays), the structural products a (m, eff_t), the lexical
-    products b (m, eff_i), log(1 - zeta) for every pair event
-    zeta = a_t b_i (m, eff_t, eff_i), and its sum over the pairs: the
-    log-probability that no pair fires.
-    """
-    at = FactorProbs(probs.lambda_[v], probs.pi[:, f].T, probs.omega[:, j, k].T,
-                     probs.psi[v], probs.phi[:, j, k].T)
-    a = at.lambda_ * at.pi * at.omega
-    b = at.psi * at.phi
-    zeta = a[:, :, None] * b[:, None, :]
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-zeta)
-    return at, a, b, log_miss, log_miss.sum(axis=(1, 2))
-
-
-def _scatter_bins(index: np.ndarray, k: int) -> np.ndarray:
-    """The bins of `_scatter` for rows of k columns grouped by ``index``."""
-    return (index[:, None] * k + np.arange(k)).ravel()
-
-
-def _scatter(bins: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """(n, k) sums of the (m, k) rows of ``values`` grouped by the index
-    whose `_scatter_bins` are ``bins``, added in row order like
-    ``np.add.at``, so bit-identical to it."""
-    k = values.shape[1]
-    return np.bincount(bins, weights=values.ravel(), minlength=n * k).reshape(n, k)
+def _sum_pair_events(rows: np.ndarray) -> np.ndarray:
+    """The sum of the n <= 16 rows of ``rows``, one per pair event, in the
+    order numpy sums a contiguous run of n numbers: one by one below 8;
+    otherwise eight running sums, x_j + x_{j+8} where both are present,
+    added as a tree, then the rows past the last full 8 one by one."""
+    n = len(rows)
+    if n < 8:
+        s, rest = rows[0].copy(), rows[1:]
+    else:
+        r = rows[:8] if n < 16 else rows[:8] + rows[8:16]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        s, rest = r[0] + r[1], rows[n - n % 8:]
+    for row in rest:
+        s += row
+    return s
 
 
 class CellLink:
@@ -233,62 +223,70 @@ class CellLink:
     row of ``cells``: the logit of its probability clamped to
     [PROB_CLAMP, 1 - PROB_CLAMP].
 
-    What depends only on the cells (their index columns and the scatter
-    bins of the backward pass) is built once, so a fit builds one and
-    calls `values` at every evaluation.
+    It holds what depends only on the cells, so a fit builds one and calls
+    `values` at every evaluation: each slot's (k, m) index of its k
+    properties at the m cells into its raveled probabilities, which
+    gathers the forward pass's entries and bins the backward pass's sums.
     """
 
     def __init__(self, hyper: Hyperparams, n_verbs: int, n_frames: int, cells: np.ndarray):
         self.hyper = hyper
-        self.columns = tuple(cells[:, i] for i in range(4))
-        cv, cf, cj, ck = self.columns
+        cv, cf, cj, ck = (cells[:, i] for i in range(4))
         subject_tense = cj * 2 + ck
-        n_t, n_i = hyper.n_structural, hyper.n_lexical
-        # each active slot's scatter bins and number of rows, by slot
-        rows = {"lambda": (cv, n_t, n_verbs), "pi": (cf, n_t, n_frames),
-                "omega": (subject_tense, n_t, 4), "psi": (cv, n_i, n_verbs),
-                "phi": (subject_tense, n_i, 4)}
-        self.bins = {slot: (_scatter_bins(index, k), n)
-                     for slot, (index, k, n) in rows.items() if k}
+        t, i = (np.arange(max(n, 1))[:, None] for n in (hyper.n_structural, hyper.n_lexical))
+        # lambda and psi are (verb, property); the others put properties first
+        self.index = {"lambda": cv * len(t) + t, "pi": t * n_frames + cf,
+                      "omega": t * 4 + subject_tense, "psi": cv * len(i) + i,
+                      "phi": i * 4 + subject_tense}
 
     def values(self, probs: FactorProbs):
         """nu of each cell under ``probs``, and the backward pass.
 
         ``backward(g_nu, grads)`` chains d loss / d nu back to the logits
-        and writes each active slot's gradient into ``grads[slot]``. Run it
-        under ``np.errstate(invalid="ignore", over="ignore")``: a pair
-        event of probability one overflows the product of the others.
+        and writes each active slot's gradient into ``grads[slot]``; it
+        reuses the forward pass's pair-event array, so call it at most once.
+        Run it under ``np.errstate(invalid="ignore", over="ignore")``: a
+        pair event of probability one overflows the product of the others.
         """
-        at, a, b, log_miss, s = pair_events(probs, *self.columns)
+        by_slot = dict(zip(FACTOR_SLOTS, vars(probs).values()))
+        lambda_, pi, omega, psi, phi = (np.take(p, self.index[slot]) for slot, p in by_slot.items())
+        a = lambda_ * pi * omega  # (|T|, m)
+        b = psi * phi             # (|I|, m)
+        # log(1 - zeta) of each pair event zeta = a_t b_i, (|T|, |I|, m)
+        log_miss = np.multiply(a[:, None], -b)
+        with np.errstate(divide="ignore"):
+            np.log1p(log_miss, out=log_miss)
+        s = _sum_pair_events(log_miss.reshape(-1, log_miss.shape[-1]))
         pn = -np.expm1(s)
         pn_c = np.clip(pn, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        by_slot = dict(zip(FACTOR_SLOTS, vars(probs).values()))
 
         def backward(g_nu: np.ndarray, grads: dict[str, np.ndarray]) -> None:
             def write(slot, g_at):
                 # g_at holds d loss / d (the slot's probabilities at each cell)
-                bins, n = self.bins[slot]
-                g = _scatter(bins, g_at, n)
                 p, out = by_slot[slot], grads[slot]
-                # lambda and psi are (verb, property); the others put properties first
-                np.multiply(g if slot in ("lambda", "psi") else g.T.reshape(p.shape), p, out=out)
+                g = np.bincount(self.index[slot].ravel(), weights=g_at.ravel(), minlength=p.size)
+                np.multiply(g.reshape(p.shape), p, out=out)
                 out *= 1.0 - p
 
             # chain g_nu back through the clamped logit and the factorization
             active = (pn >= PROB_CLAMP) & (pn <= 1.0 - PROB_CLAMP)
             g_pn = np.where(active, g_nu / (pn_c * (1.0 - pn_c)), 0.0)
-            g_zeta = np.exp(s[:, None, None] - log_miss)
-            g_zeta *= g_pn[:, None, None]
-            g_zeta[~active] = 0.0
-            g_a = (g_zeta * b[:, None, :]).sum(axis=2)
-            g_b = (g_zeta * a[:, :, None]).sum(axis=1)
+            g_zeta = np.subtract(s, log_miss, out=log_miss)
+            np.exp(g_zeta, out=g_zeta)
+            g_zeta *= g_pn
+            g_zeta[..., ~active] = 0.0
+            g_a, g_b = g_zeta[:, 0] * b[0], g_zeta[0] * a[0]
+            for i in range(1, len(b)):
+                g_a += g_zeta[:, i] * b[i]
+            for t in range(1, len(a)):
+                g_b += g_zeta[t] * a[t]
             if self.hyper.n_structural:
-                write("lambda", g_a * at.pi * at.omega)
-                write("pi", g_a * at.lambda_ * at.omega)
-                write("omega", g_a * at.lambda_ * at.pi)
+                write("lambda", g_a * pi * omega)
+                write("pi", g_a * lambda_ * omega)
+                write("omega", g_a * lambda_ * pi)
             if self.hyper.n_lexical:
-                write("psi", g_b * at.phi)
-                write("phi", g_b * at.psi)
+                write("psi", g_b * phi)
+                write("phi", g_b * psi)
 
         return logit(pn_c), backward
 

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import expit, logit, rel_entr
 
 from negfactor.dataset import ResponseTable, FRAME_LABELS
-from negfactor.factorization import FactorParams, pair_events
+from negfactor import response
+from negfactor.factorization import PROB_CLAMP, FactorParams
 
 
 def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
@@ -43,11 +44,56 @@ def reference_or_probability(p_lambda, p_pi, p_omega, p_psi, p_phi) -> float:
     return total
 
 
+def cell_link_oracle(params: FactorParams, cells, g_nu=None):
+    """The cell link written plainly with the cell axis first.
+
+    Each of the m ``cells`` gets its (|T|, |I|) pair events
+    zeta = a_t b_i, and log P(no event fires) is their
+    ``sum(axis=(1, 2))``. Returns each cell's unclamped probability p, its
+    nu = logit(clip(p, PROB_CLAMP, 1 - PROB_CLAMP)) and, given d loss / d nu
+    ``g_nu``, each active slot's logit gradient (else None), with the
+    per-cell terms added into the factor arrays by ``np.add.at`` in cell
+    order. `factorization.CellLink` must give the same bits.
+    """
+    probs = params.probabilities()
+    v, f, j, k = np.asarray(cells).T
+    at = {"lambda": probs.lambda_[v], "pi": probs.pi[:, f].T, "omega": probs.omega[:, j, k].T,
+          "psi": probs.psi[v], "phi": probs.phi[:, j, k].T}  # each (m, eff)
+    a = at["lambda"] * at["pi"] * at["omega"]
+    b = at["psi"] * at["phi"]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_miss = np.log1p(-(a[:, :, None] * b[:, None, :]))
+        s = log_miss.sum(axis=(1, 2))
+        p = -np.expm1(s)
+        p_c = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        if g_nu is None:
+            return p, response.logit(p_c), None
+        active = (p >= PROB_CLAMP) & (p <= 1.0 - PROB_CLAMP)
+        g_p = np.where(active, g_nu / (p_c * (1.0 - p_c)), 0.0)
+        g_zeta = np.exp(s[:, None, None] - log_miss) * g_p[:, None, None]
+    g_zeta[~active] = 0.0
+    g_a = (g_zeta * b[:, None, :]).sum(axis=2)
+    g_b = (g_zeta * a[:, :, None]).sum(axis=1)
+    g_at = {"lambda": g_a * at["pi"] * at["omega"], "pi": g_a * at["lambda"] * at["omega"],
+            "omega": g_a * at["lambda"] * at["pi"], "psi": g_b * at["phi"], "phi": g_b * at["psi"]}
+    index = {"lambda": v, "pi": f, "omega": j * 2 + k, "psi": v, "phi": j * 2 + k}
+    grads = {}
+    for (slot, logits), prob in zip(params.arrays().items(), vars(probs).values()):
+        if logits is None:
+            continue
+        # lambda and psi are (verb, property); the others put properties first
+        verb_first = slot in ("lambda", "psi")
+        g = np.zeros(prob.shape if verb_first else (prob[0].size, len(prob)))
+        np.add.at(g, index[slot], g_at[slot])
+        grads[slot] = (g if verb_first else g.T.reshape(prob.shape)) * prob * (1.0 - prob)
+    return p, response.logit(p_c), grads
+
+
 def cell_probability(params: FactorParams, v, f, j, k):
-    """The library's cell probability at scalar ids (a float) or at
-    equal-length index arrays."""
-    *_, log_none = pair_events(params.probabilities(), *(np.atleast_1d(i) for i in (v, f, j, k)))
-    out = -np.expm1(log_none)
+    """The unclamped cell probability at scalar ids (a float) or at
+    equal-length index arrays, by `cell_link_oracle`."""
+    cells = np.stack(np.broadcast_arrays(*(np.atleast_1d(i) for i in (v, f, j, k))), axis=1)
+    out = cell_link_oracle(params, cells)[0]
     return float(out[0]) if np.ndim(v) == 0 else out
 
 

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import logit
 
 from negfactor.errors import DimensionError
-from negfactor.factorization import FactorParams, Hyperparams
+from negfactor.factorization import (MAX_PROPERTIES, PROB_CLAMP, CellLink, FactorParams,
+                                     Hyperparams)
 
 from conftest import (
+    cell_link_oracle,
     cell_probability,
     probabilities_to_logits,
     random_factor_params,
+    random_table,
     reference_or_probability,
     saturated,
 )
@@ -307,3 +312,36 @@ class TestEnumerationOracle:
             * probs.psi[0, 0] * probs.phi[0, 0, 1]
         )
         assert_allclose(cell_probability(params, 0, 0, 0, 1), product, rtol=0, atol=1e-14)
+
+
+class TestCellLink:
+    def test_matches_the_plain_oracle_bit_for_bit(self):
+        # nu and every active slot's gradient, at every grid point, on the
+        # cells of a dense table in shuffled order; verb 0 at frame 0 and
+        # (subject, tense) (0, 0) has every pair event certain and verb 1
+        # almost none, so cells fall on both sides of the clamp
+        rng = np.random.default_rng(24)
+        n_verbs, n_frames = 5, 3
+        cells = rng.permutation(random_table(rng, n_verbs, n_frames, 1, 1).cells)
+        g_nu = rng.normal(size=len(cells))
+        for n_i, n_t in itertools.product(range(MAX_PROPERTIES + 1), repeat=2):
+            if n_i == n_t == 0:
+                continue
+            hyper = Hyperparams(n_i, n_t)
+            params = random_factor_params(rng, hyper, n_verbs, n_frames)
+            for logits in (params.lambda_logits, params.psi_logits):
+                if logits is not None:
+                    logits[:2] = [[50.0], [-50.0]]
+            for logits in (params.pi_logits, params.omega_logits, params.phi_logits):
+                if logits is not None:
+                    logits.reshape(len(logits), -1)[:, 0] = 50.0
+            p, nu, expected = cell_link_oracle(params, cells, g_nu)
+            assert np.any(p == 1.0) and np.any(p < PROB_CLAMP)
+            got_nu, backward = CellLink(hyper, n_verbs, n_frames, cells).values(
+                params.probabilities())
+            grads = {slot: np.full(g.shape, np.nan) for slot, g in expected.items()}
+            with np.errstate(invalid="ignore", over="ignore"):
+                backward(g_nu, grads)
+            assert_array_equal(got_nu, nu, err_msg=str(hyper))
+            for slot, g in expected.items():
+                assert_array_equal(grads[slot], g, err_msg=f"{hyper} {slot}")

@@ -18,8 +18,7 @@ from negfactor import normalization, optim, response
 from negfactor.dataset import (FRAME_LABELS, PlantedSpec, ResponseTable, generate_synthetic,
                                load_csv)
 from negfactor.errors import CoverageError, DimensionError, FitError
-from negfactor.factorization import (FactorParams, Hyperparams, _scatter, _scatter_bins,
-                                     link_values)
+from negfactor.factorization import FactorParams, Hyperparams, link_values
 from negfactor.model import FittedModel
 from negfactor.normalization import normalize
 from negfactor.optim import (
@@ -273,18 +272,6 @@ class TestGradientAgainstFiniteDifferences:
                 views = block_pack.views(g)
                 assert all(np.shares_memory(view, g) for view in views.values())
                 assert_array_equal(np.concatenate([np.ravel(v) for v in views.values()]), g)
-
-    def test_gradient_scatter_is_bit_identical_to_add_at(self):
-        # the factor gradients are summed per verb, frame or (subject,
-        # tense) in record order; np.add.at is the reference
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 5))
-            index = rng.integers(0, n, size=int(rng.integers(0, 400)))
-            values = rng.normal(size=(index.size, k)) * 10.0 ** rng.integers(-8, 8, size=(1, k))
-            expected = np.zeros((n, k))
-            np.add.at(expected, index, values)
-            assert_array_equal(_scatter(_scatter_bins(index, k), values, n), expected)
 
 
 class TestUnscoredIterations:
