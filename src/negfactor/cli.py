@@ -197,14 +197,12 @@ def compare_command(report_path, point_a, point_b, n_boot, seed, out_path):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None)
-@click.option("--inside-link", is_flag=True,
-              help="Add the intercept inside the inverse link (score stays in (0,1)).")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @_friendly
-def normalize_command(data_path, config_path, inside_link, out_path):
+def normalize_command(data_path, config_path, out_path):
     """Fit free per-cell scores and write them as CSV."""
     table = load_csv(data_path)
-    scores = normalize(table, _load_config(config_path), inside_link=inside_link)
+    scores = normalize(table, _load_config(config_path))
     scores.write_csv(out_path)
     status = "" if scores.converged else " (max iterations reached)"
     click.echo(f"wrote {len(scores.nu)} cell scores to {out_path}{status}")

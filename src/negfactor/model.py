@@ -99,6 +99,9 @@ class FittedModel(JsonArtifact):
         try:
             if data["format"] != MODEL_FORMAT:
                 raise SchemaError(f"unexpected format tag {data['format']!r}")
+            if json_integer("version", data["version"]) > MODEL_VERSION:
+                raise SchemaError(f"model version {data['version']} is newer than this "
+                                  f"package's {MODEL_VERSION}")
             verbs = json_labels("verbs", data["verbs"])
             frames = json_labels("frames", data["frames"])
             participants = json_labels("participants", data["participants"])

@@ -7,9 +7,8 @@ random effects, priors, acceptability latents and weighted KL loss. The
 resulting score summarizes a cell's neg-raising strength with
 participant variation regressed out.
 
-The reported score is logit^-1(exp(sigma0) * nu) + beta0, or with
-inside_link=True logit^-1(exp(sigma0) * nu + beta0). The driver holds
-sigma0 and beta0 at 0, so both forms are logit^-1(nu), bit for bit.
+The reported score is logit^-1(nu): fitting holds sigma0 and beta0 at 0,
+so nu is the cell's latent on the link's own scale.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ class NormalizedScores:
         ))
 
 
-def normalize(table: ResponseTable, config: FitConfig | None = None,
-              inside_link: bool = False) -> NormalizedScores:
+def normalize(table: ResponseTable, config: FitConfig | None = None) -> NormalizedScores:
     """Fit free per-cell latents against the standard objective.
 
     The neg-raising loss keeps its acceptability weighting, and alpha is
@@ -63,18 +61,13 @@ def normalize(table: ResponseTable, config: FitConfig | None = None,
     if lane.error is not None:
         raise lane.error
     nu, effects, alpha = lane.result
-    scaled = np.exp(effects.sigma0) * nu
-    if inside_link:
-        score = expit(scaled + effects.beta0)
-    else:
-        score = expit(scaled) + effects.beta0
     return NormalizedScores(
         verbs=table.verbs,
         frames=table.frames,
         cells=table.cells.copy(),
         nu=nu,
         alpha=alpha,
-        score=score,
+        score=expit(nu),
         effects=effects,
         converged=lane.converged,
         iterations=lane.steps,

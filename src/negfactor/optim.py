@@ -16,8 +16,10 @@ each coordinate on its own), then each lane's block. Its nu comes from
 `factorization.CellLink`, its link and divergence from `response`. Each
 piece writes the gradient of what it reads into its parameter's view of
 the gradient vector; only `ParameterPack` knows the layout of a block.
-The driver holds the HELD_SLOTS at 0, which makes the prior a
-unit-variance ridge and the loss bounded below by 0.
+A layout holds only the array fields of `EffectsParams`: its scalar
+fields, the fixed effects and log-variances, reach the objective as
+constants. `_minimize` starts them at 0, so they stay there, the prior
+is a unit-variance ridge and the loss is bounded below by 0.
 An Adam step reads only the gradient, so the driver evaluates the loss
 only where it reads it: at iteration 0, at the end of each
 CONVERGENCE_WINDOW-iteration window and at the last iteration. A lane's
@@ -48,18 +50,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 INIT_SCALE = 0.5
 # the slots of the acceptability block, which the lanes of a `_minimize` call share
-ACCEPTABILITY_SLOTS = ("beta0_acc", "sigma0_acc", "beta_acc", "sigma_acc", "log_var_beta_acc",
-                       "log_var_sigma_acc", "alpha")
-# the slots `_minimize` holds at their start, 0. Left free, the prior's (n/2) log v
-# is unbounded below, sigma0_acc trades with the scale of alpha, and beta0 drifts
-# along a near-flat direction
-HELD_SLOTS = ("beta0", "sigma0", "log_var_beta", "log_var_sigma", "beta0_acc", "sigma0_acc",
-              "log_var_beta_acc", "log_var_sigma_acc")
+ACCEPTABILITY_SLOTS = ("beta_acc", "sigma_acc", "alpha")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; defaults follow the published fitting recipe."""
+    """Optimizer settings. The defaults: Adam at learning rate 0.01, at
+    most 30,000 iterations, converged once the relative loss change across
+    CONVERGENCE_WINDOW-iteration windows stays below 1e-6 twice in a row,
+    and 3 random restarts from seed 0."""
 
     learning_rate: float = 0.01
     max_iterations: int = 30_000
@@ -102,6 +101,12 @@ class FitResult:
     restarts: list[Restart]
 
 
+def _held(effects: EffectsParams) -> dict:
+    """The scalar fields of ``effects`` by name, which no layout holds:
+    `Objective` reads them as constants, so a fit keeps them at their start."""
+    return {name: value for name, value in vars(effects).items() if not np.ndim(value)}
+
+
 class ParameterPack:
     """Flat-vector layout of one block of the optimized parameters of
     ``table``: the only code that builds or reads the optimizer's flat
@@ -111,7 +116,8 @@ class ParameterPack:
     (``fit``) or, when ``hyper`` is None, one free nu per cell
     (``normalize``), then the neg-raising effects; frozen boundary factor
     arrays are absent, so they can never receive updates. Its ``shared``
-    pack, built with ``shared=True``, holds the ACCEPTABILITY_SLOTS.
+    pack, built with ``shared=True``, holds the ACCEPTABILITY_SLOTS. Only
+    the array fields of `EffectsParams` have slots, so no slot is 0-d.
     """
 
     def __init__(self, hyper: Hyperparams | None, table: ResponseTable, shared: bool = False):
@@ -125,8 +131,9 @@ class ParameterPack:
             shapes = factor_shapes(hyper, table.n_verbs, table.n_frames)
             layout = [(slot, shape) for slot, shape in shapes.items() if math.prod(shape)]
         self.latent = slice(0, sum(math.prod(shape) for _, shape in layout))
-        layout += [(name, np.shape(value))
-                   for name, value in vars(EffectsParams.zeros(table.n_participants)).items()]
+        layout += [(name, value.shape)
+                   for name, value in vars(EffectsParams.zeros(table.n_participants)).items()
+                   if np.ndim(value)]
         layout.append(("alpha", (table.n_cells,)))
         layout = [(name, shape) for name, shape in layout if (name in ACCEPTABILITY_SLOTS) == shared]
         ends = np.cumsum([math.prod(shape) for _, shape in layout]).tolist()
@@ -141,11 +148,11 @@ class ParameterPack:
         named.update(vars(effects), alpha=alpha)
         return np.concatenate([np.ravel(named[name]) for name in self._slices])
 
-    def unpack(self, x: np.ndarray, shared_x: np.ndarray
+    def unpack(self, x: np.ndarray, shared_x: np.ndarray, held: dict
                ) -> tuple[FactorParams | np.ndarray, EffectsParams, np.ndarray]:
-        """(latent, effects, alpha) from a lane's block ``x`` and the
-        acceptability block ``shared_x``."""
-        named = {name: view.copy() if view.ndim else float(view)
+        """(latent, effects, alpha) from a lane's block ``x``, the
+        acceptability block ``shared_x`` and the ``held`` scalar effects."""
+        named = {name: view.copy()
                  for name, view in (self.views(x) | self.shared.views(shared_x)).items()}
         if self.hyper is None:
             latent = named.pop("nu")
@@ -154,13 +161,12 @@ class ParameterPack:
                 field: named.pop(slot, None) for slot, field in FACTOR_SLOTS.items()
             })
         alpha = named.pop("alpha")
-        return latent, EffectsParams(**named), alpha
+        return latent, EffectsParams(**named, **held), alpha
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each slot of ``vector``, laid out like the block (its point, its
         gradient, or the factor probabilities of its latent block), as a
-        view in the slot's shape, keyed by slot name; a scalar slot is a
-        0-d view."""
+        view in the slot's shape, keyed by slot name."""
         return {name: vector[sl].reshape(shape) for name, (sl, shape) in self._slices.items()}
 
     def first_non_finite(self, finite: np.ndarray) -> str | None:
@@ -192,7 +198,8 @@ def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel
 
     The channel's link parameters are the entries beta0, sigma0, beta and
     sigma of ``params``, each name followed by the channel's suffix. Writes
-    their gradients into the same entries of ``grads`` and returns (loss,
+    the gradients of beta and sigma into the same entries of ``grads``
+    (the held scalars beta0 and sigma0 get none) and returns (loss,
     d loss / d values per cell); the loss is None, and neither the
     divergence nor the clamp is computed, unless ``scored``. ``weights``
     are per-record constants (the blocked alpha' weights). `Objective`
@@ -224,9 +231,7 @@ def channel_backward(values: np.ndarray, table: ResponseTable, channel: _Channel
     g_scaled *= g_z
     g_spread = vals_rec
     g_spread *= g_scaled
-    grads["beta0" + suffix][...] = np.sum(g_z)
     grads["beta" + suffix][:] = np.bincount(part_idx, weights=g_z, minlength=n_participants)
-    grads["sigma0" + suffix][...] = np.sum(g_spread)
     grads["sigma" + suffix][:] = np.bincount(part_idx, weights=g_spread,
                                              minlength=n_participants)
     return loss, np.bincount(cell_idx, weights=g_scaled, minlength=table.n_cells)
@@ -239,13 +244,12 @@ def prior_backward(params: dict, grads: dict, groups: tuple[str, ...],
 
     Each group contributes sum(x^2) / (2 v) plus the normalizer
     (n/2) log v, with v the group's variance, which `_minimize` holds at 1
-    (log v = 0): a unit-variance ridge. Adds the gradient
-    of each random effect into its entry of ``grads``, writes that of each
-    log-variance, and returns each group's penalty in order (none unless
-    ``scored``). Uses numpy float semantics so that degenerate
-    log-variances produce inf/nan values (caught by the optimizer's
-    finiteness checks) instead of range errors; `Objective` calls it under
-    its np.errstate, which silences their warnings.
+    (log v = 0): a unit-variance ridge. Adds the gradient of each random
+    effect into its entry of ``grads`` (the held log-variances get none)
+    and returns each group's penalty in order (none unless ``scored``).
+    Uses numpy float semantics so that degenerate log-variances produce
+    inf/nan values instead of range errors; `Objective` calls it under its
+    np.errstate, which silences their warnings.
     """
     penalties = []
     for name in groups:
@@ -256,21 +260,21 @@ def prior_backward(params: dict, grads: dict, groups: tuple[str, ...],
         if scored:
             penalties.append(float(sum_sq / (2.0 * variance) + 0.5 * n * log_var))
         grads[name] += values / variance
-        grads["log_var_" + name][...] = -sum_sq / (2.0 * variance) + 0.5 * n
     return penalties
 
 
 class _Lane:
     """One start point of a `_minimize` call: its ``block`` of the
-    vectors ``x`` and ``gradient`` with the slot views of each and the view
-    of its latent block in ``x``, its ``nr_mask`` and losses so far, how it
-    ended (``converged``, ``steps`` and ``error``, the FitError that
-    stopped it) and ``result``, its (latent, effects, alpha) there."""
+    vectors ``x`` and ``gradient`` with the slot views of each (those of
+    ``x`` with the ``held`` scalars) and the view of its latent block in
+    ``x``, its ``nr_mask`` and losses so far, how it ended (``converged``,
+    ``steps`` and ``error``, the FitError that stopped it) and ``result``,
+    its (latent, effects, alpha) there."""
 
     def __init__(self, pack: ParameterPack, x: np.ndarray, gradient: np.ndarray, block: slice,
-                 nr_mask: np.ndarray | None):
+                 nr_mask: np.ndarray | None, held: dict):
         self.block = block
-        self.params, self.grads = pack.views(x[block]), pack.views(gradient[block])
+        self.params, self.grads = pack.views(x[block]) | held, pack.views(gradient[block])
         self.latent = x[block][pack.latent]
         self.nr_mask = nr_mask
         self.trajectory: list[float] = []
@@ -410,15 +414,16 @@ def _start(table: ResponseTable, pack: ParameterPack, latents, effects: EffectsP
     """The point vector at ``effects``, ``alpha`` and each latent of
     ``latents`` (the acceptability block, then one block per latent), a
     gradient vector laid out like it, the slot views of their acceptability
-    blocks, and one lane per latent with its entry of ``nr_masks``."""
-    acc = pack.shared
+    blocks, those of the point with the held scalars of ``effects``, and
+    one lane per latent with its entry of ``nr_masks``."""
+    acc, held = pack.shared, _held(effects)
     x = np.concatenate([acc.pack(None, effects, alpha),
                         *(pack.pack(latent, effects, None) for latent in latents)], dtype=float)
     gradient = np.zeros_like(x)
     lanes = [_Lane(pack, x, gradient, slice(start, start + pack.size),
-                   _record_mask(nr_mask, table, "nr_mask"))
+                   _record_mask(nr_mask, table, "nr_mask"), held)
              for start, nr_mask in zip(range(acc.size, x.size, pack.size), nr_masks, strict=True)]
-    return x, gradient, (acc.views(x[:acc.size]), acc.views(gradient[:acc.size])), lanes
+    return x, gradient, (acc.views(x[:acc.size]) | held, acc.views(gradient[:acc.size])), lanes
 
 
 def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitConfig,
@@ -426,7 +431,8 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     """Minimize `Objective` by Adam from each start of ``latents``, its
     neg-raising term restricted to its entry of ``nr_masks``, as lanes in
     lockstep that share one acceptability block; effects start at zero and
-    alpha at the logit of each cell's clamped mean acceptability.
+    alpha at the logit of each cell's clamped mean acceptability. The
+    scalar effects are in no layout, so they stay at 0.
 
     One vector holds every block, so one Adam update steps them all. Each
     live lane records its loss (`_Lane.record`), which is evaluated only
@@ -436,22 +442,15 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     consecutive CONVERGENCE_WINDOW-iteration windows, ``patience`` times
     in a row. A lane that stops keeps its ``result``, unless it failed the
     point whose loss is its last trajectory entry; its gradient and first
-    moment are zeroed, so Adam steps its block by exactly 0.0. The
-    gradient entries of the HELD_SLOTS are zeroed after each evaluation,
-    so those slots stay at 0. Returns the lanes in the order of
-    ``latents``, each as it runs alone.
+    moment are zeroed, so Adam steps its block by exactly 0.0. Returns the
+    lanes in the order of ``latents``, each as it runs alone.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
     effects = EffectsParams.zeros(table.n_participants)
     alpha = logit(clamp_responses(table.cell_mean(table.acceptability)))
     x, gradient, acceptability, lanes = _start(table, pack, latents, effects, alpha, nr_masks)
-    objective = Objective(pack, table)
-    acc = pack.shared
-    index = np.arange(x.size)
-    blocks = [acc.views(index[:acc.size]), *(pack.views(index[lane.block]) for lane in lanes)]
-    held = np.concatenate([np.ravel(views[name]) for views in blocks
-                           for name in HELD_SLOTS if name in views])
+    objective, acc, held = Objective(pack, table), pack.shared, _held(effects)
     m, v = np.zeros_like(x), np.zeros_like(x)
     step, denominator = np.empty_like(x), np.empty_like(x)
     live = list(lanes)
@@ -459,13 +458,12 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     for it in range(config.max_iterations + 1):
         scored = it % CONVERGENCE_WINDOW == 0 or it == config.max_iterations
         losses = objective(*acceptability, live, scored)
-        gradient[held] = 0.0
         finite = np.isfinite(gradient)
         acc_bad = acc.first_non_finite(finite[:acc.size])
         for lane, loss in zip(live, losses):
             bad = pack.first_non_finite(finite[lane.block]) or acc_bad
             if not lane.record(it, loss, config, bad):
-                lane.steps, lane.result = it, pack.unpack(x[lane.block], x[:acc.size])
+                lane.steps, lane.result = it, pack.unpack(x[lane.block], x[:acc.size], held)
                 gradient[lane.block] = m[lane.block] = 0.0
         live = [lane for lane in live if lane.result is None]
         if not live:

@@ -50,9 +50,11 @@ class EffectsParams:
 
     ``beta``/``sigma`` hold per-participant shift and log-scale offsets for
     the neg-raising channel; the ``_acc`` fields are their acceptability
-    counterparts. The fixed effects beta0, sigma0, beta0_acc, sigma0_acc
-    and the four random-effect log-variances are held at 0 by the fitting
-    driver (`optim.HELD_SLOTS`); the link and the prior still read them.
+    counterparts. The scalar fields, the fixed effects beta0, sigma0,
+    beta0_acc, sigma0_acc and the four random-effect log-variances, have
+    no slot in the optimizer's layout (`optim.ParameterPack`), so a
+    fit holds them at their start, 0; the link and the prior still read
+    them.
     """
 
     beta0: float

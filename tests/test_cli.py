@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from negfactor.cli import _parse_grid, _parse_point, main
 from negfactor.evaluation import EvalReport
 from negfactor.model import FittedModel
-from negfactor.optim import HELD_SLOTS
+from negfactor.response import EffectsParams
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,7 +140,9 @@ class TestFitAndReport:
         assert result.exit_code == 0, result.output
         assert "(max iterations reached)" not in result.output
         effects = json.loads(model_path.read_text(encoding="utf-8"))["effects"]
-        assert [effects[name] for name in HELD_SLOTS] == [0.0] * 8
+        # the scalar fields of EffectsParams, which fits hold at 0
+        held = [name for name, value in vars(EffectsParams.zeros(1)).items() if not np.ndim(value)]
+        assert [effects[name] for name in held] == [0.0] * 8
 
     def test_library_errors_become_clean_messages(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -316,13 +318,23 @@ class TestNormalize:
         out_path = workspace / "scores.csv"
         result = runner.invoke(main, [
             "normalize", "--data", str(workspace / "data.csv"),
-            "--config", str(workspace / "config.json"),
-            "--inside-link", "--out", str(out_path),
+            "--config", str(workspace / "config.json"), "--out", str(out_path),
         ])
         assert result.exit_code == 0, result.output
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "verb,frame,subject,tense,nu,alpha,score"
         assert len(lines) == 1 + 4 * 2 * 4
+
+    def test_inside_link_is_refused(self, runner, workspace):
+        # the score is expit(nu), with no intercept to place
+        out_path = workspace / "scores.csv"
+        result = runner.invoke(main, [
+            "normalize", "--data", str(workspace / "data.csv"), "--inside-link",
+            "--out", str(out_path),
+        ])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--inside-link" in result.output
+        assert not out_path.exists()
 
 
 class TestParsing:

@@ -121,6 +121,21 @@ class TestEarlierVersions:
         path = DATA / name
         assert FittedModel.load(path).to_json() + "\n" == path.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("version, message", [
+        (99, "model version 99 is newer than this package's 1"),
+        ("two", "version must be an integer"),
+        (True, "version must be an integer"),
+        (None, "model JSON missing key 'version'"),
+    ], ids=["newer", "string", "bool", "absent"])
+    def test_version_must_be_an_integer_no_newer_than_the_package(self, version, message):
+        data = json.loads((DATA / "model_0_2.json").read_text(encoding="utf-8"))
+        if version is None:
+            del data["version"]
+        else:
+            data["version"] = version
+        with pytest.raises(SchemaError, match=message):
+            FittedModel.from_dict(data)
+
 
 class TestSizesAgainstTheVocabulary:
     """A model file whose arrays contradict its own vocabulary is refused

@@ -47,11 +47,9 @@ class TestScores:
         # stationary point up to float rounding, so scores stay near the
         # constant (Adam jitters at learning-rate scale around the optimum)
         table = constant_table(negraising=0.9, acceptability=0.7)
-        for inside_link in (False, True):
-            scores = normalize(table, QUICK, inside_link=inside_link)
-            assert_allclose(scores.score, 0.9, rtol=0, atol=5e-3)
-            assert np.ptp(scores.score) < 1e-12
-            assert abs(scores.effects.beta0) < 0.01
+        scores = normalize(table, QUICK)
+        assert_allclose(scores.score, 0.9, rtol=0, atol=5e-3)
+        assert np.ptp(scores.score) < 1e-12
         assert scores.score.shape == (table.n_cells,)
         # the acceptability channel is exactly stationary (expit(logit(0.7))
         # round-trips in floats), so its latents never move
@@ -86,11 +84,10 @@ class TestScores:
             acceptability=table.acceptability[order],
         )
         assert_array_equal(shuffled.cells, table.cells)
-        # the inside-link score is prediction-identified; the literal form
-        # also depends on how the fit splits exp(sigma0)*nu + beta0, which
-        # the data pin only weakly, so it is too loose to compare here
-        base = normalize(table, SETTLED, inside_link=True)
-        permuted = normalize(shuffled, SETTLED, inside_link=True)
+        # with sigma0 and beta0 held at 0, the score expit(nu) is the cell's
+        # prediction at zero participant effects, which the data identify
+        base = normalize(table, SETTLED)
+        permuted = normalize(shuffled, SETTLED)
         assert_allclose(permuted.score, base.score, rtol=0, atol=1e-4)
 
     def test_raising_a_cell_does_not_lower_its_score(self):
@@ -99,29 +96,21 @@ class TestScores:
                              ratings_per_cell=2)
         target = table.cell_idx == 4
         table.negraising[target] = rng.uniform(0.3, 0.5, size=target.sum())
-        before = normalize(table, SETTLED, inside_link=True).score[4]
+        before = normalize(table, SETTLED).score[4]
         table.negraising[target] += 0.2
-        after = normalize(table, SETTLED, inside_link=True).score[4]
+        after = normalize(table, SETTLED).score[4]
         assert after >= before - 1e-9
 
-    def test_link_variants_share_the_fit(self):
+    def test_score_is_expit_of_nu(self):
         rng = np.random.default_rng(3)
         table = random_table(rng, n_verbs=3, n_frames=2, n_participants=3,
                              ratings_per_cell=2)
-        literal = normalize(table, QUICK, inside_link=False)
-        inside = normalize(table, QUICK, inside_link=True)
-        assert_array_equal(literal.nu, inside.nu)
-        assert_array_equal(literal.alpha, inside.alpha)
-        scaled = np.exp(literal.effects.sigma0) * literal.nu
-        assert_allclose(literal.score, expit(scaled) + literal.effects.beta0,
-                        rtol=1e-12)
-        assert_allclose(inside.score, expit(scaled + inside.effects.beta0),
-                        rtol=1e-12)
-        assert np.isfinite(literal.score).all()
-        assert np.all((inside.score > 0) & (inside.score < 1))
-        # sigma0 and beta0 are held at 0, so both forms are expit(nu)
-        assert_array_equal(literal.score, package_expit(literal.nu))
-        assert_array_equal(inside.score, literal.score)
+        scores = normalize(table, QUICK)
+        # sigma0 and beta0 are held at 0, so the score is expit(nu), bit for bit
+        assert scores.effects.sigma0 == scores.effects.beta0 == 0.0
+        assert_array_equal(scores.score, package_expit(scores.nu))
+        assert_allclose(scores.score, expit(scores.nu), rtol=1e-12)
+        assert np.all((scores.score > 0) & (scores.score < 1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

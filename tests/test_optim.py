@@ -24,7 +24,6 @@ from negfactor.normalization import normalize
 from negfactor.optim import (
     CONVERGENCE_WINDOW,
     FitConfig,
-    HELD_SLOTS,
     Objective,
     ParameterPack,
     _scored_records,
@@ -50,6 +49,15 @@ FD_HYPERS = [
     Hyperparams(0, 1), Hyperparams(1, 0), Hyperparams(0, 3), Hyperparams(3, 0),
     None,
 ]
+
+
+# the scalar fields of EffectsParams, which no layout holds: fits keep them at 0
+HELD = tuple(name for name, value in vars(EffectsParams.zeros(1)).items() if not np.ndim(value))
+
+
+def held_of(effects):
+    """The held scalars of ``effects`` by name, as `ParameterPack.unpack` takes them."""
+    return {name: getattr(effects, name) for name in HELD}
 
 
 def layout_id(hyper):
@@ -109,17 +117,19 @@ def random_instance(seed):
 
 def packed(instance):
     """The instance's parameter layout and its point: the lane's block and
-    the acceptability block, each flat."""
+    the acceptability block, each flat, and the held scalars."""
     table, latent, effects, alpha, _ = instance
     hyper = latent.hyper if isinstance(latent, FactorParams) else None
     pack = ParameterPack(hyper, table)
-    return pack, pack.pack(latent, effects, alpha), pack.shared.pack(latent, effects, alpha)
+    return (pack, pack.pack(latent, effects, alpha), pack.shared.pack(latent, effects, alpha),
+            held_of(effects))
 
 
-def evaluated(pack, table, nr_mask, x, shared_x):
-    """The objective's loss at (x, shared_x), as one lane, and the gradient
-    of the lane's block and of the acceptability block."""
-    latent, effects, alpha = pack.unpack(x, shared_x)
+def evaluated(pack, table, nr_mask, x, shared_x, held):
+    """The objective's loss at (x, shared_x) with the ``held`` scalars, as
+    one lane, and the gradient of the lane's block and of the acceptability
+    block."""
+    latent, effects, alpha = pack.unpack(x, shared_x, held)
     _, gradient, acceptability, lanes = optim._start(table, pack, [latent], effects, alpha,
                                                      [nr_mask])
     loss, = Objective(pack, table)(*acceptability, lanes, True)
@@ -128,24 +138,25 @@ def evaluated(pack, table, nr_mask, x, shared_x):
 
 def named_gradient(latent, effects, alpha, table, nr_mask):
     """The objective's loss and a copy of its gradient, keyed by slot name."""
-    pack, x, shared_x = packed((table, latent, effects, alpha, nr_mask))
-    loss, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x)
+    pack, x, shared_x, held = packed((table, latent, effects, alpha, nr_mask))
+    loss, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x, held)
     return loss, pack.views(gradient.copy()) | pack.shared.views(shared_gradient.copy())
 
 
 def fd_relative_error(instance, h=1e-5):
     """Worst relative gap between the analytic gradient and central
     differences of the total loss, with the per-record weights frozen the
-    way the gradient treats them, over both blocks."""
+    way the gradient treats them, over both blocks; the held scalars stay
+    at the instance's nonzero values."""
     table, latent, effects, alpha, nr_mask = instance
-    pack, x, shared_x = packed(instance)
-    _, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x)
+    pack, x, shared_x, held = packed(instance)
+    _, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x, held)
     analytic = np.concatenate([gradient, shared_gradient])
     x0 = np.concatenate([x, shared_x])
 
     def loss_at(point):
-        return reference_objective(table, *pack.unpack(point[:pack.size], point[pack.size:]),
-                                   weight_alpha=alpha, nr_mask=nr_mask)
+        unpacked = pack.unpack(point[:pack.size], point[pack.size:], held)
+        return reference_objective(table, *unpacked, weight_alpha=alpha, nr_mask=nr_mask)
 
     numeric = finite_difference_gradient(loss_at, x0, h=h)
     rel = np.abs(analytic - numeric) / np.maximum(
@@ -229,6 +240,20 @@ class TestGradientAgainstFiniteDifferences:
         assert set(acceptability[1]) == set(optim.ACCEPTABILITY_SLOTS)
         assert not set(lane.grads) & set(optim.ACCEPTABILITY_SLOTS)
 
+    @pytest.mark.parametrize("hyper", [None] + [
+        Hyperparams(i, t) for i in range(5) for t in range(5) if (i, t) != (0, 0)
+    ], ids=layout_id)
+    def test_every_slot_is_an_array(self, hyper):
+        # only the array fields of EffectsParams are optimized: the held
+        # scalars have no slot in either block
+        table = random_table(np.random.default_rng(4), n_verbs=3, n_frames=2, n_participants=2)
+        pack = ParameterPack(hyper, table)
+        for block_pack in (pack, pack.shared):
+            views = block_pack.views(np.zeros(block_pack.size))
+            assert all(view.ndim for view in views.values())
+            assert not set(views) & set(HELD)
+        assert optim.ACCEPTABILITY_SLOTS == ("beta_acc", "sigma_acc", "alpha")
+
     @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 3), Hyperparams(0, 2),
                                        Hyperparams(3, 0)], ids=layout_id)
     def test_unpack_inverts_pack(self, hyper):
@@ -244,7 +269,7 @@ class TestGradientAgainstFiniteDifferences:
         x, shared_x = pack.pack(latent, effects, alpha), pack.shared.pack(latent, effects, alpha)
         assert x.shape == (pack.size,)
         assert shared_x.shape == (pack.shared.size,)
-        got_latent, got_effects, got_alpha = pack.unpack(x, shared_x)
+        got_latent, got_effects, got_alpha = pack.unpack(x, shared_x, held_of(effects))
         if hyper is None:
             assert_array_equal(got_latent, latent)
         else:
@@ -264,8 +289,8 @@ class TestGradientAgainstFiniteDifferences:
             if instance is None:
                 continue
             table, latent, effects, alpha, nr_mask = instance
-            pack, x, shared_x = packed(instance)
-            loss, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x)
+            pack, x, shared_x, held = packed(instance)
+            loss, gradient, shared_gradient = evaluated(pack, table, nr_mask, x, shared_x, held)
             assert loss == total_loss(table, latent, effects, AcceptabilityCells(alpha),
                                       nr_mask=nr_mask)
             for g, block_pack in ((gradient, pack), (shared_gradient, pack.shared)):
@@ -339,8 +364,8 @@ class TestLossConsistency:
             if instance is None:
                 continue
             table, latent, effects, alpha, nr_mask = instance
-            pack, x, shared_x = packed(instance)
-            loss, _, _ = evaluated(pack, table, nr_mask, x, shared_x)
+            pack, x, shared_x, held = packed(instance)
+            loss, _, _ = evaluated(pack, table, nr_mask, x, shared_x, held)
             reference = reference_objective(table, latent, effects, alpha, nr_mask=nr_mask)
             assert_allclose(loss, reference, rtol=1e-12)
 
@@ -350,7 +375,7 @@ class TestLossConsistency:
         table, latent, effects, alpha, nr_mask = random_instance(3)
         cells = AcceptabilityCells(alpha)
         loss = total_loss(table, latent, effects, cells, nr_mask=nr_mask)
-        for name in HELD_SLOTS:
+        for name in HELD:
             assert getattr(effects, name) != 0.0
             zeroed = replace(effects, **{name: 0.0})
             assert total_loss(table, latent, zeroed, cells, nr_mask=nr_mask) != loss, name
@@ -398,7 +423,7 @@ def bare_lane():
     table = cells_table(1)
     pack = ParameterPack(None, table)
     x = np.zeros(pack.size)
-    return optim._Lane(pack, x, np.zeros_like(x), slice(0, pack.size), None)
+    return optim._Lane(pack, x, np.zeros_like(x), slice(0, pack.size), None, {})
 
 
 class TestAdamMinimize:
@@ -681,7 +706,7 @@ class TestRestartOutcomes:
 class TestPinnedRuns:
     """Seeded 200-iteration runs reproduce, bit for bit, the final loss and
     the losses at iterations 0, 100 and 200 recorded since the driver holds
-    the HELD_SLOTS at 0. A change to the order of the floating-point
+    the scalar effects at 0. A change to the order of the floating-point
     operations in the objective or in Adam moves the last bits, which these
     catch. With those slots held every term of the objective is >= 0, so
     no recorded loss is negative."""
@@ -742,7 +767,7 @@ class TestPinnedRuns:
 
 
 class TestHeldSlots:
-    """`_minimize` holds the HELD_SLOTS at their start, 0, in every fit."""
+    """`_minimize` holds the scalar effects at their start, 0, in every fit."""
 
     def test_fitted_models_hold_them_at_exactly_zero(self):
         table, _ = generate_synthetic(TestPinnedRuns.SPEC)
@@ -754,7 +779,7 @@ class TestHeldSlots:
                       table, Hyperparams(2, 1), config, [1, 2], [mask, ~mask])),
                   normalize(table, config).effects]
         for effects in fitted:
-            assert [getattr(effects, name) for name in HELD_SLOTS] == [0.0] * 8
+            assert [getattr(effects, name) for name in HELD] == [0.0] * 8
             assert np.all(effects.beta != 0.0) and np.all(effects.sigma_acc != 0.0)
 
     def test_default_fit_converges_before_the_cap(self):
