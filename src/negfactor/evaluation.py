@@ -11,7 +11,6 @@ pinned to the training set (fold -1) and never held out.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -21,8 +20,8 @@ import numpy as np
 from .dataset import JsonArtifact, ResponseTable, json_numbers
 from .errors import ConsistencyError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
-from .model import json_cells, json_integer, json_labels
-from .optim import FitConfig, _scored_records, fit_group
+from .model import json_cells, json_integer, json_labels, json_object
+from .optim import FitConfig, _scored_records, _usable_cpus, fit_group
 
 REPORT_FORMAT = "negfactor-cv-report"
 REPORT_VERSION = 2
@@ -135,7 +134,7 @@ class GridPointResult:
     @classmethod
     def from_dict(cls, data: dict) -> GridPointResult:
         # ``equivalent_to`` is absent from version-1 reports
-        equivalent_to = data.get("equivalent_to")
+        equivalent_to = json_object("grid entry", data).get("equivalent_to")
         return cls(
             hyper=Hyperparams(json_integer("n_lexical", data["n_lexical"]),
                               json_integer("n_structural", data["n_structural"])),
@@ -235,6 +234,7 @@ class EvalReport(JsonArtifact):
     def from_dict(cls, data: dict) -> EvalReport:
         # a key not read here ("ranking", recomputed, or a list that earlier
         # versions wrote) is ignored
+        data = json_object("report", data)
         try:
             if data["format"] != REPORT_FORMAT:
                 raise SchemaError(f"not a cross-validation report: {data['format']!r}")
@@ -250,11 +250,18 @@ class EvalReport(JsonArtifact):
                     or not np.all((fold_of >= -1) & (fold_of < n_folds))):
                 raise SchemaError(f"fold_of must be {len(cells)} fold indices from -1 to "
                                   f"{n_folds - 1}, one per cell")
+            if not isinstance(data["grid"], list):
+                raise SchemaError("grid must be a list")
             results = [GridPointResult.from_dict(g) for g in data["grid"]]
+            seen = set()
             for result in results:
+                point = result.hyper.as_tuple()
+                if point in seen:
+                    raise SchemaError(f"grid repeats point {point}")
+                seen.add(point)
                 if result.cell_losses.shape != (len(cells),) or len(result.fold_losses) != n_folds:
-                    raise SchemaError(f"grid point {result.hyper.as_tuple()} must have one cell "
-                                      f"loss per cell and one fold loss per fold")
+                    raise SchemaError(f"grid point {point} must have one cell loss per cell "
+                                      "and one fold loss per fold")
             return cls(
                 verbs=verbs,
                 frames=frames,
@@ -275,18 +282,10 @@ def _as_grid(grid) -> list[Hyperparams]:
     return sorted(points, key=Hyperparams.as_tuple)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (``taskset`` restricts them)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fit_folds(table: ResponseTable, assignment: FoldAssignment, config: FitConfig,
+def _fit_folds(table: ResponseTable, assignment: FoldAssignment, config: FitConfig, cpus: int,
                task: tuple[Hyperparams, tuple[int, ...]]):
     """Held-out loss and held-out cell losses of some folds of one class,
-    whose fits run as one `fit_group`.
+    whose fits run as one `fit_group` on at most ``cpus`` threads.
 
     Returns, per fold, (fold loss, losses of the fold's cells in cell
     order), or the ``FitError`` text when the fold's fit fails.
@@ -303,7 +302,7 @@ def _fit_folds(table: ResponseTable, assignment: FoldAssignment, config: FitConf
         seeds.append(int(np.random.SeedSequence(fold_entropy).generate_state(1)[0]))
         nr_masks.append(~held_mask)
         held[fold] = held_cells, held_mask
-    fitted = fit_group(table, hyper, config, seeds, nr_masks) if seeds else []
+    fitted = fit_group(table, hyper, config, seeds, nr_masks, cpus) if seeds else []
     for (fold, (held_cells, held_mask)), outcome in zip(held.items(), fitted):
         if isinstance(outcome, FitError):
             outcomes[fold] = str(outcome)
@@ -340,10 +339,13 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     them with ``taskset``). Every fit's seed derives from (config.seed,
     class, fold), and a fit gives the same bits whatever lanes it shares,
     so the report is byte-identical to a run on one CPU, which fits in
-    this process. The table goes with each task. Workers start by
-    ``spawn``, which imports the main module again:
-    a script that calls this must do so under ``if __name__ == "__main__":``,
-    else it fails at once with ``BrokenProcessPool``.
+    this process. A fit on a large table runs on threads (see
+    `optim._minimize`): each task gets usable CPUs // workers of them, at
+    least 1, and a run in this process all of them. The table goes with
+    each task. Workers start by ``spawn``, which imports the main module
+    again: a script that calls this must do so under
+    ``if __name__ == "__main__":``, else it fails at once with
+    ``BrokenProcessPool``.
     """
     if config is None:
         config = FitConfig()
@@ -358,8 +360,9 @@ def cross_validate(table: ResponseTable, grid, config: FitConfig | None = None,
     groups = min(n_folds, math.ceil(cpus / len(classes)))
     tasks = [(rep, tuple(folds.tolist())) for rep in classes
              for folds in np.array_split(np.arange(n_folds), groups)]
-    fit_folds = partial(_fit_folds, table, assignment, config)
     workers = min(cpus, len(tasks))
+    # each worker's fits share the CPUs, so no more threads are busy than there are CPUs
+    fit_folds = partial(_fit_folds, table, assignment, config, max(1, cpus // workers))
     if workers > 1:
         # imported here, so that loading the package does not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -31,11 +31,14 @@ def json_checked(name: str, value, shape: tuple):
 
 
 def json_cells(value, verbs: tuple, frames: tuple) -> np.ndarray:
-    """Rows of four cell indices inside the vocabulary; else SchemaError."""
+    """Distinct rows of four cell indices inside the vocabulary; else
+    SchemaError."""
     cells = json_numbers(value, int)
     bounds = (len(verbs), len(frames), 2, 2)
     if cells is None or cells.shape[1:] != (4,) or not np.all((cells >= 0) & (cells < bounds)):
         raise SchemaError(f"cells must be rows of four indices below {bounds}")
+    if np.bincount(np.ravel_multi_index(cells.T, bounds)).max() > 1:
+        raise SchemaError("cells must not repeat a row")
     return cells
 
 
@@ -45,6 +48,13 @@ def json_labels(name: str, value) -> tuple[str, ...]:
             or len(set(value)) != len(value)):
         raise SchemaError(f"{name} must be a list of distinct strings")
     return tuple(value)
+
+
+def json_object(name: str, value) -> dict:
+    """A JSON object; else SchemaError."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be an object")
+    return value
 
 
 def json_integer(name: str, value) -> int:
@@ -96,6 +106,7 @@ class FittedModel(JsonArtifact):
 
     @classmethod
     def from_dict(cls, data: dict) -> "FittedModel":
+        data = json_object("model", data)
         try:
             if data["format"] != MODEL_FORMAT:
                 raise SchemaError(f"unexpected format tag {data['format']!r}")
@@ -106,20 +117,23 @@ class FittedModel(JsonArtifact):
             frames = json_labels("frames", data["frames"])
             participants = json_labels("participants", data["participants"])
 
+            sizes = json_object("hyper", data["hyper"])
             hyper = Hyperparams(
-                n_lexical=json_integer("hyper.n_lexical", data["hyper"]["n_lexical"]),
-                n_structural=json_integer("hyper.n_structural", data["hyper"]["n_structural"]))
+                n_lexical=json_integer("hyper.n_lexical", sizes["n_lexical"]),
+                n_structural=json_integer("hyper.n_structural", sizes["n_structural"]))
             if not isinstance(data["converged"], bool):
                 raise SchemaError("converged must be true or false")
             cells = json_cells(data["cells"], verbs, frames)
             shapes = factor_shapes(hyper, len(verbs), len(frames))
+            logits = json_object("factors", data["factors"])
+            effect_values = json_object("effects", data["effects"])
             factors = FactorParams(hyper, len(verbs), len(frames), **{
-                field: None if (value := data["factors"][slot]) is None
+                field: None if (value := logits[slot]) is None
                 else json_checked(f"factors.{slot}", value, shapes[slot])
                 for slot, field in FACTOR_SLOTS.items()
             })
             effects = EffectsParams(**{
-                name: json_checked(f"effects.{name}", data["effects"][name], np.shape(zero))
+                name: json_checked(f"effects.{name}", effect_values[name], np.shape(zero))
                 for name, zero in vars(EffectsParams.zeros(len(participants))).items()
             })
             return cls(

@@ -23,13 +23,21 @@ is a unit-variance ridge and the loss is bounded below by 0.
 An Adam step reads only the gradient, so the driver evaluates the loss
 only where it reads it: at iteration 0, at the end of each
 CONVERGENCE_WINDOW-iteration window and at the last iteration. A lane's
-trajectory holds the losses there.
+trajectory holds the losses there. On a table of THREADED_MIN_RECORDS
+records or more, with more than one usable CPU, the pieces of each
+evaluation (the acceptability half and each lane's neg-raising half) run
+on threads; each does the same arithmetic either way, so the bits do not
+change.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +59,15 @@ ADAM_EPSILON = 1e-8
 INIT_SCALE = 0.5
 # the slots of the acceptability block, which the lanes of a `_minimize` call share
 ACCEPTABILITY_SLOTS = ("beta_acc", "sigma_acc", "alpha")
+# The fewest records on which `_minimize` runs an evaluation's pieces on
+# threads. Handing pieces to a thread costs a fixed time per evaluation,
+# which small tables do not earn back. Time per iteration of a
+# one-restart fit at (1,1) and (4,4), two threads against one (2-core VM,
+# median of 5): x2.09 and x1.59 at 7,200 records, x1.42 and x1.26 at
+# 14,400, x1.01 and x0.97 at 28,800, x0.89 and x0.92 at 40,800, x0.81 and
+# x0.89 at 60,000, x0.88 and x0.77 at 216,000. The threshold sits above
+# the crossover, near 28,800, with a margin.
+THREADED_MIN_RECORDS = 40_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,16 @@ class FitResult:
     iterations_run: int
     converged: bool
     restarts: list[Restart]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` restricts them): the
+    threads of a `_minimize` call and the worker processes of
+    `evaluation.cross_validate` both count them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _held(effects: EffectsParams) -> dict:
@@ -311,81 +338,133 @@ class _Lane:
         return not self.converged
 
 
+def _in_turn(pieces) -> list:
+    """The result of each of ``pieces``, called in order on this thread."""
+    return [piece() for piece in pieces]
+
+
+def _on_threads(pool, helpers: int):
+    """A runner like `_in_turn` that calls ``pieces`` on this thread and on
+    up to ``helpers`` threads of ``pool`` at once, and returns their
+    results in the order of ``pieces`` once all have finished. Each
+    thread takes one untaken piece after another, this thread from the
+    front and the pool's from the back, so with one lane each thread runs
+    the same piece at every evaluation and reuses the memory that piece
+    freed. numpy's error state does not carry into a pool thread, so each
+    thread enters `Objective`'s."""
+    def run(pieces) -> list:
+        results, pending = [None] * len(pieces), deque(enumerate(pieces))
+
+        def drain(take):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                while True:
+                    try:
+                        k, piece = take()
+                    except IndexError:  # every piece is taken
+                        return
+                    results[k] = piece()
+
+        started = [pool.submit(drain, pending.pop)
+                   for _ in range(min(helpers, len(pieces) - 1))]
+        drain(pending.popleft)
+        for future in started:
+            future.result()
+        return results
+    return run
+
+
 class Objective:
     """The one objective: weighted neg-raising and acceptability
     divergences plus the prior, over the blocks of ``pack`` on ``table``,
     in two halves.
 
-    The acceptability half is that channel, the prior on its effects, and
-    the neg-raising weights expit(alpha); it reads only the acceptability
-    block. The neg-raising half reads a lane's own block and the weights:
-    its nu comes from the free nu of the latent block (``hyper`` None) or
-    from the factor logits, through one sigmoid over the whole block and
-    the `CellLink`.
+    The acceptability half is that channel and the prior on its effects;
+    it reads only the acceptability block. The neg-raising half reads a
+    lane's own block and the weights expit(alpha): its nu comes from the
+    free nu of the latent block (``hyper`` None) or from the factor
+    logits, through one sigmoid over the block and the `CellLink`.
 
     Called on the slot views of the acceptability block's point and
-    gradient and on the lanes that share it, it evaluates that half once
-    and each lane's neg-raising half under the lane's own ``nr_mask``,
-    writes every block's gradient in full, and returns the lanes' losses,
-    each None unless ``scored``: then it computes the gradient alone. What
+    gradient and on the lanes that share it, it computes the weights, then
+    evaluates that half once and each lane's neg-raising half under the
+    lane's own ``nr_mask``, writes every block's gradient in full, and
+    returns the lanes' losses, each None unless ``scored``: then it
+    computes the gradient alone. The halves are its pieces, which
+    ``run`` calls (`_in_turn` or `_on_threads`): each reads what no piece
+    writes and writes only its own block's gradient and, for a lane, its
+    own sigmoid buffer, so they may run at once. Each gives the same bits
+    either way, and the losses are summed after all have finished. What
     does not depend on the point is built once: 1 - r of each channel and
     the cell link's constants.
     """
 
-    def __init__(self, pack: ParameterPack, table: ResponseTable):
+    def __init__(self, pack: ParameterPack, table: ResponseTable, run=_in_turn):
         self.pack = pack
         self.table = table
+        self.run = run
         self.negraising = _Channel(table.negraising, 1.0 - table.negraising, "", None)
         self.acceptability = _Channel(table.acceptability, 1.0 - table.acceptability, "_acc", None)
         self.link = None
         if pack.hyper is not None:
             self.link = CellLink(pack.hyper, table.n_verbs, table.n_frames, table.cells)
-            # the sigmoid of the latent block, laid out like x for its slot views
-            self._probabilities = np.empty(pack.size)
-            views = pack.views(self._probabilities)
-            self._probs = FactorProbs.widened(
-                factor_shapes(pack.hyper, table.n_verbs, table.n_frames),
-                {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
+        # per lane of a call: the sigmoid of its latent block, laid out like
+        # x for its slot views, and those views as factor probabilities
+        self._sigmoids: list[tuple[np.ndarray, FactorProbs] | None] = []
 
     def __call__(self, params: dict, grads: dict, lanes: list[_Lane],
                  scored: bool) -> list[float | None]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            halves = self._acceptability_half(params, grads, scored)
-            return [self._negraising_half(lane, scored, *halves) for lane in lanes]
+            weights = expit(params["alpha"])[self.table.cell_idx]
+            pieces = [partial(self._negraising_half, lane, sigmoid, weights, scored)
+                      for lane, sigmoid in zip(lanes, self._sigmoid_buffers(len(lanes)))]
+            pieces.append(partial(self._acceptability_half, params, grads, scored))
+            *negraising, (acc_loss, acc_penalties) = self.run(pieces)
+        if not scored:
+            return [None] * len(lanes)
+        # the penalties summed in the order beta, sigma, beta_acc, sigma_acc
+        return [nr_loss + acc_loss + sum(penalties + acc_penalties)
+                for nr_loss, penalties in negraising]
+
+    def _sigmoid_buffers(self, n_lanes: int) -> list:
+        """At least ``n_lanes`` sigmoid buffers, one per lane (None each
+        for free nu)."""
+        while len(self._sigmoids) < n_lanes:
+            sigmoid = None
+            if self.link is not None:
+                probabilities = np.empty(self.pack.size)
+                views = self.pack.views(probabilities)
+                sigmoid = probabilities, FactorProbs.widened(
+                    factor_shapes(self.pack.hyper, self.table.n_verbs, self.table.n_frames),
+                    {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
+            self._sigmoids.append(sigmoid)
+        return self._sigmoids
 
     def _acceptability_half(self, params: dict, grads: dict, scored: bool):
         """The acceptability loss and prior penalties (None and none unless
-        ``scored``), and the neg-raising weights; writes the acceptability
-        block's gradient."""
-        alpha = params["alpha"]
-        acc_loss, g_alpha = channel_backward(alpha, self.table, self.acceptability, params, grads,
-                                             scored=scored)
+        ``scored``); writes the acceptability block's gradient."""
+        acc_loss, g_alpha = channel_backward(params["alpha"], self.table, self.acceptability,
+                                             params, grads, scored=scored)
         grads["alpha"][:] = g_alpha
-        penalties = prior_backward(params, grads, ("beta_acc", "sigma_acc"), scored)
-        return acc_loss, penalties, expit(alpha)[self.table.cell_idx]
+        return acc_loss, prior_backward(params, grads, ("beta_acc", "sigma_acc"), scored)
 
-    def _negraising_half(self, lane: _Lane, scored: bool, acc_loss: float | None,
-                         acc_penalties: list[float], weights: np.ndarray) -> float | None:
-        """The lane's total loss, None unless ``scored``; writes the
-        gradient of its own block."""
+    def _negraising_half(self, lane: _Lane, sigmoid, weights: np.ndarray, scored: bool):
+        """The lane's weighted neg-raising loss and prior penalties (None
+        and none unless ``scored``); writes the gradient of its own block,
+        and its latent block's sigmoid into ``sigmoid``."""
         params, grads = lane.params, lane.grads
         if self.link is None:
             nu = params["nu"]
         else:
-            latent = self.pack.latent
-            expit(lane.latent, out=self._probabilities[latent])
-            nu, backward = self.link.values(self._probs)
+            probabilities, probs = sigmoid
+            expit(lane.latent, out=probabilities[self.pack.latent])
+            nu, backward = self.link.values(probs)
         nr_loss, g_nu = channel_backward(nu, self.table, self.negraising._replace(mask=lane.nr_mask),
                                          params, grads, weights=weights, scored=scored)
         if self.link is None:
             grads["nu"][:] = g_nu
         else:
             backward(g_nu, grads)
-        penalties = prior_backward(params, grads, ("beta", "sigma"), scored)
-        if not scored:
-            return None
-        # the penalties summed in the order beta, sigma, beta_acc, sigma_acc
-        return nr_loss + acc_loss + sum(penalties + acc_penalties)
+        return nr_loss, prior_backward(params, grads, ("beta", "sigma"), scored)
 
 
 def total_loss(table: ResponseTable, factors: FactorParams | np.ndarray, effects: EffectsParams,
@@ -427,7 +506,7 @@ def _start(table: ResponseTable, pack: ParameterPack, latents, effects: EffectsP
 
 
 def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitConfig,
-              nr_masks) -> list[_Lane]:
+              nr_masks, cpus: int | None = None) -> list[_Lane]:
     """Minimize `Objective` by Adam from each start of ``latents``, its
     neg-raising term restricted to its entry of ``nr_masks``, as lanes in
     lockstep that share one acceptability block; effects start at zero and
@@ -444,53 +523,66 @@ def _minimize(table: ResponseTable, pack: ParameterPack, latents, config: FitCon
     point whose loss is its last trajectory entry; its gradient and first
     moment are zeroed, so Adam steps its block by exactly 0.0. Returns the
     lanes in the order of ``latents``, each as it runs alone.
+
+    With ``cpus`` (default: every usable CPU) above 1 and a table of
+    THREADED_MIN_RECORDS records or more, each evaluation runs its pieces
+    on this thread and a pool of cpus - 1 threads (`_on_threads`), which
+    lives as long as the call; else it runs them in turn. Every lane gets
+    the same bits either way.
     """
     if table.n_records == 0:
         raise DimensionError("cannot fit an empty table")
+    cpus = _usable_cpus() if cpus is None else cpus
+    threaded = cpus > 1 and table.n_records >= THREADED_MIN_RECORDS
+    if threaded:
+        # imported here, so that loading the package does not load the thread pool
+        from concurrent.futures import ThreadPoolExecutor
     effects = EffectsParams.zeros(table.n_participants)
     alpha = logit(clamp_responses(table.cell_mean(table.acceptability)))
     x, gradient, acceptability, lanes = _start(table, pack, latents, effects, alpha, nr_masks)
-    objective, acc, held = Objective(pack, table), pack.shared, _held(effects)
+    acc, held = pack.shared, _held(effects)
     m, v = np.zeros_like(x), np.zeros_like(x)
     step, denominator = np.empty_like(x), np.empty_like(x)
     live = list(lanes)
-    # the pass after the last update only records the loss at the returned point
-    for it in range(config.max_iterations + 1):
-        scored = it % CONVERGENCE_WINDOW == 0 or it == config.max_iterations
-        losses = objective(*acceptability, live, scored)
-        finite = np.isfinite(gradient)
-        acc_bad = acc.first_non_finite(finite[:acc.size])
-        for lane, loss in zip(live, losses):
-            bad = pack.first_non_finite(finite[lane.block]) or acc_bad
-            if not lane.record(it, loss, config, bad):
-                lane.steps, lane.result = it, pack.unpack(x[lane.block], x[:acc.size], held)
-                gradient[lane.block] = m[lane.block] = 0.0
-        live = [lane for lane in live if lane.result is None]
-        if not live:
-            break
-        # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-        # x -= lr m_hat / (sqrt(v_hat) + eps), in place
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * gradient
-        v *= ADAM_BETA2
-        np.multiply(gradient, gradient, out=step)
-        step *= 1.0 - ADAM_BETA2
-        v += step
-        np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=step)
-        step *= config.learning_rate
-        np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=denominator)
-        np.sqrt(denominator, out=denominator)
-        denominator += ADAM_EPSILON
-        step /= denominator
-        x -= step
+    with ThreadPoolExecutor(cpus - 1) if threaded else nullcontext() as pool:
+        objective = Objective(pack, table, _on_threads(pool, cpus - 1) if threaded else _in_turn)
+        # the pass after the last update only records the loss at the returned point
+        for it in range(config.max_iterations + 1):
+            scored = it % CONVERGENCE_WINDOW == 0 or it == config.max_iterations
+            losses = objective(*acceptability, live, scored)
+            finite = np.isfinite(gradient)
+            acc_bad = acc.first_non_finite(finite[:acc.size])
+            for lane, loss in zip(live, losses):
+                bad = pack.first_non_finite(finite[lane.block]) or acc_bad
+                if not lane.record(it, loss, config, bad):
+                    lane.steps, lane.result = it, pack.unpack(x[lane.block], x[:acc.size], held)
+                    gradient[lane.block] = m[lane.block] = 0.0
+            live = [lane for lane in live if lane.result is None]
+            if not live:
+                break
+            # the order of operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+            # x -= lr m_hat / (sqrt(v_hat) + eps), in place
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * gradient
+            v *= ADAM_BETA2
+            np.multiply(gradient, gradient, out=step)
+            step *= 1.0 - ADAM_BETA2
+            v += step
+            np.divide(m, 1.0 - ADAM_BETA1 ** (it + 1), out=step)
+            step *= config.learning_rate
+            np.divide(v, 1.0 - ADAM_BETA2 ** (it + 1), out=denominator)
+            np.sqrt(denominator, out=denominator)
+            denominator += ADAM_EPSILON
+            step /= denominator
+            x -= step
     return lanes
 
 
 def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds,
-              nr_masks) -> list[FitResult | FitError]:
+              nr_masks, cpus: int | None = None) -> list[FitResult | FitError]:
     """`fit` of ``table`` once per seed of ``seeds``, each with its entry
     of ``nr_masks``, as one `_minimize` whose lanes are every fit's
-    restarts.
+    restarts, on at most ``cpus`` threads (default: every usable CPU).
 
     Returns per fit its FitResult, or the FitError that `fit` would raise:
     that of its lowest-numbered failing restart. Each result is bit for
@@ -503,7 +595,7 @@ def fit_group(table: ResponseTable, hyper: Hyperparams, config: FitConfig, seeds
                                                np.random.default_rng(child), INIT_SCALE))
             masks.append(nr_mask)
     pack = ParameterPack(hyper, table)
-    lanes = _minimize(table, pack, latents, config, masks)
+    lanes = _minimize(table, pack, latents, config, masks, cpus)
     results = []
     for k, (seed, nr_mask) in enumerate(zip(seeds, nr_masks)):
         restarts = lanes[k * config.n_restarts:(k + 1) * config.n_restarts]

@@ -305,6 +305,16 @@ class TestCvAndCompare:
         assert result.output == (f"Error: bad report {path}: grid point (0, 1) must have one "
                                  "cell loss per cell and one fold loss per fold\n")
 
+    def test_report_with_a_grid_entry_that_is_no_object_is_a_bad_report(self, runner, tmp_path):
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        data["grid"][1] = 1
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["compare", "--report", str(path), "--a", "1,0",
+                                      "--b", "1,1"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: bad report {path}: grid entry must be an object\n"
+
     def test_out_of_range_point(self, runner, workspace):
         result = runner.invoke(main, [
             "compare", "--report", str(workspace / "data.csv"),

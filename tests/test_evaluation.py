@@ -267,6 +267,11 @@ class TestCrossValidate:
         (("verbs",), "abc", "verbs must be a list of distinct strings"),
         (("frames",), [1, 2], "frames must be a list of distinct strings"),
         (("verbs", 2), "v000", "verbs must be a list of distinct strings"),
+        (("grid", 0), 1, "grid entry must be an object"),
+        (("grid", 1), [1, 1], "grid entry must be an object"),
+        (("grid",), 1, "grid must be a list"),
+        (("grid",), {"n_lexical": 1}, "grid must be a list"),
+        (("cells", 2), [0, 0, 0, 0], "cells must not repeat a row"),
     ]
 
     @pytest.mark.parametrize("path, value, message", MALFORMED,
@@ -279,6 +284,18 @@ class TestCrossValidate:
             entry = entry[key]
         entry[last] = value
         with pytest.raises(SchemaError, match=message):
+            EvalReport.from_dict(data)
+
+    @pytest.mark.parametrize("value", [[1], "report", 1], ids=["list", "string", "number"])
+    def test_report_that_is_no_object_is_a_schema_error(self, value):
+        with pytest.raises(SchemaError, match="report must be an object"):
+            EvalReport.from_dict(value)
+
+    def test_repeated_grid_point_is_a_schema_error(self):
+        # point() would return the first copy and ranking() list the point twice
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        data["grid"].append(dict(data["grid"][2], total=0.0))
+        with pytest.raises(SchemaError, match=r"grid repeats point \(1, 1\)"):
             EvalReport.from_dict(data)
 
     @pytest.mark.parametrize("config, n_failed", [
@@ -327,6 +344,38 @@ class TestCrossValidate:
         monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 64)
         assert cross_validate(table, [(1, 1), (1, 0)], QUICK).to_json() == serial
         assert started == [10]
+
+    def test_fits_on_threads_give_the_serial_report(self, monkeypatch):
+        # 8 CPUs over two classes of two folds: four workers of two threads each
+        table = dense_table(n_verbs=5, n_frames=2)
+        grid = [(1, 1), (2, 1)]
+        monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 1)
+        serial = cross_validate(table, grid, QUICK, n_folds=2).to_json()
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context):
+                assert max_workers == 4
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        budgets, real_minimize = [], negfactor.optim._minimize
+
+        def recording(*args, **kwargs):
+            budgets.append(args[5])
+            return real_minimize(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(negfactor.evaluation, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(negfactor.optim, "_minimize", recording)
+        monkeypatch.setattr(negfactor.optim, "THREADED_MIN_RECORDS", 0)
+        assert cross_validate(table, grid, QUICK, n_folds=2).to_json() == serial
+        assert budgets == [2] * 4
 
     @pytest.mark.skipif(negfactor.evaluation._usable_cpus() < 2,
                         reason="one usable CPU fits in process and starts no worker")

@@ -229,3 +229,29 @@ class TestEntriesAreNumbers:
         target[key] = value
         with pytest.raises(SchemaError, match=message):
             FittedModel.from_dict(data)
+
+
+class TestObjectsAndRepeats:
+    """A model file whose objects are not JSON objects, or whose cells
+    repeat a row, is refused on load."""
+
+    @pytest.mark.parametrize("value", [[1], "model"], ids=["list", "string"])
+    def test_top_level_must_be_an_object(self, value):
+        with pytest.raises(SchemaError, match="model must be an object"):
+            FittedModel.from_dict(value)
+
+    @pytest.mark.parametrize("key", ["hyper", "factors", "effects"])
+    @pytest.mark.parametrize("value", [[1, 2], "abc"], ids=["list", "string"])
+    def test_nested_block_must_be_an_object(self, key, value):
+        data = json.loads((DATA / "model_0_2.json").read_text(encoding="utf-8"))
+        data[key] = value
+        with pytest.raises(SchemaError, match=f"{key} must be an object"):
+            FittedModel.from_dict(data)
+
+    def test_cells_must_not_repeat_a_row(self):
+        # the scorer's cell lookup would keep only one of the rows' alpha
+        data = json.loads((DATA / "model_0_2.json").read_text(encoding="utf-8"))
+        data["cells"].append(data["cells"][0])
+        data["alpha"].append(data["alpha"][-1] + 1.0)
+        with pytest.raises(SchemaError, match="cells must not repeat a row"):
+            FittedModel.from_dict(data)

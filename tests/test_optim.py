@@ -766,6 +766,125 @@ class TestPinnedRuns:
         assert min(trajectory) >= 0.0
 
 
+@pytest.fixture
+def threaded(monkeypatch):
+    """Every `_minimize` call runs its evaluations' pieces on two threads,
+    whatever its table's size; the test fails if none did."""
+    runners, real_on_threads = [], optim._on_threads
+
+    def counting(pool, helpers):
+        runners.append(helpers)
+        return real_on_threads(pool, helpers)
+
+    monkeypatch.setattr(optim, "THREADED_MIN_RECORDS", 0)
+    monkeypatch.setattr(optim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(optim, "_on_threads", counting)
+    yield
+    assert runners and set(runners) == {1}
+
+
+@pytest.mark.usefixtures("threaded")
+class TestPinnedRunsOnThreads(TestPinnedRuns):
+    """The pinned runs, with each evaluation's pieces on threads: the same bits."""
+
+
+@pytest.mark.usefixtures("threaded")
+class TestLockstepLanesOnThreads(TestLockstepLanes):
+    """Staggered, failing and non-finite-alpha lanes, with each
+    evaluation's pieces on threads: the same bits and errors."""
+
+
+@pytest.mark.usefixtures("threaded")
+class TestUnscoredIterationsOnThreads(TestUnscoredIterations):
+    """Lanes that fail between windows, with each evaluation's pieces on
+    threads; `TestThreadedPieces` checks the unscored gradient there."""
+
+    # it builds its Objective itself, with no `_minimize` call to thread it
+    test_gradient_is_the_scored_gradient = None
+
+
+class TestThreadedPieces:
+    """An evaluation whose pieces run on threads gives, bit for bit, the
+    losses and gradient of one that runs them in turn, and a run below
+    the record threshold or with one CPU builds no thread pool."""
+
+    @pytest.mark.parametrize("hyper", [None, Hyperparams(2, 1), Hyperparams(3, 3)],
+                             ids=layout_id)
+    @pytest.mark.parametrize("n_lanes", [1, 3])
+    def test_pieces_on_threads_give_the_bits_in_turn(self, hyper, n_lanes):
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(8)
+        table = random_table(rng, n_verbs=5, n_frames=3, n_participants=4, ratings_per_cell=3)
+        latents = [rng.normal(size=table.n_cells) if hyper is None
+                   else random_factor_params(rng, hyper, 5, 3, scale=0.7)
+                   for _ in range(n_lanes)]
+        masks = [rng.random(table.n_records) < 0.7 if k % 2 else None for k in range(n_lanes)]
+        pack = ParameterPack(hyper, table)
+        effects, alpha = random_effects(rng, 4), rng.normal(size=table.n_cells)
+        outcomes = []
+        with ThreadPoolExecutor(2) as pool:
+            for run in (optim._in_turn, optim._on_threads(pool, 2)):
+                _, gradient, acceptability, lanes = optim._start(table, pack, latents, effects,
+                                                                 alpha, masks)
+                objective = Objective(pack, table, run)
+                scored = objective(*acceptability, lanes, True), gradient.copy()
+                gradient[:] = np.nan
+                assert objective(*acceptability, lanes, False) == [None] * n_lanes
+                outcomes.append((scored, gradient.copy()))
+        (in_turn, in_turn_gradient), (on_threads, on_threads_gradient) = outcomes
+        assert in_turn[0] == on_threads[0]
+        for gradient in (in_turn[1], in_turn_gradient, on_threads_gradient):
+            assert_array_equal(gradient, on_threads[1])
+
+    def test_every_piece_runs_once_under_contention(self):
+        # more threads than cores, switching as often as the interpreter allows:
+        # a piece taken twice or never shows in the calls or in the results
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls = []
+
+        def piece(k):
+            calls.append(k)
+            return float(np.sum(np.full(500, k)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                run = optim._on_threads(pool, 4)
+                for n_pieces in (1, 2, 5, 40) * 25:
+                    calls.clear()
+                    results = run([lambda k=k: piece(k) for k in range(n_pieces)])
+                    assert results == [500.0 * k for k in range(n_pieces)]
+                    assert sorted(calls) == list(range(n_pieces))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_pool_below_the_threshold_or_on_one_cpu(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("built a thread pool")
+
+        table, _ = generate_synthetic(TestLockstepLanes.SPEC)
+        config = FitConfig(max_iterations=20, n_restarts=2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(optim, "_usable_cpus", lambda: 2)
+        assert table.n_records < optim.THREADED_MIN_RECORDS
+        expected = fit(table, Hyperparams(1, 1), config).trajectory
+        monkeypatch.setattr(optim, "THREADED_MIN_RECORDS", 0)
+        monkeypatch.setattr(optim, "_usable_cpus", lambda: 1)
+        assert fit(table, Hyperparams(1, 1), config).trajectory == expected
+        outcome, = optim.fit_group(table, Hyperparams(1, 1), config, [0], [None], cpus=1)
+        assert outcome.trajectory == expected
+        # with two CPUs at the lowered threshold the stand-in is built, and raises
+        monkeypatch.setattr(optim, "_usable_cpus", lambda: 2)
+        with pytest.raises(AssertionError, match="built a thread pool"):
+            fit(table, Hyperparams(1, 1), config)
+
+
 class TestHeldSlots:
     """`_minimize` holds the scalar effects at their start, 0, in every fit."""
 
