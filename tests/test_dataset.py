@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -523,6 +524,26 @@ class TestGenerateSynthetic:
         table, resolved = generate_synthetic(spec)
         nu = link_values(resolved.true_factors.as_factor_params(), table.cells)
         assert_array_equal(table.negraising, clamp_responses(expit(nu))[table.cell_idx])
+
+    # nonzero fixed effects and both participant sds, recorded before the
+    # link was shared with fitting: a change to the order of the link's
+    # floating-point operations moves the last bits, which these catch
+    @pytest.mark.parametrize("setting, negraising, acceptability", [
+        ({"n_verbs": 60, "seed": 1, "beta0": 0.25, "sigma0": 0.15},
+         "730d875c5e8b1482", "2d072d1d7f0ad377"),
+        ({"n_verbs": 7, "n_lexical": 2, "n_structural": 0, "seed": 2, "beta0": 0.4,
+          "sigma0": -0.3}, "d571c070b2c75f1d", "333a4dfff1a342f9"),
+        ({"n_verbs": 5, "n_participants": 3, "seed": 4, "acceptability": 1.0, "beta0": -0.2,
+          "sigma0": 0.5, "participant_shift_sd": 0.5, "participant_scale_sd": 0.4},
+         "43d1e85224453778", "b28c91f7227c39b0"),
+    ], ids=["V60", "V7-2x0", "V5-accept1"])
+    def test_responses_with_effects_are_pinned(self, setting, negraising, acceptability):
+        spec = PlantedSpec(**{"participant_shift_sd": 0.3, "participant_scale_sd": 0.2,
+                              **setting})
+        table, _ = generate_synthetic(spec)
+        for responses, digest in ((table.negraising, negraising),
+                                  (table.acceptability, acceptability)):
+            assert hashlib.sha256(responses.tobytes()).hexdigest()[:16] == digest
 
     def test_blocked_rater_draws_equal_one_draw_of_every_score(self):
         spec = PlantedSpec(n_verbs=30, n_participants=5000, seed=6)
