@@ -15,7 +15,8 @@ of at most ``ASSIGN_BLOCK_SCORES``, whatever the participant count.
 Every file the package saves follows the conventions written once here:
 JSON artifacts are sorted-key, two-space-indented text ending in a newline
 (`JsonArtifact`, `json_text`, `write_json`, `read_json`) whose numbers are
-read back as JSON numbers only (`json_numbers`), and tables are
+finite, written as standard JSON and read back as JSON numbers only
+(`json_numbers`), and tables are
 UTF-8 CSV written from a header and rows (`write_rows`). Floats keep
 Python's shortest round-trip form in both, so identical values produce
 identical bytes.
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DimensionError, RowError, SchemaError
 from .factorization import (FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes, link_values,
                             require_numbers)
-from .response import expit, logit
+from .response import _link, logit
 
 FRAME_LABELS = (
     "NP __ that S",
@@ -61,8 +62,9 @@ WRITE_BLOCK_RECORDS = 1 << 12
 
 
 def json_text(data: dict) -> str:
-    """An artifact's JSON text, without the final newline."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    """An artifact's JSON text, without the final newline; a non-finite
+    number raises ValueError."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_json(path, data: dict) -> None:
@@ -77,19 +79,22 @@ def read_json(path) -> dict:
 
 def json_numbers(value, kind=float, null: bool = False) -> np.ndarray | None:
     """``value`` (nested lists, or one entry) as an array of ``kind``, or
-    None if an entry is not a number of that kind (an int is a float too,
-    and a bool or a string is neither) or does not fit in it; with
-    ``null``, a null entry is NaN."""
+    None if an entry is not a finite number of that kind (an int is a
+    float too, and a bool or a string is neither; NaN, Infinity and a
+    literal too large for a float are not finite) or does not fit in it;
+    with ``null``, a null entry is NaN."""
     entries = np.asarray(value, dtype=object)
+    nulls = np.equal(entries, None) if null else False
     if null:
-        entries[np.equal(entries, None)] = np.nan
+        entries[nulls] = np.nan
     allowed = (int, float) if kind is float else int
     if any(t is bool or not issubclass(t, allowed) for t in set(map(type, entries.flat))):
         return None
     try:
-        return entries.astype(kind)
+        numbers = entries.astype(kind)
     except OverflowError:
         return None
+    return numbers if np.all(np.isfinite(numbers) | nulls) else None
 
 
 def write_rows(path, header, rows) -> None:
@@ -446,6 +451,9 @@ class PlantedSpec(JsonArtifact):
         if not (self.noise_scale >= 0 and self.participant_shift_sd >= 0
                 and self.participant_scale_sd >= 0 and self.seed >= 0):
             raise DimensionError("noise_scale, the participant sds and seed must be nonnegative")
+        if not all(map(math.isfinite, (self.noise_scale, self.participant_shift_sd,
+                                       self.participant_scale_sd))):
+            raise DimensionError("noise_scale and the participant sds must be finite")
         if not 0 <= self.acceptability <= 1:
             raise DimensionError("acceptability must be in [0, 1]")
         if not (math.isfinite(self.beta0) and math.isfinite(self.sigma0)):
@@ -540,12 +548,10 @@ def generate_synthetic(spec: PlantedSpec) -> tuple[ResponseTable, PlantedSpec]:
     part_idx = raters.reshape(-1)
 
     nu = link_values(factors.as_factor_params(), cells)
-    scale = np.exp(spec.sigma0 + log_scale)[part_idx]
-    r_clean = expit(scale * np.repeat(nu, per_cell) + spec.beta0 + shift[part_idx])
-
+    r_clean, _ = _link(np.repeat(nu, per_cell), part_idx, spec.beta0, spec.sigma0, shift,
+                       log_scale)
     alpha_value = logit(np.clip(spec.acceptability, RESPONSE_EPS, 1.0 - RESPONSE_EPS))
-    scale_acc = np.exp(spec.sigma0 + log_scale_acc)[part_idx]
-    a_clean = expit(scale_acc * alpha_value + spec.beta0 + shift_acc[part_idx])
+    a_clean, _ = _link(alpha_value, part_idx, spec.beta0, spec.sigma0, shift_acc, log_scale_acc)
 
     noise_nr = np.random.default_rng(streams[3]).normal(0.0, 1.0, size=r_clean.size)
     noise_acc = np.random.default_rng(streams[4]).normal(0.0, 1.0, size=a_clean.size)

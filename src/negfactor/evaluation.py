@@ -245,6 +245,8 @@ class EvalReport(JsonArtifact):
             frames = json_labels("frames", data["frames"])
             cells = json_cells(data["cells"], verbs, frames)
             n_folds = json_integer("n_folds", data["n_folds"])
+            if n_folds < 2:
+                raise SchemaError("n_folds must be at least 2")
             fold_of = json_numbers(data["fold_of"], np.int64)
             if (fold_of is None or fold_of.shape != (len(cells),)
                     or not np.all((fold_of >= -1) & (fold_of < n_folds))):
@@ -262,6 +264,16 @@ class EvalReport(JsonArtifact):
                 if result.cell_losses.shape != (len(cells),) or len(result.fold_losses) != n_folds:
                     raise SchemaError(f"grid point {point} must have one cell loss per cell "
                                       "and one fold loss per fold")
+                # a CV run scores only held-out cells, and a fold's fit fails
+                # (a null fold loss) or scores all of them; a fold that holds
+                # no cell scores 0
+                if not np.isnan(result.cell_losses[fold_of == -1]).all():
+                    raise SchemaError(f"grid point {point} has a loss for a pinned cell")
+                for fold, loss in enumerate(result.fold_losses):
+                    null = np.isnan(result.cell_losses[fold_of == fold])
+                    if null.size and (loss is None) != null.all():
+                        raise SchemaError(f"grid point {point} fold {fold} loss must be null "
+                                          "exactly when its held-out cells' losses all are")
             return cls(
                 verbs=verbs,
                 frames=frames,

@@ -294,15 +294,25 @@ class _Lane:
     """One start point of a `_minimize` call: its ``block`` of the
     vectors ``x`` and ``gradient`` with the slot views of each (those of
     ``x`` with the ``held`` scalars) and the view of its latent block in
-    ``x``, its ``nr_mask`` and losses so far, how it ended (``converged``,
-    ``steps`` and ``error``, the FitError that stopped it) and ``result``,
-    its (latent, effects, alpha) there."""
+    ``x``; its own sigmoid buffer, laid out like the block, as the view
+    ``sigmoid`` of its latent block and as the factor probabilities
+    ``probs`` (both None for free nu); its ``nr_mask`` and losses so far,
+    how it ended (``converged``, ``steps`` and ``error``, the FitError
+    that stopped it) and ``result``, its (latent, effects, alpha) there."""
 
     def __init__(self, pack: ParameterPack, x: np.ndarray, gradient: np.ndarray, block: slice,
                  nr_mask: np.ndarray | None, held: dict):
         self.block = block
         self.params, self.grads = pack.views(x[block]) | held, pack.views(gradient[block])
         self.latent = x[block][pack.latent]
+        self.sigmoid = self.probs = None
+        if pack.hyper is not None:
+            buffer = np.empty(pack.size)
+            views = pack.views(buffer)
+            self.sigmoid = buffer[pack.latent]
+            self.probs = FactorProbs.widened(
+                factor_shapes(pack.hyper, pack.n_verbs, pack.n_frames),
+                {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
         self.nr_mask = nr_mask
         self.trajectory: list[float] = []
         self.streak = 0
@@ -391,15 +401,15 @@ class Objective:
     returns the lanes' losses, each None unless ``scored``: then it
     computes the gradient alone. The halves are its pieces, which
     ``run`` calls (`_in_turn` or `_on_threads`): each reads what no piece
-    writes and writes only its own block's gradient and, for a lane, its
-    own sigmoid buffer, so they may run at once. Each gives the same bits
-    either way, and the losses are summed after all have finished. What
-    does not depend on the point is built once: 1 - r of each channel and
-    the cell link's constants.
+    writes and writes only what its own block or lane owns, its block's
+    gradient and, for a lane, the lane's sigmoid buffer, so they may run
+    at once. Each gives the same bits either way, and the losses are
+    summed after all have finished. An `Objective` holds only what does
+    not depend on the point, built once: the table, the runner, 1 - r of
+    each channel and the cell link.
     """
 
     def __init__(self, pack: ParameterPack, table: ResponseTable, run=_in_turn):
-        self.pack = pack
         self.table = table
         self.run = run
         self.negraising = _Channel(table.negraising, 1.0 - table.negraising, "", None)
@@ -407,16 +417,12 @@ class Objective:
         self.link = None
         if pack.hyper is not None:
             self.link = CellLink(pack.hyper, table.n_verbs, table.n_frames, table.cells)
-        # per lane of a call: the sigmoid of its latent block, laid out like
-        # x for its slot views, and those views as factor probabilities
-        self._sigmoids: list[tuple[np.ndarray, FactorProbs] | None] = []
 
     def __call__(self, params: dict, grads: dict, lanes: list[_Lane],
                  scored: bool) -> list[float | None]:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             weights = expit(params["alpha"])[self.table.cell_idx]
-            pieces = [partial(self._negraising_half, lane, sigmoid, weights, scored)
-                      for lane, sigmoid in zip(lanes, self._sigmoid_buffers(len(lanes)))]
+            pieces = [partial(self._negraising_half, lane, weights, scored) for lane in lanes]
             pieces.append(partial(self._acceptability_half, params, grads, scored))
             *negraising, (acc_loss, acc_penalties) = self.run(pieces)
         if not scored:
@@ -424,20 +430,6 @@ class Objective:
         # the penalties summed in the order beta, sigma, beta_acc, sigma_acc
         return [nr_loss + acc_loss + sum(penalties + acc_penalties)
                 for nr_loss, penalties in negraising]
-
-    def _sigmoid_buffers(self, n_lanes: int) -> list:
-        """At least ``n_lanes`` sigmoid buffers, one per lane (None each
-        for free nu)."""
-        while len(self._sigmoids) < n_lanes:
-            sigmoid = None
-            if self.link is not None:
-                probabilities = np.empty(self.pack.size)
-                views = self.pack.views(probabilities)
-                sigmoid = probabilities, FactorProbs.widened(
-                    factor_shapes(self.pack.hyper, self.table.n_verbs, self.table.n_frames),
-                    {slot: views[slot] for slot in FACTOR_SLOTS if slot in views})
-            self._sigmoids.append(sigmoid)
-        return self._sigmoids
 
     def _acceptability_half(self, params: dict, grads: dict, scored: bool):
         """The acceptability loss and prior penalties (None and none unless
@@ -447,17 +439,16 @@ class Objective:
         grads["alpha"][:] = g_alpha
         return acc_loss, prior_backward(params, grads, ("beta_acc", "sigma_acc"), scored)
 
-    def _negraising_half(self, lane: _Lane, sigmoid, weights: np.ndarray, scored: bool):
+    def _negraising_half(self, lane: _Lane, weights: np.ndarray, scored: bool):
         """The lane's weighted neg-raising loss and prior penalties (None
         and none unless ``scored``); writes the gradient of its own block,
-        and its latent block's sigmoid into ``sigmoid``."""
+        and its latent block's sigmoid into the lane's own buffer."""
         params, grads = lane.params, lane.grads
         if self.link is None:
             nu = params["nu"]
         else:
-            probabilities, probs = sigmoid
-            expit(lane.latent, out=probabilities[self.pack.latent])
-            nu, backward = self.link.values(probs)
+            expit(lane.latent, out=lane.sigmoid)
+            nu, backward = self.link.values(lane.probs)
         nr_loss, g_nu = channel_backward(nu, self.table, self.negraising._replace(mask=lane.nr_mask),
                                          params, grads, weights=weights, scored=scored)
         if self.link is None:

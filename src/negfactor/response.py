@@ -11,7 +11,8 @@ weight on the neg-raising loss.
 The link and the divergence are each written once here, and so are the
 sigmoid `expit` and its inverse `logit`, in numpy, which every module of
 the package imports from here. The one objective (`optim`, which adds the
-prior on the random effects) and the scoring of saved models reuse them.
+prior on the random effects), the scoring of saved models and the
+synthesis of planted tables (`dataset.generate_synthetic`) reuse them.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ class AcceptabilityCells:
 def _link(values, participant, beta0, sigma0, beta, sigma):
     """logit^-1(exp(sigma0 + sigma_l) v + beta0 + beta_l), and the scale exp(sigma0 + sigma_l).
 
-    ``values`` and ``participant`` are arrays of one entry per record.
+    ``participant`` holds one entry per record and ``values`` one per
+    record or one for all.
     """
     scale = np.exp(sigma0 + sigma)[participant]
     z = scale * values

@@ -305,6 +305,18 @@ class TestCvAndCompare:
         assert result.output == (f"Error: bad report {path}: grid point (0, 1) must have one "
                                  "cell loss per cell and one fold loss per fold\n")
 
+    def test_report_that_held_out_no_cell_is_a_bad_report(self, runner, tmp_path):
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        data["n_folds"], data["fold_of"] = 0, [-1] * len(data["fold_of"])
+        for entry in data["grid"]:
+            entry["fold_losses"] = []
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["compare", "--report", str(path), "--a", "1,0",
+                                      "--b", "1,1"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: bad report {path}: n_folds must be at least 2\n"
+
     def test_report_with_a_grid_entry_that_is_no_object_is_a_bad_report(self, runner, tmp_path):
         data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
         data["grid"][1] = 1

@@ -22,6 +22,7 @@ from negfactor.dataset import (
     ResponseTable,
     clamp_responses,
     generate_synthetic,
+    json_text,
     load_csv,
     sample_participant_effects,
     summarize,
@@ -397,11 +398,15 @@ class TestPlantedSpec:
         for ratings in (-1, 0):
             with pytest.raises(DimensionError, match="ratings_per_cell"):
                 PlantedSpec(n_verbs=3, ratings_per_cell=ratings)
-        nan = float("nan")
+        nan, inf = float("nan"), float("inf")
         for setting, match in (({"noise_scale": nan}, "noise_scale"),
                                ({"participant_shift_sd": -1}, "participant sds"),
                                ({"participant_scale_sd": -1}, "participant sds"),
                                ({"participant_shift_sd": nan}, "participant sds"),
+                               ({"noise_scale": inf}, "noise_scale and the participant sds "
+                                                      "must be finite"),
+                               ({"participant_shift_sd": inf}, "participant sds must be finite"),
+                               ({"participant_scale_sd": inf}, "participant sds must be finite"),
                                ({"acceptability": 1.5}, "acceptability"),
                                ({"acceptability": -0.1}, "acceptability"),
                                ({"acceptability": nan}, "acceptability"),
@@ -457,7 +462,9 @@ class TestPlantedSpec:
         assert spec.n_verbs == 4
         assert spec.n_frames == 6
 
-    @pytest.mark.parametrize("slot, index, value", [("psi", 0, "0.5"), ("phi", 1, True)])
+    @pytest.mark.parametrize("slot, index, value", [("psi", 0, "0.5"), ("phi", 1, True),
+                                                    ("psi", 1, float("nan")),
+                                                    ("phi", 2, float("inf"))])
     def test_factor_entries_must_be_json_numbers(self, slot, index, value):
         data = json.loads((DATA / "truth_1_1.json").read_text(encoding="utf-8"))
         factor = np.array(data["true_factors"][slot], dtype=object)
@@ -465,6 +472,10 @@ class TestPlantedSpec:
         data["true_factors"][slot] = factor.tolist()
         with pytest.raises(SchemaError, match="true_factors entries must be numbers"):
             PlantedSpec.from_dict(data)
+
+    def test_json_text_refuses_a_non_finite_number(self):
+        with pytest.raises(ValueError):
+            json_text({"noise_scale": float("inf")})
 
     @pytest.mark.parametrize("name", ["truth_1_1.json", "truth_0_2.json"])
     def test_truth_file_of_an_earlier_version_is_reproduced_byte_for_byte(self, tmp_path, name):

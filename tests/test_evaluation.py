@@ -272,6 +272,13 @@ class TestCrossValidate:
         (("grid",), 1, "grid must be a list"),
         (("grid",), {"n_lexical": 1}, "grid must be a list"),
         (("cells", 2), [0, 0, 0, 0], "cells must not repeat a row"),
+        (("grid", 1, "cell_losses", 3), float("nan"),
+         "cell_losses must be a list of numbers or nulls"),
+        (("grid", 2, "fold_losses", 1), float("inf"),
+         "fold_losses must be a list of numbers or nulls"),
+        (("fold_of", 5), -1, r"grid point \(0, 1\) has a loss for a pinned cell"),
+        (("grid", 1, "fold_losses", 0), None,
+         r"grid point \(1, 0\) fold 0 loss must be null exactly when"),
     ]
 
     @pytest.mark.parametrize("path, value, message", MALFORMED,
@@ -285,6 +292,40 @@ class TestCrossValidate:
         entry[last] = value
         with pytest.raises(SchemaError, match=message):
             EvalReport.from_dict(data)
+
+    @pytest.mark.parametrize("n_folds, message", [
+        (0, "n_folds must be at least 2"), (1, "n_folds must be at least 2"),
+        (2, r"grid point \(0, 1\) has a loss for a pinned cell"),
+    ])
+    def test_report_that_held_out_no_cell_is_a_schema_error(self, n_folds, message):
+        # every cell pinned and its loss kept: each total would read 0.0, and
+        # a bootstrap over the kept losses call a gap between two points reliable
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        data["n_folds"], data["fold_of"] = n_folds, [-1] * len(data["fold_of"])
+        for entry in data["grid"]:
+            entry["fold_losses"] = [0.0] * n_folds
+        with pytest.raises(SchemaError, match=message):
+            EvalReport.from_dict(data)
+
+    def test_fold_loss_with_no_held_out_cell_loss_is_a_schema_error(self):
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        entry = data["grid"][2]
+        entry["cell_losses"] = [None if fold == 0 else loss
+                                for fold, loss in zip(data["fold_of"], entry["cell_losses"])]
+        with pytest.raises(SchemaError, match=r"grid point \(1, 1\) fold 0 loss must be null"):
+            EvalReport.from_dict(data)
+
+    def test_null_losses_of_a_failed_fold_and_a_pinned_cell_load(self):
+        data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
+        fold_of = data["fold_of"]
+        fold_of[fold_of.index(0)] = -1
+        for entry in data["grid"]:
+            entry["fold_losses"][1] = None
+            entry["cell_losses"] = [None if fold in (-1, 1) else loss
+                                    for fold, loss in zip(fold_of, entry["cell_losses"])]
+        report = EvalReport.from_dict(data)
+        assert np.isnan(report.point((1, 1)).total)
+        assert np.isnan(report.point((1, 1)).cell_losses[np.array(fold_of) == -1]).all()
 
     @pytest.mark.parametrize("value", [[1], "report", 1], ids=["list", "string", "number"])
     def test_report_that_is_no_object_is_a_schema_error(self, value):

@@ -255,3 +255,29 @@ class TestObjectsAndRepeats:
         data["alpha"].append(data["alpha"][-1] + 1.0)
         with pytest.raises(SchemaError, match="cells must not repeat a row"):
             FittedModel.from_dict(data)
+
+
+class TestFiniteNumbers:
+    """A model file whose number is not finite, written as the non-standard
+    token NaN or Infinity or as a literal too large for a float, is refused
+    on load."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("path, message", [
+        (("alpha", 0), "alpha must be"),
+        (("factors", "lambda", 1, 0), "factors.lambda must be"),
+        (("effects", "beta", 1), "effects.beta must be"),
+        (("effects", "sigma0",), "effects.sigma0 must be a number"),
+        (("final_loss",), "final_loss must be a number"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_non_finite_number_is_a_schema_error(self, tmp_path, token, path, message):
+        data = json.loads((DATA / "model_0_2.json").read_text(encoding="utf-8"))
+        *parents, key = path
+        target = data
+        for name in parents:
+            target = target[name]
+        target[key] = "TOKEN"
+        file = tmp_path / "model.json"
+        file.write_text(json.dumps(data).replace('"TOKEN"', token), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            FittedModel.load(file)
