@@ -298,8 +298,8 @@ class TestCrossValidate:
         (2, r"grid point \(0, 1\) has a loss for a pinned cell"),
     ])
     def test_report_that_held_out_no_cell_is_a_schema_error(self, n_folds, message):
-        # every cell pinned and its loss kept: each total would read 0.0, and
-        # a bootstrap over the kept losses call a gap between two points reliable
+        # every cell pinned and its loss kept: each total would read 0.0, and a
+        # bootstrap over the kept losses would call a gap between two points reliable
         data = json.loads((DATA / "report.json").read_text(encoding="utf-8"))
         data["n_folds"], data["fold_of"] = n_folds, [-1] * len(data["fold_of"])
         for entry in data["grid"]:

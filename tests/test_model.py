@@ -267,7 +267,7 @@ class TestFiniteNumbers:
         (("alpha", 0), "alpha must be"),
         (("factors", "lambda", 1, 0), "factors.lambda must be"),
         (("effects", "beta", 1), "effects.beta must be"),
-        (("effects", "sigma0",), "effects.sigma0 must be a number"),
+        (("effects", "sigma0"), "effects.sigma0 must be a number"),
         (("final_loss",), "final_loss must be a number"),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_non_finite_number_is_a_schema_error(self, tmp_path, token, path, message):
