@@ -6,11 +6,17 @@ per rating, both slider responses in [0, 1]. A leading byte-order mark is
 accepted. Responses exactly at 0 or 1 are clamped inward by 1e-4 at load
 time because the divergence loss is undefined at the endpoints.
 
-The data path holds little beyond the table. Loading collects each
-record's indexes and responses in typed buffers, under 200 bytes per
-record at its peak; writing streams records in blocks of
-``WRITE_BLOCK_RECORDS``; and synthesis draws its rater scores in blocks
-of at most ``ASSIGN_BLOCK_SCORES``, whatever the participant count.
+The data path holds little beyond the table, and reads and writes a
+block of records at a time, a column at a time, leaving all tokenizing
+and quoting to the csv module. Loading converts each column of
+``LOAD_BLOCK_RECORDS`` records at once, checks the block with one mask
+per check, and collects the accepted records' indexes and responses in
+typed buffers, under 200 bytes per record at its peak; a bad record
+raises with the line and message a row-at-a-time reader gives.
+Writing quotes each distinct label once and writes
+``WRITE_BLOCK_RECORDS`` records as one string, the bytes csv.writer
+writes. Synthesis draws its rater scores in blocks of at most
+``ASSIGN_BLOCK_SCORES``, whatever the participant count.
 
 Every file the package saves follows the conventions written once here:
 JSON artifacts are sorted-key, two-space-indented text ending in a newline
@@ -25,11 +31,14 @@ identical bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import compress, islice, repeat
+from operator import itemgetter, not_
 
 import numpy as np
 
@@ -55,10 +64,15 @@ RESPONSE_EPS = 1e-4
 # a planted factor probability is clipped to [PLANTED_CLIP, 1 - PLANTED_CLIP]
 # before its logit
 PLANTED_CLIP = 1e-9
-# synthesis draws rater scores at most this many at a time, and write_csv
-# formats this many records at a time
+# synthesis draws rater scores at most this many at a time, write_csv
+# formats this many records at a time, and load_csv checks this many at a
+# time. A load block's record lists are all alive at once; past the cyclic
+# collector's first-generation threshold (700), each block triggers
+# collections: at 1,024 records a 216,000-record load ran about 190 young
+# and 17 middle collections and some full ones, at 256 none
 ASSIGN_BLOCK_SCORES = 1 << 18
 WRITE_BLOCK_RECORDS = 1 << 12
+LOAD_BLOCK_RECORDS = 1 << 8
 
 
 def json_text(data: dict) -> str:
@@ -266,38 +280,46 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
                 raise SchemaError(f"missing column {colmap[canonical]!r} (for {canonical!r})")
         # a name the header repeats reads its last column
         position = {name: i for i, name in enumerate(header)}
-        columns = [position[colmap[canonical]] for canonical in CANONICAL_COLUMNS]
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            row += [None] * (len(header) - len(row))  # a short record reads as missing values
-            verb, frame, subject, tense, participant, nr, acc = (row[i] for i in columns)
-            if participant in dropped_participants:
-                continue
-            line = reader.line_num  # where the record ends, past blank lines and quoted newlines
-            try:
-                if not verb or not participant:
-                    raise RowError(line, f"missing {'participant' if verb else 'verb'}")
-                if frame not in frame_ids:
-                    raise RowError(line, f"unknown frame label {frame!r}")
-                if subject not in subject_ids:
-                    raise RowError(line, f"unknown subject label {subject!r}")
-                if tense not in tense_ids:
-                    raise RowError(line, f"unknown tense label {tense!r}")
-                nr_value = _response(line, "negraising", nr)
-                acc_value = _response(line, "acceptability", acc)
-            except RowError:
+        getters = [itemgetter(position[colmap[canonical]]) for canonical in CANONICAL_COLUMNS]
+        for first_line, last_line, block in _record_blocks(reader):
+            records = block
+            if min(map(len, block), default=0) < len(header):
+                # a short record reads as missing values
+                records = [record + [None] * (len(header) - len(record)) for record in block]
+            fields = [list(map(get, records)) for get in getters]
+            verb, frame, subject, tense, participant, nr, acc = fields
+            # blank lines and dropped participants' records are skipped unread
+            skip = _missing(block)
+            if dropped_participants:
+                skip |= np.fromiter(map(dropped_participants.__contains__, participant), bool,
+                                    len(block))
+            frame_code = _codes(frame_ids, frame)
+            subj_code = _codes(subject_ids, subject)
+            tense_code = _codes(tense_ids, tense)
+            nr_value, acc_value = _numbers(nr), _numbers(acc)
+            # one mask per check of _record_error
+            bad = _missing(verb) | _missing(participant)
+            bad |= (frame_code < 0) | (subj_code < 0) | (tense_code < 0)
+            bad |= _outside(nr_value) | _outside(acc_value)
+            bad &= ~skip
+            if bad.any():
                 if on_error == "fail":
-                    raise
-                n_dropped += 1
-                continue
-            verb_col.append(verbs.setdefault(verb, len(verbs)))
-            frame_col.append(frame_ids[frame])
-            subj_col.append(subject_ids[subject])
-            tense_col.append(tense_ids[tense])
-            part_col.append(participants.setdefault(participant, len(participants)))
-            nr_col.append(nr_value)
-            acc_col.append(acc_value)
+                    first = int(bad.argmax())
+                    line = _record_line(block, first, first_line, last_line)
+                    raise _record_error(line, *(column[first] for column in fields))
+                n_dropped += int(bad.sum())
+            keep = ~(bad | skip)
+            if not keep.all():
+                verb, participant = (list(compress(column, keep)) for column in (verb, participant))
+                frame_code, subj_code, tense_code, nr_value, acc_value = (
+                    column[keep] for column in (frame_code, subj_code, tense_code, nr_value,
+                                                acc_value))
+            _extend_indexes(verb_col, verbs, verb)
+            _extend_indexes(part_col, participants, participant)
+            for column, values in ((frame_col, frame_code), (subj_col, subj_code),
+                                   (tense_col, tense_code), (nr_col, nr_value),
+                                   (acc_col, acc_value)):
+                column.frombytes(values.tobytes())
 
     if n_dropped:
         warnings.warn(f"dropped {n_dropped} malformed rows while loading {path}")
@@ -312,6 +334,100 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
                                tuple(participants), verb_idx, frame_idx, subj_idx, tense_idx,
                                part_idx, clamp_responses(np.frombuffer(nr_col)),
                                clamp_responses(np.frombuffer(acc_col)))
+
+
+def _record_blocks(reader):
+    """The records of ``reader`` in blocks of at most LOAD_BLOCK_RECORDS, each
+    with the reader's line number before and after it. A reading error (a
+    field over csv's size limit, bytes that are not UTF-8) comes after the
+    block of the records read before it, so a bad row among those still
+    raises first."""
+    while True:
+        first_line = reader.line_num
+        block = []
+        try:
+            # on an error, extend keeps the records it has appended
+            block.extend(islice(reader, LOAD_BLOCK_RECORDS))
+        except (csv.Error, UnicodeError):
+            yield first_line, reader.line_num, block
+            raise
+        if not block:
+            return
+        yield first_line, reader.line_num, block
+
+
+def _record_line(block: list, k: int, first_line: int, last_line: int) -> int:
+    """The line where the block's ``k``-th record ends, counting blank lines
+    and line breaks inside quoted fields, as ``reader.line_num`` counts them."""
+    if last_line - first_line == len(block):  # one line per record
+        return first_line + k + 1
+    return first_line + sum(1 + _line_breaks(record) for record in block[:k + 1])
+
+
+def _line_breaks(record: list) -> int:
+    # a file opened with newline="" breaks lines at each "\r\n", "\r" and "\n"
+    return sum(text.count("\r") + text.count("\n") - text.count("\r\n") for text in record)
+
+
+def _codes(ids: dict, labels: list) -> np.ndarray:
+    """Each label's id in ``ids``, or -1 for a label it does not hold."""
+    return np.fromiter(map(ids.get, labels, repeat(-1)), np.int64, len(labels))
+
+
+def _missing(values: list) -> np.ndarray:
+    """True where a value (a label, or a record) is missing or empty."""
+    if all(values):
+        return np.zeros(len(values), dtype=bool)
+    return np.fromiter(map(not_, values), bool, len(values))
+
+
+def _numbers(fields: list) -> np.ndarray:
+    """Each field as a float, or NaN where float refuses it."""
+    try:
+        return np.fromiter(map(float, fields), float, len(fields))
+    except (TypeError, ValueError):
+        return np.array([_number(text) for text in fields], dtype=float)
+
+
+def _number(text: str | None) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _outside(values: np.ndarray) -> np.ndarray:
+    """True where a response is not a number in [0, 1]; NaN is not."""
+    return ~((values >= 0.0) & (values <= 1.0))
+
+
+def _extend_indexes(column: array, ids: dict, labels: list) -> None:
+    """Append each label's index in ``ids`` to ``column``; a new label takes
+    the next index, in order of first appearance."""
+    if not all(map(ids.__contains__, labels)):
+        for label in dict.fromkeys(labels):
+            ids.setdefault(label, len(ids))
+    column.extend(map(ids.__getitem__, labels))
+
+
+def _record_error(line: int, verb, frame, subject, tense, participant, nr, acc) -> RowError | None:
+    """The RowError of a record's first failing check, in the order a row is
+    read: verb, participant, frame, subject and tense labels, negraising,
+    acceptability; None if every check passes."""
+    try:
+        if not verb or not participant:
+            raise RowError(line, f"missing {'participant' if verb else 'verb'}")
+        if frame not in FRAME_LABELS:
+            raise RowError(line, f"unknown frame label {frame!r}")
+        if subject not in SUBJECT_LABELS:
+            raise RowError(line, f"unknown subject label {subject!r}")
+        if tense not in TENSE_LABELS:
+            raise RowError(line, f"unknown tense label {tense!r}")
+        _response(line, "negraising", nr)
+        _response(line, "acceptability", acc)
+    except RowError as err:
+        return err
+    return None
 
 
 def _response(line_number: int, column: str, raw: str | None) -> float:
@@ -330,21 +446,38 @@ def labels_at(labels, index: np.ndarray) -> list:
     return np.asarray(labels, dtype=object)[index].tolist()
 
 
+def _quoted(labels) -> np.ndarray:
+    """Each label as csv writes it as a field, in an object array."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    quoted = []
+    for label in labels:
+        buffer.seek(0)
+        buffer.truncate()
+        # a lone empty field would be written as '""'; with a second field
+        # it is written as it is in a record
+        writer.writerow((label, ""))
+        quoted.append(buffer.getvalue()[:-len(",\r\n")])
+    return np.array(quoted, dtype=object)
+
+
 def write_csv(table: ResponseTable, path) -> None:
-    """Write a table in the canonical format; load_csv(write_csv(t)) == t."""
-    def rows():
+    """Write a table in the canonical format, as csv.writer writes its
+    records (see write_rows); load_csv(write_csv(t)) == t."""
+    label_columns = ((_quoted(table.verbs), table.verb_idx),
+                     (_quoted(table.frames), table.frame_idx),
+                     (_quoted(SUBJECT_LABELS), table.subj_idx),
+                     (_quoted(TENSE_LABELS), table.tense_idx),
+                     (_quoted(table.participants), table.part_idx))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(_quoted(CANONICAL_COLUMNS)) + "\r\n")
         for start in range(0, table.n_records, WRITE_BLOCK_RECORDS):
             block = slice(start, start + WRITE_BLOCK_RECORDS)
-            yield from zip(
-                labels_at(table.verbs, table.verb_idx[block]),
-                labels_at(table.frames, table.frame_idx[block]),
-                labels_at(SUBJECT_LABELS, table.subj_idx[block]),
-                labels_at(TENSE_LABELS, table.tense_idx[block]),
-                labels_at(table.participants, table.part_idx[block]),
-                table.negraising[block].tolist(),
-                table.acceptability[block].tolist(),
-            )
-    write_rows(path, CANONICAL_COLUMNS, rows())
+            # csv writes a float as its repr
+            fields = [quoted[index[block]].tolist() for quoted, index in label_columns] + [
+                map(repr, table.negraising[block].tolist()),
+                map(repr, table.acceptability[block].tolist())]
+            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def summarize(table: ResponseTable) -> dict:

@@ -86,6 +86,9 @@ class FitConfig:
 
     def __post_init__(self):
         require_numbers(self, ValueError)
+        for name in ("learning_rate", "convergence_tol"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.patience < 1:

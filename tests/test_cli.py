@@ -208,6 +208,18 @@ class TestFitAndReport:
             assert result.exit_code == 1, config
             assert "bad fit config" in result.output
 
+    @pytest.mark.parametrize("name", ["learning_rate", "convergence_tol"])
+    def test_infinite_config_value_rejected(self, runner, workspace, name):
+        bad = workspace / "bad_config.json"
+        bad.write_text(json.dumps({name: float("inf"), "max_iterations": 5, "n_restarts": 1}))
+        result = runner.invoke(main, [
+            "fit", "--data", str(workspace / "data.csv"),
+            "--n-lexical", "1", "--n-structural", "1",
+            "--config", str(bad), "--out", str(workspace / "model.json"),
+        ])
+        assert result.exit_code == 1
+        assert f"bad fit config {bad}: {name} must be finite" in result.output
+
 
 class TestCvAndCompare:
     def test_cv_then_compare(self, runner, workspace):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +17,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from negfactor.dataset import (
     ASSIGN_BLOCK_SCORES,
+    CANONICAL_COLUMNS,
     FRAME_LABELS,
+    LOAD_BLOCK_RECORDS,
     RESPONSE_EPS,
+    SUBJECT_LABELS,
+    TENSE_LABELS,
     WRITE_BLOCK_RECORDS,
     PlantedFactors,
     PlantedSpec,
@@ -27,6 +34,7 @@ from negfactor.dataset import (
     sample_participant_effects,
     summarize,
     write_csv,
+    write_rows,
 )
 from negfactor.errors import DimensionError, RowError, SchemaError
 from negfactor.factorization import link_values
@@ -291,6 +299,231 @@ class TestRoundTrip:
         path = tmp_path / "again.csv"
         write_csv(load_csv(DATA / "data_small.csv"), path)
         assert path.read_bytes() == (DATA / "data_small.csv").read_bytes()
+
+
+def row_reader_load_csv(path, schema=None, on_error="fail", drop_participants=()):
+    """load_csv as it read a file before it read blocks: one record at a
+    time, each check raising at once. The blocked loader must agree with it
+    bit for bit, error for error."""
+    colmap = {name: name for name in CANONICAL_COLUMNS} | (schema or {})
+    dropped_participants = set(drop_participants)
+    frame_ids = {label: i for i, label in enumerate(FRAME_LABELS)}
+    subject_ids = {label: i for i, label in enumerate(SUBJECT_LABELS)}
+    tense_ids = {label: i for i, label in enumerate(TENSE_LABELS)}
+    verbs, participants, records = {}, {}, []
+    n_dropped = 0
+
+    def response(line, column, raw):
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise RowError(line, f"{column} value {raw!r} is not a number") from None
+        if not 0.0 <= value <= 1.0:
+            raise RowError(line, f"{column} value {value} outside [0, 1]")
+        return value
+
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        for canonical in CANONICAL_COLUMNS:
+            if colmap[canonical] not in header:
+                raise SchemaError(f"missing column {colmap[canonical]!r} (for {canonical!r})")
+        position = {name: i for i, name in enumerate(header)}
+        columns = [position[colmap[canonical]] for canonical in CANONICAL_COLUMNS]
+        for row in reader:
+            if not row:
+                continue
+            row += [None] * (len(header) - len(row))
+            verb, frame, subject, tense, participant, nr, acc = (row[i] for i in columns)
+            if participant in dropped_participants:
+                continue
+            line = reader.line_num
+            try:
+                if not verb or not participant:
+                    raise RowError(line, f"missing {'participant' if verb else 'verb'}")
+                if frame not in frame_ids:
+                    raise RowError(line, f"unknown frame label {frame!r}")
+                if subject not in subject_ids:
+                    raise RowError(line, f"unknown subject label {subject!r}")
+                if tense not in tense_ids:
+                    raise RowError(line, f"unknown tense label {tense!r}")
+                values = response(line, "negraising", nr), response(line, "acceptability", acc)
+            except RowError:
+                if on_error == "fail":
+                    raise
+                n_dropped += 1
+                continue
+            records.append((verbs.setdefault(verb, len(verbs)), frame_ids[frame],
+                            subject_ids[subject], tense_ids[tense],
+                            participants.setdefault(participant, len(participants)), *values))
+    if n_dropped:
+        warnings.warn(f"dropped {n_dropped} malformed rows while loading {path}")
+    if not records:
+        raise SchemaError(f"no usable rows in {path}")
+    verb_idx, frame_idx, subj_idx, tense_idx, part_idx, nr_col, acc_col = zip(*records)
+    frames_used, frame_idx = np.unique(np.array(frame_idx, dtype=np.int64), return_inverse=True)
+    return ResponseTable.build(tuple(verbs), tuple(FRAME_LABELS[i] for i in frames_used),
+                               tuple(participants), verb_idx, frame_idx, subj_idx, tense_idx,
+                               part_idx, clamp_responses(np.array(nr_col)),
+                               clamp_responses(np.array(acc_col)))
+
+
+def load_outcome(load, path, **kwargs):
+    """The table's fields or the exception's type and text, with the
+    warnings' texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = table_fields(load(path, **kwargs))
+        except (RowError, SchemaError, csv.Error, UnicodeDecodeError) as err:
+            result = (type(err), str(err))
+    return result, [str(warning.message) for warning in caught]
+
+
+def error_place(path, line):
+    """The block of the record that ends at ``line``, and whether a record
+    before it in its block spans lines."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        spans = []
+        for k, _ in enumerate(reader):
+            spans.append(reader.line_num - sum(spans) - 1)
+            if reader.line_num == line:
+                first = k - k % LOAD_BLOCK_RECORDS
+                return k // LOAD_BLOCK_RECORDS, max(spans[first:k], default=1) > 1
+    raise AssertionError(f"no record ends at line {line}")
+
+
+AWKWARD_LABELS = ("say, then", 'quote"d', "cr\rlf\n", " lead", "trail ", "naïve", "")
+AWKWARD_FLOATS = (-0.0, 1e-05, 5e-324, 1e16, 0.1 + 0.2, float("nan"), float("inf"))
+# labels with quoted commas and line breaks of every kind
+FILE_VERBS = ("think", "know", "say, then", 'quote"d', "two\nlines", "cr\rlf\r\n", "cr\r",
+              "naïve")
+FILE_PARTICIPANTS = ("p1", "p2", "p3", "p,4", "p\n5", "\np6", "p7\r")
+# each corruption makes a record malformed, except a long record's extra
+# fields and a dropped participant's record
+CORRUPTIONS = {
+    "verb": "", "participant": "", "frame": "NP sings", "subject": "second",
+    "tense": "future", "negraising": "high", "acceptability": "nan",
+}
+
+
+def write_awkward_file(path, seed):
+    """A seeded judgment CSV of 600-1,000 records and the load_csv keywords
+    to read it. Line endings are CRLF, LF, CR or mixed; there may be a BOM,
+    blank lines, a schema map, a repeated header name (its last column is
+    read), short and long records, quoted commas and line breaks, unknown
+    labels, non-numbers, NaN, out-of-range responses and dropped
+    participants. About half the files hold one malformed record past the
+    first block, a few records after a record that spans lines."""
+    rng = np.random.default_rng(seed)
+    pick = lambda options: options[rng.integers(len(options))]  # noqa: E731
+    schema = pick([None, {"verb": "predicate", "participant": "worker", "negraising": "nr"}])
+    names = {name: (schema or {}).get(name, name) for name in CANONICAL_COLUMNS}
+    header = [names[name] for name in CANONICAL_COLUMNS] + ["note"]
+    header = [header[i] for i in rng.permutation(len(header))]
+    repeated = pick(CANONICAL_COLUMNS)
+    header.insert(int(rng.integers(header.index(names[repeated]) + 1)), names[repeated])
+    n = int(rng.integers(600, 1001))
+    rate = pick([0.0, 0.002, 0.02])
+    planted = int(rng.integers(300, n)) if rng.random() < 0.5 else None
+    endings = pick([("\r\n",), ("\n",), ("\r",), ("\r\n", "\n", "\r")])
+    buffer = io.StringIO()
+    buffer.write(pick(["", "\ufeff"]) + ",".join(header) + pick(endings))
+    for k in range(n):
+        values = {
+            "verb": pick(FILE_VERBS), "frame": pick(FRAME_LABELS),
+            "subject": pick(SUBJECT_LABELS), "tense": pick(TENSE_LABELS),
+            "participant": pick(FILE_PARTICIPANTS),
+            "negraising": pick(["0", "1", "1.0", " 0.5", repr(rng.random())]),
+            "acceptability": repr(rng.random()),
+        }
+        if planted is not None and k == planted - 3:
+            values["verb"] = "two\nlines"
+        if k == planted or rng.random() < rate:
+            column = pick(list(CORRUPTIONS) + ["range"])
+            if column == "range":
+                values[pick(["negraising", "acceptability"])] = pick(["1.5", "-0.1", "inf"])
+            else:
+                values[column] = CORRUPTIONS[column]
+        values = {names[name]: value for name, value in values.items()}
+        values["note"] = pick(["", "a, note", "a\nnote", "\nnote\r"])
+        # the repeated name's first column holds what would be malformed
+        record = [values[name] if name not in header[i + 1:] else "decoy"
+                  for i, name in enumerate(header)]
+        if k == planted or rng.random() < rate:
+            if rng.random() < 0.5:
+                record = record[:int(rng.integers(1, len(record)))]
+            else:
+                record += ["extra", "fields"]
+        line = io.StringIO()
+        csv.writer(line).writerow(record)  # quotes a field holding "\r" or "\n"
+        buffer.write(line.getvalue()[:-len("\r\n")] + pick(endings))
+        if rng.random() < 0.02:
+            buffer.write(pick(endings))  # a blank line
+    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    return {"schema": schema, "drop_participants": pick([(), ("p3",), ("p3", "p\n5")])}
+
+
+class TestBlockedCsvPath:
+    """The blocked reader and writer against csv's row-at-a-time path."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("on_error", ["fail", "drop"])
+    def test_loader_agrees_with_the_row_reader(self, tmp_path, seed, on_error):
+        path = tmp_path / "t.csv"
+        kwargs = write_awkward_file(path, seed) | {"on_error": on_error}
+        assert load_outcome(load_csv, path, **kwargs) == load_outcome(row_reader_load_csv, path,
+                                                                       **kwargs)
+
+    def test_awkward_files_reach_every_outcome(self, tmp_path):
+        outcomes = set()
+        for seed in range(24):
+            path = tmp_path / f"{seed}.csv"
+            kwargs = write_awkward_file(path, seed)
+            result, _ = load_outcome(load_csv, path, **kwargs)
+            if isinstance(result, dict):
+                outcomes.add("table")
+            else:
+                line = int(result[1].split(":")[0].removeprefix("line "))
+                block, after_multiline = error_place(path, line)
+                outcomes.add(("error", block > 0, after_multiline))
+        assert outcomes >= {"table", ("error", False, True), ("error", True, True)}
+
+    @pytest.mark.parametrize("bad", [b"\xff\xfe", b'"' + b"x" * (csv.field_size_limit() + 1)])
+    def test_a_reading_error_comes_after_the_rows_read_before_it(self, tmp_path, bad):
+        rows = [f'v{k},"{FRAME_LABELS[0]}",first,past,p{k},0.5,0.5' for k in range(400)]
+        rows[300] = rows[300].replace("0.5", "high", 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes("\n".join([HEADER, *rows]).encode() + b"\n" + bad + b"\n")
+        for on_error in ("fail", "drop"):
+            outcome = load_outcome(load_csv, path, on_error=on_error)
+            assert outcome == load_outcome(row_reader_load_csv, path, on_error=on_error)
+        assert load_outcome(load_csv, path)[0] == (RowError, "line 302: negraising value 'high' "
+                                                             "is not a number")
+
+    def test_writer_bytes_equal_csv_writer_rows(self, tmp_path):
+        rng = np.random.default_rng(13)
+        n = 2 * WRITE_BLOCK_RECORDS + 808
+        verbs = ("think",) + AWKWARD_LABELS
+        frames = (FRAME_LABELS[0], "NP, __ \"S\"", "")
+        participants = tuple(f"p{i}" for i in range(5)) + AWKWARD_LABELS
+        responses = [np.where(rng.random(n) < 0.3, rng.choice(AWKWARD_FLOATS, n), rng.random(n))
+                     for _ in range(2)]
+        table = ResponseTable.build(verbs, frames, participants, rng.integers(len(verbs), size=n),
+                                    rng.integers(len(frames), size=n), rng.integers(2, size=n),
+                                    rng.integers(2, size=n), rng.integers(len(participants), size=n),
+                                    *responses)
+        expected = tmp_path / "rows.csv"
+        write_rows(expected, CANONICAL_COLUMNS, zip(
+            (verbs[i] for i in table.verb_idx), (frames[i] for i in table.frame_idx),
+            (SUBJECT_LABELS[i] for i in table.subj_idx), (TENSE_LABELS[i] for i in table.tense_idx),
+            (participants[i] for i in table.part_idx), table.negraising.tolist(),
+            table.acceptability.tolist()))
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == expected.read_bytes()
 
 
 class TestCellIndex:

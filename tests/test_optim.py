@@ -945,6 +945,13 @@ class TestFit:
             fit(table, Hyperparams(1, 1), FitConfig(max_iterations=1),
                 nr_mask=np.ones(3, dtype=bool))
 
+    @pytest.mark.parametrize("name", ["learning_rate", "convergence_tol"])
+    def test_infinite_step_or_tolerance_rejected(self, name):
+        # an infinite tolerance would call every fit converged at its first
+        # window, and an infinite learning rate would blame the data
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FitConfig(**{name: float("inf")})
+
     def test_divergent_learning_rate_raises_fit_error(self):
         rng = np.random.default_rng(11)
         table = random_table(rng, n_verbs=2, n_frames=2, n_participants=2)
