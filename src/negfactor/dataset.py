@@ -9,10 +9,11 @@ time because the divergence loss is undefined at the endpoints.
 The data path holds little beyond the table, and reads and writes a
 block of records at a time, a column at a time, leaving all tokenizing
 and quoting to the csv module. Loading converts each column of
-``LOAD_BLOCK_RECORDS`` records at once, checks the block with one mask
-per check, and collects the accepted records' indexes and responses in
-typed buffers, under 200 bytes per record at its peak; a bad record
-raises with the line and message a row-at-a-time reader gives.
+``LOAD_BLOCK_RECORDS`` records at once, checks the block against one
+table of (mask, message) checks in the order a row is read, and collects
+the accepted records' indexes and responses in typed buffers, under 200
+bytes per record at its peak; the first bad record raises with its line
+and its first failing check's message, as a row-at-a-time reader does.
 Writing quotes each distinct label once and writes
 ``WRITE_BLOCK_RECORDS`` records as one string, the bytes csv.writer
 writes. Synthesis draws its rater scores in blocks of at most
@@ -281,13 +282,13 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
         # a name the header repeats reads its last column
         position = {name: i for i, name in enumerate(header)}
         getters = [itemgetter(position[colmap[canonical]]) for canonical in CANONICAL_COLUMNS]
-        for first_line, last_line, block in _record_blocks(reader):
+        for first_line, block in _record_blocks(reader):
             records = block
             if min(map(len, block), default=0) < len(header):
                 # a short record reads as missing values
                 records = [record + [None] * (len(header) - len(record)) for record in block]
-            fields = [list(map(get, records)) for get in getters]
-            verb, frame, subject, tense, participant, nr, acc = fields
+            verb, frame, subject, tense, participant, nr, acc = (
+                list(map(get, records)) for get in getters)
             # blank lines and dropped participants' records are skipped unread
             skip = _missing(block)
             if dropped_participants:
@@ -297,16 +298,23 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
             subj_code = _codes(subject_ids, subject)
             tense_code = _codes(tense_ids, tense)
             nr_value, acc_value = _numbers(nr), _numbers(acc)
-            # one mask per check of _record_error
-            bad = _missing(verb) | _missing(participant)
-            bad |= (frame_code < 0) | (subj_code < 0) | (tense_code < 0)
-            bad |= _outside(nr_value) | _outside(acc_value)
-            bad &= ~skip
+            # each check's mask and the message of its k-th record, in the
+            # order a row is read: a bad record's first failing check names it
+            checks = (
+                (_missing(verb), lambda k: "missing verb"),
+                (_missing(participant), lambda k: "missing participant"),
+                (frame_code < 0, lambda k: f"unknown frame label {frame[k]!r}"),
+                (subj_code < 0, lambda k: f"unknown subject label {subject[k]!r}"),
+                (tense_code < 0, lambda k: f"unknown tense label {tense[k]!r}"),
+                (_outside(nr_value), lambda k: _response_message("negraising", nr[k])),
+                (_outside(acc_value), lambda k: _response_message("acceptability", acc[k])),
+            )
+            bad = np.logical_or.reduce([mask for mask, _ in checks]) & ~skip
             if bad.any():
                 if on_error == "fail":
-                    first = int(bad.argmax())
-                    line = _record_line(block, first, first_line, last_line)
-                    raise _record_error(line, *(column[first] for column in fields))
+                    k = int(bad.argmax())
+                    message = next(text(k) for mask, text in checks if mask[k])
+                    raise RowError(_record_line(block, k, first_line), message)
                 n_dropped += int(bad.sum())
             keep = ~(bad | skip)
             if not keep.all():
@@ -338,10 +346,9 @@ def load_csv(path, schema: dict[str, str] | None = None, on_error: str = "fail",
 
 def _record_blocks(reader):
     """The records of ``reader`` in blocks of at most LOAD_BLOCK_RECORDS, each
-    with the reader's line number before and after it. A reading error (a
-    field over csv's size limit, bytes that are not UTF-8) comes after the
-    block of the records read before it, so a bad row among those still
-    raises first."""
+    with the reader's line number before it. A reading error (a field over
+    csv's size limit, bytes that are not UTF-8) comes after the block of the
+    records read before it, so a bad row among those still raises first."""
     while True:
         first_line = reader.line_num
         block = []
@@ -349,24 +356,19 @@ def _record_blocks(reader):
             # on an error, extend keeps the records it has appended
             block.extend(islice(reader, LOAD_BLOCK_RECORDS))
         except (csv.Error, UnicodeError):
-            yield first_line, reader.line_num, block
+            yield first_line, block
             raise
         if not block:
             return
-        yield first_line, reader.line_num, block
+        yield first_line, block
 
 
-def _record_line(block: list, k: int, first_line: int, last_line: int) -> int:
+def _record_line(block: list, k: int, first_line: int) -> int:
     """The line where the block's ``k``-th record ends, counting blank lines
     and line breaks inside quoted fields, as ``reader.line_num`` counts them."""
-    if last_line - first_line == len(block):  # one line per record
-        return first_line + k + 1
-    return first_line + sum(1 + _line_breaks(record) for record in block[:k + 1])
-
-
-def _line_breaks(record: list) -> int:
     # a file opened with newline="" breaks lines at each "\r\n", "\r" and "\n"
-    return sum(text.count("\r") + text.count("\n") - text.count("\r\n") for text in record)
+    return first_line + k + 1 + sum(text.count("\r") + text.count("\n") - text.count("\r\n")
+                                    for record in block[:k + 1] for text in record)
 
 
 def _codes(ids: dict, labels: list) -> np.ndarray:
@@ -410,35 +412,12 @@ def _extend_indexes(column: array, ids: dict, labels: list) -> None:
     column.extend(map(ids.__getitem__, labels))
 
 
-def _record_error(line: int, verb, frame, subject, tense, participant, nr, acc) -> RowError | None:
-    """The RowError of a record's first failing check, in the order a row is
-    read: verb, participant, frame, subject and tense labels, negraising,
-    acceptability; None if every check passes."""
+def _response_message(column: str, raw: str | None) -> str:
+    """The message of a slider response that is not a number in [0, 1]."""
     try:
-        if not verb or not participant:
-            raise RowError(line, f"missing {'participant' if verb else 'verb'}")
-        if frame not in FRAME_LABELS:
-            raise RowError(line, f"unknown frame label {frame!r}")
-        if subject not in SUBJECT_LABELS:
-            raise RowError(line, f"unknown subject label {subject!r}")
-        if tense not in TENSE_LABELS:
-            raise RowError(line, f"unknown tense label {tense!r}")
-        _response(line, "negraising", nr)
-        _response(line, "acceptability", acc)
-    except RowError as err:
-        return err
-    return None
-
-
-def _response(line_number: int, column: str, raw: str | None) -> float:
-    """One slider response, which must be a number in [0, 1]."""
-    try:
-        value = float(raw)
+        return f"{column} value {float(raw)} outside [0, 1]"
     except (TypeError, ValueError):
-        raise RowError(line_number, f"{column} value {raw!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise RowError(line_number, f"{column} value {value} outside [0, 1]")
-    return value
+        return f"{column} value {raw!r} is not a number"
 
 
 def labels_at(labels, index: np.ndarray) -> list:

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .dataset import JsonArtifact, ResponseTable, json_numbers
-from .errors import ConsistencyError, FitError, PairingError, SchemaError
+from .errors import ConsistencyError, DimensionError, FitError, PairingError, SchemaError
 from .factorization import Hyperparams
 from .model import json_cells, json_integer, json_labels, json_object
 from .optim import FitConfig, _scored_records, _usable_cpus, fit_group
@@ -244,9 +244,7 @@ class EvalReport(JsonArtifact):
             verbs = json_labels("verbs", data["verbs"])
             frames = json_labels("frames", data["frames"])
             cells = json_cells(data["cells"], verbs, frames)
-            n_folds = json_integer("n_folds", data["n_folds"])
-            if n_folds < 2:
-                raise SchemaError("n_folds must be at least 2")
+            n_folds = json_integer("n_folds", data["n_folds"], 2)
             fold_of = json_numbers(data["fold_of"], np.int64)
             if (fold_of is None or fold_of.shape != (len(cells),)
                     or not np.all((fold_of >= -1) & (fold_of < n_folds))):
@@ -279,12 +277,14 @@ class EvalReport(JsonArtifact):
                 frames=frames,
                 cells=cells,
                 assignment=FoldAssignment(fold_of=fold_of, n_folds=n_folds,
-                                          seed=json_integer("fold_seed", data["fold_seed"])),
+                                          seed=json_integer("fold_seed", data["fold_seed"], 0)),
                 results=results,
-                config_seed=json_integer("config_seed", data["config_seed"]),
+                config_seed=json_integer("config_seed", data["config_seed"], 0),
             )
         except KeyError as err:
             raise SchemaError(f"report is missing field {err.args[0]!r}") from None
+        except DimensionError as err:  # a grid point's size outside its range
+            raise SchemaError(str(err)) from None
 
 
 def _as_grid(grid) -> list[Hyperparams]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import JsonArtifact, json_numbers
-from .errors import SchemaError
+from .errors import DimensionError, SchemaError
 from .factorization import FACTOR_SLOTS, FactorParams, Hyperparams, factor_shapes
 from .response import EffectsParams
 
@@ -57,10 +57,13 @@ def json_object(name: str, value) -> dict:
     return value
 
 
-def json_integer(name: str, value) -> int:
-    """A JSON integer (not a bool), of any size; else SchemaError."""
+def json_integer(name: str, value, least: int | None = None) -> int:
+    """A JSON integer (not a bool), of any size and at least ``least`` if
+    given; else SchemaError."""
     if type(value) is not int:
         raise SchemaError(f"{name} must be an integer")
+    if least is not None and value < least:
+        raise SchemaError(f"{name} must be at least {least}")
     return value
 
 
@@ -145,11 +148,13 @@ class FittedModel(JsonArtifact):
                 factors=factors,
                 effects=effects,
                 alpha=json_checked("alpha", data["alpha"], (len(cells),)),
-                seed=json_integer("seed", data["seed"]),
+                seed=json_integer("seed", data["seed"], 0),
                 final_loss=json_checked("final_loss", data["final_loss"], ()),
                 final_data_loss=json_checked("final_data_loss", data["final_data_loss"], ()),
                 converged=data["converged"],
-                iterations=json_integer("iterations", data["iterations"]),
+                iterations=json_integer("iterations", data["iterations"], 0),
             )
         except KeyError as missing:
             raise SchemaError(f"model JSON missing key {missing}") from None
+        except DimensionError as err:  # a size outside its range, or a factor array its sizes forbid
+            raise SchemaError(str(err)) from None

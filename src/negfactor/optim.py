@@ -337,9 +337,9 @@ class _Lane:
                 self.error = FitError(f"loss became non-finite {when}; recent losses [{tail}]")
                 return False
             self.trajectory.append(float(loss))
-        if it == config.max_iterations:
-            return False
-        if bad is not None:
+        last = it == config.max_iterations
+        # no step follows the last pass, so its gradient goes unread
+        if bad is not None and not last:
             self.error = FitError(f"non-finite gradient for {bad} at iteration {it}")
             return False
         if it > 0 and it % CONVERGENCE_WINDOW == 0:
@@ -348,7 +348,7 @@ class _Lane:
             relative = abs(self.trajectory[-1] - previous) / max(abs(previous), 1e-12)
             self.streak = self.streak + 1 if relative < config.convergence_tol else 0
             self.converged = self.streak >= config.patience
-        return not self.converged
+        return not (self.converged or last)
 
 
 def _in_turn(pieces) -> list:

@@ -6,6 +6,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -212,6 +214,54 @@ class TestLoadCsv:
             with pytest.warns(UserWarning, match="dropped 1"):
                 table = load_csv(path, on_error="drop")
             assert (table.verbs, table.participants, table.n_records) == (("think",), ("p1",), 1)
+
+    # each pair of adjacent checks fails together in one record, so any
+    # reordering of the checks changes some record's message
+    @pytest.mark.parametrize("changes, message", [
+        ({"verb": "", "participant": ""}, "missing verb"),
+        ({"participant": "", "frame": "NP sings"}, "missing participant"),
+        ({"frame": "NP sings", "subject": "second"}, "unknown frame label 'NP sings'"),
+        ({"subject": "second", "tense": "future"}, "unknown subject label 'second'"),
+        ({"subject": "second", "negraising": "high"}, "unknown subject label 'second'"),
+        ({"tense": "future", "negraising": "high"}, "unknown tense label 'future'"),
+        ({"frame": "NP sings", "acceptability": "2"}, "unknown frame label 'NP sings'"),
+        ({"negraising": "high", "acceptability": "2"}, "negraising value 'high' is not a number"),
+        ({"negraising": "nan"}, r"negraising value nan outside \[0, 1\]"),
+    ], ids=lambda value: "+".join(value) if isinstance(value, dict) else None)
+    def test_first_failing_check_in_row_order_names_the_error(self, tmp_path, changes, message):
+        values = {"verb": "think", "frame": FRAME_LABELS[0], "subject": "first", "tense": "past",
+                  "participant": "p1", "negraising": "0.9", "acceptability": "0.8"} | changes
+        good = f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8'
+        bad = ",".join(f'"{values[name]}"' for name in CANONICAL_COLUMNS)
+        path = write_lines(tmp_path / "t.csv", [HEADER, good, bad])
+        with pytest.raises(RowError, match=f"^line 3: {message}$"):
+            load_csv(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_line_number_of_a_file_read_once(self, tmp_path):
+        # a pipe cannot be read twice: the line comes from the one pass, past
+        # the first block and after a record that spans lines
+        rows = [f'v{k},"{FRAME_LABELS[0]}",first,past,p{k},0.5,0.5' for k in range(600)]
+        rows[400] = rows[400].replace("v400", '"v\n400"')
+        rows[450] = rows[450].replace("0.5", "high", 1)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+
+        def write():
+            try:
+                with open(path, "w", encoding="utf-8") as pipe:
+                    pipe.write("\n".join([HEADER, *rows]) + "\n")
+            except BrokenPipeError:  # the loader stopped reading at the bad record
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(RowError, match="^line 453: negraising value 'high' is not a"):
+                load_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_extra_trailing_field_is_ignored(self, tmp_path):
         row = f'think,"{FRAME_LABELS[0]}",first,past,p1,0.9,0.8'

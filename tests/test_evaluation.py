@@ -279,6 +279,10 @@ class TestCrossValidate:
         (("fold_of", 5), -1, r"grid point \(0, 1\) has a loss for a pinned cell"),
         (("grid", 1, "fold_losses", 0), None,
          r"grid point \(1, 0\) fold 0 loss must be null exactly when"),
+        (("grid", 0, "n_lexical"), 5, r"n_lexical must be in 0\.\.4, got 5"),
+        (("grid", 0, "n_structural"), 0, "at least one of n_lexical, n_structural must be"),
+        (("fold_seed",), -1, "fold_seed must be at least 0"),
+        (("config_seed",), -4, "config_seed must be at least 0"),
     ]
 
     @pytest.mark.parametrize("path, value, message", MALFORMED,

@@ -209,6 +209,13 @@ class TestEntriesAreNumbers:
         (("iterations",), True, "iterations must be an integer"),
         (("hyper", "n_lexical"), 2.7, "hyper.n_lexical must be an integer"),
         (("hyper", "n_structural"), "1", "hyper.n_structural must be an integer"),
+        (("hyper", "n_lexical"), 5, "n_lexical must be in 0..4, got 5"),
+        (("hyper", "n_structural"), -1, "n_structural must be in 0..4, got -1"),
+        (("hyper",), {"n_lexical": 0, "n_structural": 0},
+         "at least one of n_lexical, n_structural must be positive"),
+        (("factors", "lambda"), None, "lambda_logits is required when its side is active"),
+        (("seed",), -1, "seed must be at least 0"),
+        (("iterations",), -300, "iterations must be at least 0"),
         (("final_loss",), "1e3", "final_loss must be a number"),
         (("final_data_loss",), False, "final_data_loss must be a number"),
         (("converged",), "no", "converged must be true or false"),

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import expit, logit
 
-from negfactor.dataset import FRAME_LABELS, ResponseTable
+from negfactor.dataset import FRAME_LABELS, PlantedSpec, ResponseTable, generate_synthetic
 from negfactor.errors import DimensionError
 from negfactor.normalization import normalize
 from negfactor.optim import FitConfig
@@ -111,6 +111,13 @@ class TestScores:
         assert_array_equal(scores.score, package_expit(scores.nu))
         assert_allclose(scores.score, expit(scores.nu), rtol=1e-12)
         assert np.all((scores.score > 0) & (scores.score < 1))
+
+    @pytest.mark.parametrize("cap", [200, 201])
+    def test_rule_met_at_the_cap_is_converged(self, cap):
+        table, _ = generate_synthetic(PlantedSpec(n_verbs=6, n_participants=20, seed=0))
+        config = FitConfig(max_iterations=cap, convergence_tol=1.0, patience=2)
+        scores = normalize(table, config)
+        assert (scores.converged, scores.iterations) == (True, 200)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

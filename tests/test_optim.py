@@ -513,6 +513,10 @@ class TestAdamMinimize:
         assert not lane.record(2, 1.0, FitConfig(max_iterations=10), "beta[1]")
         with pytest.raises(FitError, match="beta"):
             raise lane.error
+        # no step follows the pass at the cap, so its gradient goes unread
+        last = bare_lane()
+        assert not last.record(10, 1.0, FitConfig(max_iterations=10), "beta[1]")
+        assert last.error is None
 
     def test_convergence_waits_for_patience(self):
         # loss drops only at specific checkpoints: one quiet window is not
@@ -951,6 +955,17 @@ class TestFit:
         # window, and an infinite learning rate would blame the data
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             FitConfig(**{name: float("inf")})
+
+    @pytest.mark.parametrize("cap", [200, 201])
+    def test_rule_met_at_the_cap_is_converged(self, cap):
+        # the second quiet window ends at iteration 200, the cap or one
+        # short of it: the fit converges there either way
+        table, _ = generate_synthetic(PlantedSpec(n_verbs=6, n_participants=20, seed=0))
+        config = FitConfig(max_iterations=cap, convergence_tol=1.0, patience=2, n_restarts=1)
+        result = fit(table, Hyperparams(1, 1), config)
+        assert (result.converged, result.iterations_run, len(result.trajectory)) == (True, 200, 3)
+        assert result.restarts == [optim.Restart(result.trajectory[-1], 200, True)]
+        assert result.model.converged
 
     def test_divergent_learning_rate_raises_fit_error(self):
         rng = np.random.default_rng(11)
